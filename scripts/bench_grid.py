@@ -32,7 +32,6 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks._common import CACHELIB_RATIOS, cdn_workload, run_grid  # noqa: E402
-from repro import accel  # noqa: E402
 from repro.core.parallel import ParallelExecutor, resolve_jobs  # noqa: E402
 
 
@@ -121,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         "batches_per_cell": args.batches,
         "jobs": jobs,
         "cpus_available": resolve_jobs(0),
-        "accel_backend": accel.backend_name(),
         "serial_s": round(serial_s, 3),
         "parallel_cold_s": round(parallel_s, 3),
         "warm_cache_s": round(warm_s, 3),

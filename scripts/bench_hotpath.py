@@ -26,13 +26,11 @@ floor; smoke records are exempt because their shorter runs amortize
 setup over fewer batches).  ``--before BEFORE.json`` embeds a
 pre-optimization record and reports speedups against it.
 
-Schema v2: engine-level components carry ``batches_per_sec`` and the
-accel ``backend`` they ran under; when numba is importable an
-``engine_cdn_numba`` entry records the compiled backend's throughput
-next to the NumPy reference.  Besides FreqTier (``engine_cdn``), every
-policy in ``_ENGINE_POLICIES`` gets its own ``engine_cdn_<policy>``
-end-to-end cell so the run-compressed fast paths are gated per policy,
-not just for the one policy that happened to be compressed first.
+Schema v3: engine-level components carry ``batches_per_sec``.  Besides
+FreqTier (``engine_cdn``), every policy in ``_ENGINE_POLICIES`` gets its
+own ``engine_cdn_<policy>`` end-to-end cell so the run-compressed fast
+paths are gated per policy, not just for the one policy that happened
+to be compressed first.
 """
 
 from __future__ import annotations
@@ -61,9 +59,7 @@ from repro.sampling.events import AccessBatch  # noqa: E402
 from repro.sampling.pebs import PEBSSampler, SamplingLevel  # noqa: E402
 from repro.workloads.zipfian import ZipfianSampler  # noqa: E402
 
-from repro import accel  # noqa: E402
-
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Required fields of every per-component record.
 _COMPONENT_FIELDS = {"ns_per_op": float, "ops": int, "reps": int, "seconds_best": float}
@@ -78,10 +74,9 @@ _RNG_FIELDS = {"offered": int, "drawn": int, "reduction_x": float}
 _NS_NOISE_FLOOR = 1.0
 
 #: Absolute ns/batch ceilings for full (non-smoke) engine records.
-#: engine_cdn: >= 3x over the pre-fusion baseline (1,904,991 ns/batch);
-#: engine_cdn_numba: >= 5x over the same baseline.  The per-policy
-#: entries gate the run-compressed fast paths against their
-#: stream-expanding pre-compression baselines (measured at the same
+#: engine_cdn: >= 3x over the pre-fusion baseline (1,904,991 ns/batch).
+#: The per-policy entries gate the run-compressed fast paths against
+#: their stream-expanding pre-compression baselines (measured at the same
 #: scale): hemem 1,153,470 / autonuma 4,309,934 / multiclock 631,337 /
 #: tpp 4,329,619 / damon 891,259 ns/batch.  hemem, autonuma and tpp
 #: ceilings sit >= 2x under those baselines; multiclock and damon are
@@ -90,7 +85,6 @@ _NS_NOISE_FLOOR = 1.0
 #: damon, slightly above) the old baseline rather than 2x gates.
 _ENGINE_CEILINGS_NS = {
     "engine_cdn": 634_997.0,
-    "engine_cdn_numba": 380_998.0,
     "engine_cdn_hemem": 576_000.0,
     "engine_cdn_autonuma": 2_150_000.0,
     "engine_cdn_multiclock": 600_000.0,
@@ -214,17 +208,8 @@ def bench_pagetable_place(scale: int, reps: int) -> dict:
 _ENGINE_POLICIES = ("hemem", "autonuma", "multiclock", "tpp", "damon")
 
 
-def bench_engine_policy(
-    policy_name: str, scale: int, reps: int, backend: str = "numpy"
-) -> dict | None:
-    """End-to-end policy cell on the bench-grid CDN workload.
-
-    Runs under the requested :mod:`repro.accel` backend; returns None
-    when that backend is unavailable (e.g. ``numba`` without the
-    ``[accel]`` extra installed) so callers can skip the entry.
-    """
-    if accel.set_backend(backend) != backend:
-        return None
+def bench_engine_policy(policy_name: str, scale: int, reps: int) -> dict:
+    """End-to-end policy cell on the bench-grid CDN workload."""
     batches = 30 * scale
     config = ExperimentConfig(
         local_fraction=0.12,
@@ -234,14 +219,10 @@ def bench_engine_policy(
     )
     workload = WorkloadSpec("cdn", slab_pages=16_384, ops_per_batch=10_000, seed=1)
     policy = PolicySpec(policy_name, seed=1)
-    if backend != "numpy":
-        # Pay the JIT/disk-cache warm-up outside the timed region.
-        run_experiment(workload, policy, config)
     record = _timed(
         lambda: run_experiment(workload, policy, config), batches, max(1, reps - 1)
     )
     record["batches_per_sec"] = round(batches / record["seconds_best"], 1)
-    record["backend"] = backend
     return record
 
 
@@ -279,11 +260,6 @@ def validate_record(record: dict) -> list[str]:
             if not isinstance(bps, (int, float)) or isinstance(bps, bool):
                 errors.append(
                     f"components[{name}].batches_per_sec missing or non-numeric"
-                )
-            if comp.get("backend") not in ("numpy", "numba"):
-                errors.append(
-                    f"components[{name}].backend must be 'numpy' or 'numba', "
-                    f"got {comp.get('backend')!r}"
                 )
     sampler_rng = record.get("sampler_rng")
     if not isinstance(sampler_rng, dict) or not sampler_rng:
@@ -371,22 +347,14 @@ def run_suite(smoke: bool) -> dict:
     components["zipf_reassign"] = bench_zipf_reassign(scale, reps)
     components["pagetable_tier_of"] = bench_pagetable_tier_of(scale, reps)
     components["pagetable_place"] = bench_pagetable_place(scale, reps)
-    components["engine_cdn"] = bench_engine_policy("freqtier", scale, reps, "numpy")
-    numba_engine = bench_engine_policy("freqtier", scale, reps, "numba")
-    if numba_engine is not None:
-        components["engine_cdn_numba"] = numba_engine
-    else:
-        print("  engine_cdn_numba         skipped (numba unavailable)")
+    components["engine_cdn"] = bench_engine_policy("freqtier", scale, reps)
     for name in _ENGINE_POLICIES:
-        components[f"engine_cdn_{name}"] = bench_engine_policy(
-            name, scale, reps, "numpy"
-        )
-    accel.set_backend("numpy")
+        components[f"engine_cdn_{name}"] = bench_engine_policy(name, scale, reps)
 
     for name, comp in components.items():
         extra = ""
         if "batches_per_sec" in comp:
-            extra = f"  ({comp['batches_per_sec']:.0f} batches/s, {comp['backend']})"
+            extra = f"  ({comp['batches_per_sec']:.0f} batches/s)"
         print(f"  {name:24s} {comp['ns_per_op']:12.1f} ns/op{extra}")
     for level, rec in sampler_rng.items():
         print(

@@ -1,12 +1,21 @@
-"""Pure-NumPy reference implementations of the fused hot-path kernels.
+"""The fused hot-path kernels, as plain NumPy functions.
 
-This backend is the **oracle**: always importable, always tested, and
-the definition of correct output for every other backend.  It is
-deliberately self-contained (imports nothing from the rest of
-``repro``) so the dispatch layer stays a leaf package; the hash and
-packed-counter math here mirrors :mod:`repro.cbf.hashing` and
-:mod:`repro.cbf.counters` bit-for-bit, and ``tests/accel/`` pins that
-equivalence against the originals on randomized inputs.
+The simulator's per-batch inner loop reduces to a handful of fused
+kernels -- placement gather + tier counting, the CBF's conservative
+increase with readback, hash-index derivation, the skip sampler's gap
+expansion, run expansion and the run-compressed batch gathers.  These
+functions *are* those kernels: callers use them as ``accel.<name>``.
+
+The module imports nothing from the rest of ``repro`` so it stays a
+leaf.  The hash and packed-counter math here restates
+:mod:`repro.cbf.hashing` and :mod:`repro.cbf.counters` bit-for-bit,
+and ``tests/accel/test_kernel_equivalence.py`` pins each kernel
+against those reference modules (and against the plain expanded-stream
+constructions) on randomized inputs.
+
+Every kernel is a pure function of its array arguments plus scalar
+shape/width parameters (``out``/``store``/``unmap_time`` arguments are
+mutated as documented), so results never depend on call history.
 """
 
 from __future__ import annotations
@@ -33,6 +42,13 @@ _LOCAL_TIER = 0
 def placement_counts(
     placement: np.ndarray, page_ids: np.ndarray, out: np.ndarray
 ) -> tuple[int, int]:
+    """Gather each page's tier code into ``out`` and split the counts.
+
+    ``placement`` is the page table's int8 code array (``LOCAL_TIER=0``,
+    ``CXL_TIER=1``, ``UNMAPPED=-1``); returns ``(n_local, n_cxl)`` where
+    ``n_cxl`` counts every non-local access (the engine's historical
+    accounting).  Out-of-range page ids raise ``IndexError``.
+    """
     n = page_ids.size
     view = out[:n]
     np.take(placement, page_ids, out=view)
@@ -41,6 +57,15 @@ def placement_counts(
 
 
 def placement_prefix(placement: np.ndarray, prefix: np.ndarray) -> None:
+    """Prefix sum of local placements into caller-owned scratch.
+
+    Writes ``prefix[i] = #{j < i : placement[j] == LOCAL_TIER}`` for
+    ``i`` in ``[0, placement.size]``; ``prefix`` must hold
+    ``placement.size + 1`` int64 elements.  The result feeds
+    :func:`compressed_placement_counts` and stays valid until the
+    placement array next changes (track
+    ``PageTable.version`` to reuse it across batches).
+    """
     n = placement.size
     prefix[0] = 0
     np.cumsum(placement == _LOCAL_TIER, dtype=np.int64, out=prefix[1 : n + 1])
@@ -53,6 +78,17 @@ def compressed_placement_counts(
     starts: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[int, int]:
+    """Tier split of a run-compressed batch, without expanding it.
+
+    Counts local accesses across ``head`` (single-page accesses, a
+    direct gather) and the ``(starts, counts)`` page runs via the
+    placement prefix sum built by :func:`placement_prefix`: the local
+    hits in ``[s, s+c)`` are ``prefix[s+c] - prefix[s]``.  ``prefix``
+    must describe the current ``placement`` contents.  Returns
+    ``(n_local, n_cxl)`` with ``n_cxl`` counting every non-local
+    access, exactly like :func:`placement_counts` on the expanded
+    stream.  Out-of-range pages raise ``IndexError``.
+    """
     n = placement.size
     n_local = 0
     total = 0
@@ -89,6 +125,21 @@ def run_pages_at(
     positions: np.ndarray,
     sorted_positions: bool = False,
 ) -> np.ndarray:
+    """Position→page gather over a run-compressed batch.
+
+    Program order is ``head`` first, then the ``(starts, counts)`` runs
+    expanded in order; ``offsets`` is ``cumsum(counts)``.  Returns the
+    int64 page id at each position: head positions are a direct gather,
+    tail positions locate their run by binary search over ``offsets``
+    -- O(len(positions)), never expanding the stream.  Positions
+    outside ``[0, head.size + offsets[-1])`` raise ``IndexError``
+    (matching a fancy-index gather on the expanded stream).
+
+    ``sorted_positions`` is a caller promise that ``positions`` is
+    ascending (true for skip-sampled and strided position streams); head
+    and tail positions are then split with slices instead of boolean
+    masks.  Passing it for unsorted positions is undefined.
+    """
     n_head = head.size
     n_total = n_head + (int(offsets[-1]) if offsets.size else 0)
     if positions.size == 0:
@@ -130,6 +181,11 @@ def strided_run_pages(
     stride: int,
     num_accesses: int,
 ) -> np.ndarray:
+    """Pages at positions ``0, stride, 2*stride, ...`` of a compressed
+    batch -- bit-identical to ``expanded_page_ids[::stride]`` (as int64)
+    at O(samples + runs) cost.  Feeds the recency policies' strided
+    touched-set walks (AutoNUMA MGLRU / TPP reference-bit sampling).
+    """
     positions = np.arange(0, num_accesses, stride, dtype=np.int64)
     return run_pages_at(
         head, starts, counts, offsets, positions, sorted_positions=True
@@ -142,6 +198,16 @@ def weighted_page_counts(
     counts: np.ndarray,
     out: np.ndarray,
 ) -> None:
+    """Accumulate a per-page access histogram of a compressed batch.
+
+    The compressed form *is* a weighted histogram: each head page
+    contributes 1 and each run contributes 1 to every page it covers.
+    Adds those counts into ``out`` (int64, one slot per page) via a
+    head bincount plus a difference-domain run sweep -- O(runs + pages)
+    instead of O(accesses), equivalent to ``np.add.at(out, page_ids,
+    1)`` on the expanded stream.  Pages outside ``[0, out.size)`` raise
+    ``IndexError``.
+    """
     n = out.size
     if head.size:
         if int(head.min()) < 0 or int(head.max()) >= n:
@@ -165,6 +231,17 @@ def hint_faults(
     starts: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Hint-fault detection over a run-compressed batch.
+
+    Returns ``(faulted_pages, unmap_times)``: the first access in
+    program order to each page whose ``unmap_time`` entry is >= 0, and
+    that entry's value -- then clears those entries in place (the PTE
+    restore), so a page faults at most once per batch.  Bit-identical
+    (order included) to first-occurrence detection on the expanded
+    stream; out-of-range pages are skipped, matching the scanner's
+    in-range filter.  Cost is O(runs log U + faults) with U the
+    currently-unmapped set, not O(accesses).
+    """
     total = unmap_time.size
     parts: list[np.ndarray] = []
     mask = unmap_time >= 0.0
@@ -246,6 +323,11 @@ def blocked_indices(
     counters_per_block: int,
     num_hashes: int,
 ) -> np.ndarray:
+    """Blocked-CBF slot indices, shape ``(len(keys), num_hashes)``.
+
+    One splitmix64 hash selects the 64-byte block, ``num_hashes``
+    further hashes select in-block slots (Lemire fold, no modulo bias).
+    """
     keys = np.asarray(keys, dtype=np.uint64)
     seeds = np.empty(num_hashes + 1, dtype=np.uint64)
     seeds[0] = _U64(seed & _MASK64)
@@ -262,6 +344,7 @@ def blocked_indices(
 def classic_indices(
     keys: np.ndarray, num_hashes: int, num_slots: int, seed: int
 ) -> np.ndarray:
+    """Kirsch--Mitzenmacher double-hashed slot indices ``(n, k)``."""
     keys = np.asarray(keys, dtype=np.uint64)
     seeds = np.array(
         [_U64(seed & _MASK64), _U64((seed + 1) & _MASK64)], dtype=np.uint64
@@ -328,6 +411,17 @@ def cbf_fused_update(
     idx: np.ndarray,
     totals: np.ndarray,
 ) -> np.ndarray:
+    """Fused conservative CBF increase + frequency readback.
+
+    For each row ``r`` of ``idx`` (the ``k`` counter slots of one
+    unique key): read the min counter, raise the row's counters to
+    ``min(min + totals[r], max_value)`` via scatter-max (duplicates
+    across rows resolve to the largest target), then read back the new
+    min.  Mutates ``store`` in place; returns the per-row new
+    frequencies (int64).  ``store`` is the packed backing array of a
+    :class:`repro.cbf.counters.PackedCounterArray` (uint8 for sub-byte
+    and 8-bit widths, uint16 for 16-bit).
+    """
     mins = _gather(store, bits, per_byte, max_value, idx).min(axis=1)
     target = np.minimum(mins + totals, max_value)
     flat = idx.ravel()
@@ -350,6 +444,15 @@ def cbf_fused_update(
 def gap_positions(
     gaps: np.ndarray, pos: int, n: int, out: np.ndarray
 ) -> tuple[int, int, int]:
+    """Expand geometric gaps into in-batch sample positions.
+
+    Positions are ``pos, pos+gaps[0], pos+gaps[0]+gaps[1], ...``; those
+    ``< n`` are written to ``out`` (which must hold ``len(gaps) + 1``
+    elements).  Returns ``(count, carry, last)``: ``count`` positions
+    written; ``carry`` = first position past the batch end minus ``n``
+    when the chain crossed it, else ``-1``; ``last`` = the final
+    position of the full chain (used to extend an uncrossed chain).
+    """
     positions = out[: gaps.size + 1]
     positions[0] = pos
     np.cumsum(gaps, out=positions[1:])
@@ -371,6 +474,11 @@ def gap_positions(
 def expand_runs(
     starts: np.ndarray, counts: np.ndarray, out: np.ndarray
 ) -> None:
+    """Expand ``(start, count)`` runs into per-page ids.
+
+    Writes ``starts[i], starts[i]+1, ..., starts[i]+counts[i]-1`` for
+    every run, concatenated, into ``out`` (sized ``counts.sum()``).
+    """
     if out.size == 0:
         return
     if counts.size and int(counts.min()) == 0:

@@ -155,12 +155,6 @@ class SimulationEngine:
             self.policy.set_fault_injector(self.fault_injector)
         self.policy.attach(self.machine)
         self.workload.setup(self.machine)
-        if self.tracer.enabled:
-            # Surface a requested-but-unavailable accel backend once
-            # per run (the dispatch layer itself stays silent).
-            event = accel.fallback_event()
-            if event is not None:
-                self.tracer.emit("accel_fallback", **event)
         self._setup_done = True
 
     # -- checkpointing ----------------------------------------------------

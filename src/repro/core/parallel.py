@@ -350,7 +350,8 @@ class ExecutorStats:
     #: Bytes of access-stream data served zero-copy from those segments.
     shm_bytes: int = 0
     #: Workload groups that fell back to per-cell generation after a
-    #: publish attempt failed (platform without shared memory, etc.).
+    #: publish attempt failed (platform without shared memory, a stream
+    #: too large for the host's memory budget, etc.).
     shm_fallbacks: int = 0
 
 
@@ -402,10 +403,11 @@ class ParallelExecutor:
         workers replay read-only views instead of regenerating it
         (see :mod:`repro.core.shm`).  Results are bit-identical either
         way; ineligible cells (closure factories, unbounded budgets,
-        ``max_accesses`` limits) and platforms without shared memory
-        fall back to per-cell generation silently
-        (``stats.shm_fallbacks``).  Segments are unlinked when the
-        grid finishes (plus an ``atexit`` net).
+        ``max_accesses`` limits), platforms without shared memory and
+        streams too large for half the host's available memory fall
+        back to per-cell generation silently (``stats.shm_fallbacks``).
+        Segments are unlinked when the grid finishes (plus an
+        ``atexit`` net).
 
     Determinism: each cell builds fresh workload/policy instances from
     its own seeds, so ``run()`` returns bit-identical results whatever

@@ -23,8 +23,10 @@ Design points:
   fast-forward works unchanged (the engine skips already-completed
   batches of the replay iterator).
 - **Strict fallback.**  Publishing is best-effort: unbounded streams,
-  closure factories, or a platform without shared memory simply fall
-  back to per-cell generation.  Nothing observable changes but speed.
+  closure factories, a platform without shared memory, or a stream
+  too large for the host's memory budget (:class:`StreamTooLarge`)
+  simply fall back to per-cell generation.  Nothing observable changes
+  but speed.
 - **Lifecycle.**  The creating executor unlinks every segment when its
   grid finishes (plus an ``atexit`` net for crashed runs).  Worker
   attachments re-register the name with :mod:`multiprocessing`'s
@@ -36,6 +38,7 @@ Design points:
 from __future__ import annotations
 
 import atexit
+import os
 from collections.abc import Iterator
 from multiprocessing import shared_memory
 from typing import Any, Callable
@@ -50,6 +53,40 @@ _ALIGN = 8
 
 def _aligned(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+#: Copies of each recorded byte alive at once while publishing: the
+#: recorded batch list and the shared segment it is copied into.
+_COPIES = 2
+
+
+class StreamTooLarge(MemoryError):
+    """A stream recording stopped before it outgrew the memory budget."""
+
+    def __init__(self, recorded_bytes: int, budget: int):
+        super().__init__(
+            f"stream recording stopped at {recorded_bytes} bytes: "
+            f"{_COPIES} copies would exceed the {budget}-byte budget"
+        )
+        self.recorded_bytes = recorded_bytes
+        self.budget = budget
+
+
+def _memory_budget() -> int:
+    """Bytes one recording may hold: half the host's available memory.
+
+    The other half is left to the workers that replay the stream.
+    Reads ``MemAvailable`` (free plus reclaimable memory) where the
+    kernel reports it, else the free physical pages.
+    """
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024 // 2
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +111,21 @@ def record_stream(
     sequentially; policy-side reservations debit capacity without
     mapping), so the scratch machine's tier shape cannot leak into the
     recording.
+
+    Raises :class:`StreamTooLarge` once the recording would overrun
+    the host's memory budget, counting each byte :data:`_COPIES` times:
+    after the first batch when its size times ``max_batches`` already
+    exceeds the budget, else as soon as the running total does.  The
+    parent therefore never holds more than one batch past the budget.
     """
     # Local imports: repro.core.runner imports this package's siblings.
     from repro.core.runner import build_all_local_machine
     from repro.memsim.tier import CXL1_CONFIG
 
+    # Taken before the workload is built: read between the workload's
+    # allocations and the recording's, it left perfbench's pooled
+    # cdn_grid peak RSS 66 MiB higher (2-CPU, 8 GB Linux host).
+    budget = _memory_budget()
     workload = workload_factory()
     workload.setup(
         build_all_local_machine(workload.footprint_pages, CXL1_CONFIG)
@@ -86,6 +133,7 @@ def record_stream(
     records: list[dict] = []
     arrays: list[np.ndarray] = []
     exhausted = True
+    recorded = 0
     stream = workload.batches()
     for _ in range(max_batches):
         batch = next(stream, None)
@@ -98,17 +146,21 @@ def record_stream(
             "bytes_per_access": batch.bytes_per_access,
         }
         if batch.run_starts is not None:
-            for field, arr in (
+            fields = (
                 ("head_page_ids", batch.head_page_ids),
                 ("run_starts", batch.run_starts),
                 ("run_counts", batch.run_counts),
-            ):
-                record[field] = len(arrays)
-                arrays.append(arr)
+            )
         else:
-            record["page_ids"] = len(arrays)
-            arrays.append(batch.page_ids)
+            fields = (("page_ids", batch.page_ids),)
+        for field, arr in fields:
+            record[field] = len(arrays)
+            arrays.append(arr)
+            recorded += arr.nbytes
         records.append(record)
+        projected = recorded * max_batches if len(records) == 1 else recorded
+        if _COPIES * projected > budget:
+            raise StreamTooLarge(recorded, budget)
     else:
         exhausted = next(stream, None) is None
     return records, arrays, exhausted
@@ -119,10 +171,11 @@ def publish_stream(
 ) -> "SharedStreamHandle":
     """Record a workload's stream into a fresh shared-memory segment.
 
-    Raises whatever the platform raises when shared memory is
-    unavailable; callers treat any exception as "fall back to per-cell
-    generation".  The caller owns the segment and must eventually call
-    :meth:`SharedStreamHandle.unlink`.
+    Raises :class:`StreamTooLarge` when the recording outgrows the
+    memory budget, and whatever the platform raises when shared memory
+    is unavailable; callers treat any exception as "fall back to
+    per-cell generation".  The caller owns the segment and must
+    eventually call :meth:`SharedStreamHandle.unlink`.
     """
     records, arrays, exhausted = record_stream(workload_factory, max_batches)
     total = sum(_aligned(a.nbytes) for a in arrays)

@@ -56,9 +56,6 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "checkpoint_saved": frozenset({"batch", "file"}),
     # The engine restored its state from a checkpoint (resume).
     "checkpoint_restored": frozenset({"batch"}),
-    # A requested accel backend was unavailable; the run fell back to
-    # the NumPy reference (emitted once per run, at setup).
-    "accel_fallback": frozenset({"requested", "active", "reason"}),
     # -- serving daemon (repro.serve) --------------------------------------
     # One daemon tick began (mode is the degradation-ladder rung;
     # queue_depth is the aggregate backlog at tick start).

@@ -1,16 +1,11 @@
-"""Backend choice must never change experiment results.
+"""The engine's run-compressed fast path must never change results.
 
-Two layers of evidence:
-
-- **Always on:** the engine's run-compressed fast path (prefix-sum
-  counting, position-sampled observers, compressed hint faults -- no
-  stream expansion anywhere) must match the expanded-stream path
-  bit-for-bit for every policy that opts out of stream
-  materialization, which is all of them.
-- **With numba installed:** full experiment cells -- 8 policies x 3
-  seeds -- must produce byte-identical results under the compiled
-  backend and the NumPy reference (``tests/accel/test_numba_equivalence``
-  pins individual kernels; this pins their composition).
+The compressed path (prefix-sum counting, position-sampled observers,
+compressed hint faults -- no stream expansion anywhere) must match the
+expanded-stream path bit-for-bit for every policy that opts out of
+stream materialization, which is all of them.
+``tests/accel/test_kernel_equivalence.py`` pins the individual
+kernels; this pins their composition.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro import accel, policies
+from repro import policies
 from repro.core.config import ExperimentConfig
 from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import run_experiment
@@ -29,16 +24,6 @@ CONFIG = ExperimentConfig(
     local_fraction=0.12, ratio_label="1:16", max_batches=25, seed=7
 )
 
-POLICIES = (
-    "freqtier",
-    "hybridtier",
-    "autonuma",
-    "tpp",
-    "multiclock",
-    "hemem",
-    "damon",
-    "static",
-)
 SEEDS = (1, 2, 3)
 
 #: Registry name -> class whose ``needs_access_stream`` flag forces the
@@ -89,33 +74,3 @@ def test_engine_results_deterministic_across_runs():
     first = run_experiment(WORKLOAD, PolicySpec("freqtier", seed=2), CONFIG)
     second = run_experiment(WORKLOAD, PolicySpec("freqtier", seed=2), CONFIG)
     assert _as_dict(first) == _as_dict(second)
-
-
-def test_fallback_event_is_schema_valid():
-    """A numba request without numba must yield a traceable event.
-
-    The engine emits the recorded fallback through its tracer at
-    setup; the event type must therefore exist in the trace schema or
-    every traced run under ``REPRO_ACCEL=numba`` would crash on the
-    very machine the fallback is for.
-    """
-    from repro.obs.events import validate_event
-
-    if accel.set_backend("numba") == "numba":
-        pytest.skip("numba installed; no fallback occurs")
-    event = accel.fallback_event()
-    assert event is not None
-    assert event["active"] == "numpy"
-    validate_event({"type": "accel_fallback", "t_ns": 0.0, "seq": 0, **event})
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("policy", POLICIES)
-def test_backends_produce_identical_results(policy, seed):
-    pytest.importorskip("numba")
-    spec = PolicySpec(policy, seed=seed)
-    accel.set_backend("numpy")
-    reference = run_experiment(WORKLOAD, spec, CONFIG)
-    assert accel.set_backend("numba") == "numba"
-    compiled = run_experiment(WORKLOAD, spec, CONFIG)
-    assert _as_dict(compiled) == _as_dict(reference)

@@ -215,3 +215,38 @@ def test_publish_failure_counts_fallback(monkeypatch):
     assert handles == []
     assert executor.stats.shm_fallbacks == 1
     assert not any(isinstance(s.workload, SharedStreamFactory) for s in specs)
+
+
+def test_stream_over_memory_budget_falls_back(monkeypatch):
+    import repro.core.shm as shm_mod
+
+    records, arrays, _ = record_stream(WORKLOAD, CONFIG.max_batches)
+    fields = ("head_page_ids", "run_starts", "run_counts", "page_ids")
+    batch_bytes = [
+        sum(arrays[r[f]].nbytes for f in fields if f in r) for r in records
+    ]
+    # Room for the whole stream once, not for the two copies publishing
+    # holds at the same time.
+    budget = sum(batch_bytes)
+    stopped = []
+
+    def recording(*args, **kwargs):
+        try:
+            return record_stream(*args, **kwargs)
+        except shm_mod.StreamTooLarge as exc:
+            stopped.append(exc)
+            raise
+
+    monkeypatch.setattr(shm_mod, "_memory_budget", lambda: budget)
+    monkeypatch.setattr(shm_mod, "record_stream", recording)
+    capped = ParallelExecutor(jobs=2, share_streams=True)
+    results = capped.run(_grid())
+
+    [exc] = stopped
+    assert exc.budget == budget
+    # Each recorded byte counts twice; at most one batch past the budget.
+    assert 2 * (exc.recorded_bytes - max(batch_bytes)) <= budget
+    assert capped.stats.shm_fallbacks == 1
+    assert capped.stats.shm_segments == 0
+    unshared = ParallelExecutor(jobs=2, share_streams=False).run(_grid())
+    assert _dicts(results) == _dicts(unshared)

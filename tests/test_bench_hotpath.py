@@ -31,7 +31,7 @@ def _minimal_record(bench):
         "reps": 3,
         "seconds_best": 1e-4,
     }
-    engine = dict(component, batches_per_sec=10_000.0, backend="numpy")
+    engine = dict(component, batches_per_sec=10_000.0)
     return {
         "schema_version": bench.SCHEMA_VERSION,
         "benchmark": "hot-path microbenchmarks",
@@ -87,13 +87,8 @@ class TestValidateRecord:
         del rec["components"]["engine_cdn"]["batches_per_sec"]
         assert any("batches_per_sec" in e for e in bench.validate_record(rec))
 
-    def test_engine_with_unknown_backend_flagged(self, bench):
-        rec = _minimal_record(bench)
-        rec["components"]["engine_cdn"]["backend"] = "cython"
-        assert any("backend" in e for e in bench.validate_record(rec))
-
     def test_non_engine_component_needs_no_throughput(self, bench):
-        # hashing has neither batches_per_sec nor backend: still valid.
+        # hashing has no batches_per_sec: still valid.
         assert bench.validate_record(_minimal_record(bench)) == []
 
 
