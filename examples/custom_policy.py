@@ -44,8 +44,8 @@ class SampledLFU(TieringPolicy):
         self.pebs.set_level(SamplingLevel.HIGH)
         self._since_replace = 0
 
-    def on_batch(self, batch, tiers, now_ns: float, counts=None) -> float:
-        self.pebs.observe(batch, tiers)
+    def on_batch(self, batch, now_ns: float, counts) -> float:
+        self.pebs.observe(batch)
         overhead = 0.0
         self._since_replace += batch.num_accesses
         if self._since_replace >= self.replace_interval:

@@ -144,13 +144,12 @@ def bench_pebs_observe(
         0, 1 << 20, size=batch_accesses, dtype=np.int64
     )
     batch = AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0)
-    tiers = np.zeros(batch_accesses, dtype=np.int8)
 
     def run() -> PEBSSampler:
         sampler = PEBSSampler(base_period=64, seed=9)
         sampler.set_level(level)
         for _ in range(n_batches):
-            sampler.observe(batch, tiers)
+            sampler.observe(batch)
             sampler.drain()
         return sampler
 

@@ -77,15 +77,18 @@ def compressed_placement_counts(
     head: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
+    out: np.ndarray,
 ) -> tuple[int, int]:
     """Tier split of a run-compressed batch, without expanding it.
 
-    Counts local accesses across ``head`` (single-page accesses, a
-    direct gather) and the ``(starts, counts)`` page runs via the
-    placement prefix sum built by :func:`placement_prefix`: the local
-    hits in ``[s, s+c)`` are ``prefix[s+c] - prefix[s]``.  ``prefix``
-    must describe the current ``placement`` contents.  Returns
-    ``(n_local, n_cxl)`` with ``n_cxl`` counting every non-local
+    Counts local accesses across ``head`` (single-page accesses,
+    gathered by :func:`placement_counts` into the caller-owned int8
+    scratch ``out``, which must hold ``head.size`` elements) and the
+    ``(starts, counts)`` page runs via the placement prefix sum built by
+    :func:`placement_prefix`: the local hits in ``[s, s+c)`` are
+    ``prefix[s+c] - prefix[s]``.  ``prefix`` must describe the current
+    ``placement`` contents; it is not read when there are no runs.
+    Returns ``(n_local, n_cxl)`` with ``n_cxl`` counting every non-local
     access, exactly like :func:`placement_counts` on the expanded
     stream.  Out-of-range pages raise ``IndexError``.
     """
@@ -102,12 +105,9 @@ def compressed_placement_counts(
         n_local = int(prefix[ends].sum() - prefix[starts].sum())
         total = int(counts.sum())
     if head.size:
-        # LOCAL_TIER is 0, so local head hits are exactly the zeros;
-        # unmapped (-1) codes land in the non-local count, matching
-        # placement_counts on the expanded stream.
-        tiers = np.take(placement, head)
-        n_local += head.size - int(np.count_nonzero(tiers))
-        total += head.size
+        head_local, head_cxl = placement_counts(placement, head, out)
+        n_local += head_local
+        total += head_local + head_cxl
     return n_local, total - n_local
 
 

@@ -55,15 +55,17 @@ class StepOutcome:
     pages_migrated: int
 
 
+#: Stand-in prefix for batches without runs (never read).
+_NO_PREFIX = np.empty(0, dtype=np.int64)
+
+
 class BatchContext:
     """Reusable per-batch scratch arrays, owned by the engine.
 
-    The fused batch step writes each batch's placement gather into the
-    same grow-only buffer instead of allocating a fresh array per
-    batch; the policy receives a view of it through ``on_batch`` and
-    must consume it within the call (every built-in policy copies what
-    it keeps via fancy indexing).  Scratch is not checkpointed --
-    contents never outlive one batch.
+    The fused batch step writes each batch's head placement gather into
+    the same grow-only buffer instead of allocating a fresh array per
+    batch.  Scratch is not checkpointed -- contents never outlive one
+    batch.
     """
 
     def __init__(self) -> None:
@@ -72,7 +74,7 @@ class BatchContext:
         self._prefix_key: tuple[int, int] | None = None
 
     def tiers_for(self, n: int) -> np.ndarray:
-        """A length-``n`` int8 view for this batch's placement codes."""
+        """A length-``n`` int8 view for this batch's head placement codes."""
         if self._tiers.size < n:
             self._tiers = np.empty(max(n, 2 * self._tiers.size), dtype=np.int8)
         return self._tiers[:n]
@@ -271,41 +273,31 @@ class SimulationEngine:
         tracer.clock_ns = self.now_ns
         if self.fault_injector is not None:
             self.fault_injector.tick_batch()
-        # Fused placement readback.  The placement view is re-fetched
-        # each batch because load_state() replaces it.
+        # Fused placement readback, never expanding the stream.  The
+        # placement view is re-fetched each batch because load_state()
+        # replaces it; the prefix sum is only needed to count runs.
         placement = machine.page_table.placement_view()
-        needs_stream = getattr(self.policy, "needs_access_stream", True)
-        if batch.run_starts is not None and not needs_stream:
-            # Run-compressed batch and a policy that only needs the
-            # (n_local, n_cxl) split: count tiers over the runs via
-            # a placement prefix sum -- the expanded stream is
-            # never built.
-            n_local, n_cxl = accel.compressed_placement_counts(
-                placement,
-                self.batch_ctx.prefix_for(
-                    placement, machine.page_table.version
-                ),
-                batch.head_page_ids,
-                batch.run_starts,
-                batch.run_counts,
-            )
-            tiers = None
-        else:
-            # Gather each access's tier code into the reused
-            # scratch buffer and count the split in one kernel --
-            # no per-batch allocation.
-            tiers = self.batch_ctx.tiers_for(batch.num_accesses)
-            n_local, n_cxl = accel.placement_counts(
-                placement, batch.page_ids, tiers
-            )
+        ctx = self.batch_ctx
+        head = batch.head_page_ids
+        prefix = (
+            ctx.prefix_for(placement, machine.page_table.version)
+            if batch.run_starts.size
+            else _NO_PREFIX
+        )
+        n_local, n_cxl = accel.compressed_placement_counts(
+            placement,
+            prefix,
+            head,
+            batch.run_starts,
+            batch.run_counts,
+            ctx.tiers_for(head.size),
+        )
         machine.traffic.record_accesses(n_local, n_cxl)
 
         migrated_before = machine.traffic.pages_migrated
         if invoke_policy:
-            # The (n_local, n_cxl) split rides along so policies do not
-            # re-scan ``tiers`` for counts the engine just computed.
             overhead_ns = self.policy.on_batch(
-                batch, tiers, self.now_ns, counts=(n_local, n_cxl)
+                batch, self.now_ns, (n_local, n_cxl)
             )
         else:
             overhead_ns = 0.0
@@ -340,11 +332,10 @@ class SimulationEngine:
         self.now_ns += cost.total_ns
         self.accesses_done += batch.num_accesses
         self.batches_done += 1
-        if batch.run_starts is not None:
-            # Generators may keep a reference to the batch they
-            # yielded; dropping any cached expansion here keeps a
-            # fast-path run's live memory at the compressed size.
-            batch.release_expanded()
+        # Generators may keep a reference to the batch they yielded;
+        # dropping any cached expansion here keeps a run's live memory
+        # at the compressed size.
+        batch.release_expanded()
 
         if (
             self.checkpoint_manager is not None

@@ -55,6 +55,9 @@ def _aligned(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
+#: The arrays recorded per batch (the run-compressed form).
+_BATCH_ARRAYS = ("head_page_ids", "run_starts", "run_counts")
+
 #: Copies of each recorded byte alive at once while publishing: the
 #: recorded batch list and the shared segment it is copied into.
 _COPIES = 2
@@ -145,15 +148,8 @@ def record_stream(
             "label": batch.label,
             "bytes_per_access": batch.bytes_per_access,
         }
-        if batch.run_starts is not None:
-            fields = (
-                ("head_page_ids", batch.head_page_ids),
-                ("run_starts", batch.run_starts),
-                ("run_counts", batch.run_counts),
-            )
-        else:
-            fields = (("page_ids", batch.page_ids),)
-        for field, arr in fields:
+        for field in _BATCH_ARRAYS:
+            arr = getattr(batch, field)
             record[field] = len(arrays)
             arrays.append(arr)
             recorded += arr.nbytes
@@ -390,25 +386,14 @@ class SharedStreamWorkload:
     def batches(self) -> Iterator[AccessBatch]:
         views = self._handle.attach()
         for record in self._handle.records:
-            if "page_ids" in record:
-                yield AccessBatch(
-                    page_ids=views[record["page_ids"]],
-                    num_ops=record["num_ops"],
-                    cpu_ns=record["cpu_ns"],
-                    label=record["label"],
-                    bytes_per_access=record["bytes_per_access"],
-                )
-            else:
-                yield AccessBatch(
-                    page_ids=None,
-                    num_ops=record["num_ops"],
-                    cpu_ns=record["cpu_ns"],
-                    label=record["label"],
-                    bytes_per_access=record["bytes_per_access"],
-                    head_page_ids=views[record["head_page_ids"]],
-                    run_starts=views[record["run_starts"]],
-                    run_counts=views[record["run_counts"]],
-                )
+            yield AccessBatch(
+                page_ids=None,
+                num_ops=record["num_ops"],
+                cpu_ns=record["cpu_ns"],
+                label=record["label"],
+                bytes_per_access=record["bytes_per_access"],
+                **{field: views[record[field]] for field in _BATCH_ARRAYS},
+            )
         # Ending here is exact, not a truncation: the executor records
         # precisely the cell's ``max_batches`` budget, and the engine
         # pulls one batch past its budget before breaking -- a finite

@@ -8,8 +8,6 @@ whose local capacity covers the workload footprint (the
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.memsim.machine import Machine
 from repro.policies.base import TieringPolicy
 from repro.sampling.events import AccessBatch
@@ -19,9 +17,6 @@ class AllLocal(TieringPolicy):
     """No-op policy for the all-in-local-DRAM upper bound."""
 
     name = "AllLocal"
-    #: No-op hook: never reads the stream, so compressed batches need
-    #: no expansion at all.
-    needs_access_stream = False
 
     def attach(self, machine: Machine) -> None:
         super().attach(machine)
@@ -33,8 +28,7 @@ class AllLocal(TieringPolicy):
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         return 0.0

@@ -35,10 +35,6 @@ class AutoNUMA(TieringPolicy):
     """Hint-fault latency promotion + MGLRU-recency demotion."""
 
     name = "AutoNUMA"
-    #: Hint faults and the MGLRU touched-set walk both run directly on
-    #: run-compressed batches (``hint_faults`` / ``strided_pages``), so
-    #: the engine may skip stream expansion.  Bit-identical either way.
-    needs_access_stream = False
 
     def __init__(
         self,
@@ -136,9 +132,8 @@ class AutoNUMA(TieringPolicy):
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         assert self.scanner is not None and self._last_seen_ns is not None
         overhead = 0.0
@@ -146,13 +141,8 @@ class AutoNUMA(TieringPolicy):
         # Hint faults raised by this batch (before this batch's scan
         # tick and generation walk touch the bookkeeping: the fault
         # happened first in program order, so its latency is measured
-        # against the *previous* unmap).  ``tiers is None`` means the
-        # engine took the compressed fast path and never expanded the
-        # stream; the scanner and touched-set walk then stay on the
-        # compressed form too.
-        faults = self.scanner.observe(
-            batch, now_ns, prefer_expanded=tiers is not None
-        )
+        # against the *previous* unmap).
+        faults = self.scanner.observe(batch, now_ns)
         if faults.count:
             overhead += self.scanner.overhead_ns(faults.count)
             overhead += self._maybe_promote(faults.page_ids, faults.latencies_ns)
@@ -163,10 +153,7 @@ class AutoNUMA(TieringPolicy):
         # ones.  Model it as a strided subsample of the pages touched
         # this batch (an accessed bit records "touched since last
         # walk", so subsampling loses little).
-        if tiers is None:
-            touched = np.unique(batch.strided_pages(self.mglru_sample_stride))
-        else:
-            touched = np.unique(batch.page_ids[:: self.mglru_sample_stride])
+        touched = np.unique(batch.strided_pages(self.mglru_sample_stride))
         if touched.size:
             self._last_seen_ns[touched] = now_ns
             self._seen_this_window[touched] = True

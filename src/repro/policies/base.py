@@ -10,9 +10,9 @@ what a real userspace tiering runtime gets:
 - the **migration** calls (``promote`` / ``demote``).
 
 The engine calls :meth:`TieringPolicy.on_batch` once per access batch
-with the placement of each access *at service time* (this is what the
-memory controller counters observed, i.e. what PEBS would tag) and the
-current simulated time.  The policy returns its CPU overhead for the
+with the batch's local/CXL access split *at service time* (what the
+memory controller's per-tier counters observed) and the current
+simulated time.  The policy returns its CPU overhead for the
 batch in nanoseconds; migrations it performed are visible to the
 engine through the machine's traffic meter.
 """
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.memsim.machine import Machine, MoveOutcome
-from repro.memsim.pagetable import LOCAL_TIER
 from repro.obs import NULL_TRACER, Tracer
 from repro.sampling.events import AccessBatch
 
@@ -320,49 +319,23 @@ class TieringPolicy(abc.ABC):
 
     # -- main hook ----------------------------------------------------------
 
-    #: Whether on_batch() needs the materialized per-access stream
-    #: (``batch.page_ids`` and the full ``tiers`` array).  Policies
-    #: that consume only the ``(n_local, n_cxl)`` split and
-    #: position-sampled accesses (e.g. FreqTier's PEBS path) override
-    #: this to False; the engine then services run-compressed batches
-    #: without expanding them and passes ``tiers=None``.
-    needs_access_stream: bool = True
-
     @abc.abstractmethod
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         """Observe one serviced access batch; return overhead in ns.
 
-        ``tiers[i]`` is the tier that serviced ``batch.page_ids[i]``.
-        ``counts``, when given, is ``(n_local, n_cxl)`` for this batch
-        as already tallied by the engine -- policies that need the
-        split (e.g. FreqTier's intensity monitor) use it instead of
-        re-scanning ``tiers``.  ``tiers`` is None only for policies
-        that declare ``needs_access_stream = False`` (the engine always
-        supplies ``counts`` in that case).  Any promotions/demotions
-        the policy performs here are recorded by the machine's traffic
-        meter.
+        ``counts`` is ``(n_local, n_cxl)`` for this batch, as tallied by
+        the engine from the placement the accesses saw -- the analogue
+        of PEBS's separate local and CXL event counters.  Per-access
+        pages are read from the run-compressed ``batch`` itself (via a
+        sampler, ``pages_at`` or ``strided_pages``).  Any
+        promotions/demotions the policy performs here are recorded by
+        the machine's traffic meter.
         """
-
-    def _batch_counts(
-        self,
-        batch: AccessBatch,
-        tiers: np.ndarray,
-        counts: tuple[int, int] | None,
-    ) -> tuple[int, int]:
-        """The ``(n_local, n_cxl)`` split, scanning ``tiers`` only if
-        the caller did not supply it."""
-        if counts is not None:
-            return int(counts[0]), int(counts[1])
-        if tiers is None:
-            raise ValueError("_batch_counts needs counts when tiers is None")
-        n_local = int(np.count_nonzero(np.asarray(tiers) == LOCAL_TIER))
-        return n_local, batch.num_accesses - n_local
 
     # -- shared helpers --------------------------------------------------------
 

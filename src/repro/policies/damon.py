@@ -33,10 +33,6 @@ class DAMONRegion(TieringPolicy):
     """Adaptive-region access monitoring and wholesale region migration."""
 
     name = "DAMON"
-    #: PEBS samples by access position, so run-compressed batches are
-    #: sampled via ``pages_at`` without expansion.  Bit-identical: the
-    #: RNG draws depend only on the access count and sampling period.
-    needs_access_stream = False
 
     def __init__(
         self,
@@ -120,9 +116,8 @@ class DAMONRegion(TieringPolicy):
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         assert (
             self.pebs is not None
@@ -131,9 +126,7 @@ class DAMONRegion(TieringPolicy):
         )
         overhead = 0.0
         before = self.pebs.total_samples
-        self.pebs.observe(
-            batch, tiers, placement=self.machine.page_table.placement_view()
-        )
+        self.pebs.observe(batch)
         overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
 
         self._accesses_since_adjust += batch.num_accesses

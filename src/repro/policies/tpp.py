@@ -30,10 +30,6 @@ class TPP(TieringPolicy):
     """Hint faults + active-LRU promotion, plain-LRU demotion."""
 
     name = "TPP"
-    #: Hint faults and reference-bit sampling both run directly on
-    #: run-compressed batches (``hint_faults`` / ``strided_pages``), so
-    #: the engine may skip stream expansion.  Bit-identical either way.
-    needs_access_stream = False
 
     def __init__(
         self,
@@ -124,21 +120,16 @@ class TPP(TieringPolicy):
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         assert self.scanner is not None and self._last_fault_ns is not None
         overhead = 0.0
 
         # Faults first: activation is judged against recency recorded
-        # in *earlier* quanta, not this batch's own touches.  ``tiers
-        # is None`` = the engine's compressed fast path; the scanner
-        # and LRU sampling then stay on the compressed form too.
+        # in *earlier* quanta, not this batch's own touches.
         assert self._last_ref_ns is not None and self._lru_snapshot is not None
-        faults = self.scanner.observe(
-            batch, now_ns, prefer_expanded=tiers is not None
-        )
+        faults = self.scanner.observe(batch, now_ns)
         if faults.count:
             overhead += self.scanner.overhead_ns(faults.count)
             # Promote iff the faulted page is on the active LRU list,
@@ -154,10 +145,7 @@ class TPP(TieringPolicy):
             overhead += self._promote_active(faults.page_ids[active])
 
         # Reference-bit LRU sampling (coarser than AutoNUMA's MGLRU).
-        if tiers is None:
-            touched = np.unique(batch.strided_pages(self.lru_sample_stride))
-        else:
-            touched = np.unique(batch.page_ids[:: self.lru_sample_stride])
+        touched = np.unique(batch.strided_pages(self.lru_sample_stride))
         if touched.size:
             self._last_ref_ns[touched] = now_ns
             overhead += 2_000.0

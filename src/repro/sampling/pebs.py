@@ -106,7 +106,6 @@ class PEBSSampler:
         self.fault_injector = None
         self._rng = np.random.default_rng(seed)
         self._pending_pages: list[np.ndarray] = []
-        self._pending_tiers: list[np.ndarray] = []
         self._pending_count = 0
         self._lost = 0
         self.total_samples = 0
@@ -145,25 +144,15 @@ class PEBSSampler:
 
     # -- observation ----------------------------------------------------------
 
-    def observe(
-        self,
-        batch: AccessBatch,
-        tiers: np.ndarray | None,
-        placement: np.ndarray | None = None,
-    ) -> None:
-        """Show an access batch (with placement at access time) to the sampler.
+    def observe(self, batch: AccessBatch) -> None:
+        """Show an access batch to the sampler.
 
         A Binomial(n, 1/period) subsample of the accesses -- positioned
         uniformly, via geometric gap skipping -- lands in the ring
         buffer; overflow beyond ``ring_capacity`` is dropped and
-        counted as lost.  Cost is O(samples), not O(accesses): only the
-        pages actually sampled are gathered and tier-tagged.
-
-        ``tiers`` may be None for run-compressed batches; the caller
-        then supplies ``placement`` (the page table's code array) and
-        sampled pages are resolved positionally via
-        :meth:`AccessBatch.pages_at` and tier-tagged by a direct
-        placement gather -- identical values, no stream expansion.
+        counted as lost.  Cost is O(samples), not O(accesses): sampled
+        pages are resolved positionally via :meth:`AccessBatch.pages_at`
+        without expanding the stream.
         """
         prob = self.sampling_probability
         if prob <= 0.0 or batch.num_accesses == 0:
@@ -195,19 +184,11 @@ class PEBSSampler:
             self.total_lost += n_hit - space
             positions = positions[:space]
             n_hit = space
-        if tiers is None:
-            if placement is None:
-                raise ValueError("observe() needs tiers or placement")
-            # Gap sampling emits strictly ascending positions.
-            sampled_pages = batch.pages_at(positions, assume_sorted=True)
-            sampled_tiers = placement[sampled_pages]
-        else:
-            sampled_pages = batch.page_ids[positions]
-            sampled_tiers = np.asarray(tiers)[positions]
+        # Gap sampling emits strictly ascending positions.
+        sampled_pages = batch.pages_at(positions, assume_sorted=True)
         if self.fault_injector is not None:
             sampled_pages = self.fault_injector.corrupt_samples(sampled_pages)
         self._pending_pages.append(sampled_pages)
-        self._pending_tiers.append(sampled_tiers)
         self._pending_count += n_hit
         self.total_samples += n_hit
 
@@ -273,10 +254,8 @@ class PEBSSampler:
             self._lost = 0
             return out
         pages = np.concatenate(self._pending_pages)
-        tiers = np.concatenate(self._pending_tiers)
-        out = SampleBatch(page_ids=pages, tiers=tiers, lost=self._lost)
+        out = SampleBatch(page_ids=pages, lost=self._lost)
         self._pending_pages.clear()
-        self._pending_tiers.clear()
         self._pending_count = 0
         self._lost = 0
         return out
@@ -291,7 +270,6 @@ class PEBSSampler:
         """
         discarded = self._pending_count
         self._pending_pages.clear()
-        self._pending_tiers.clear()
         self._pending_count = 0
         # Goes straight to total_lost, not the per-drain carry: the
         # caller reports the discard itself, and routing it through the
@@ -313,7 +291,6 @@ class PEBSSampler:
             "level": int(self.level),
             "rng": self._rng.bit_generator.state,
             "pending_pages": [arr.copy() for arr in self._pending_pages],
-            "pending_tiers": [arr.copy() for arr in self._pending_tiers],
             "pending_count": self._pending_count,
             "lost": self._lost,
             "total_samples": self.total_samples,
@@ -329,9 +306,6 @@ class PEBSSampler:
         self._rng.bit_generator.state = state["rng"]
         self._pending_pages = [
             np.asarray(arr) for arr in state["pending_pages"]
-        ]
-        self._pending_tiers = [
-            np.asarray(arr) for arr in state["pending_tiers"]
         ]
         self._pending_count = int(state["pending_count"])
         self._lost = int(state["lost"])

@@ -99,57 +99,33 @@ class HintFaultScanner:
 
     # -- fault detection --------------------------------------------------------
 
-    def observe(
-        self,
-        batch: AccessBatch,
-        now_ns: float,
-        prefer_expanded: bool = False,
-    ) -> HintFault:
+    def observe(self, batch: AccessBatch, now_ns: float) -> HintFault:
         """Detect hint faults in an access batch and re-map faulted pages.
 
         Each unmapped page faults at most once per unmap (its first
         access in the batch); subsequent accesses in the same batch see
         the restored PTE -- the frequency-information loss of Fig. 3.
 
-        Run-compressed batches are scanned without expansion via the
-        ``hint_faults`` kernel -- bit-identical faults, in the same
-        first-occurrence program order, at O(runs log U) cost.  Pass
-        ``prefer_expanded=True`` to force the expanded reference path
-        (the policies do when the engine already materialized the
-        stream).
+        The batch is scanned without expansion via the ``hint_faults``
+        kernel -- the faults of first-occurrence detection on the
+        expanded stream, in the same program order, at O(runs log U)
+        cost.  Out-of-range pages never fault.
         """
         if batch.num_accesses == 0:
             return HintFault.empty()
-        if batch.run_starts is not None and not prefer_expanded:
-            faulted, unmap_times = accel.hint_faults(
-                self._unmap_time,
-                batch.head_page_ids,
-                batch.run_starts,
-                batch.run_counts,
-            )
-            if faulted.size == 0:
-                return HintFault.empty()
-            self.faults_taken += int(faulted.size)
-            latencies = now_ns - unmap_times
-            return HintFault(
-                page_ids=faulted, latencies_ns=np.maximum(latencies, 0.0)
-            )
-        pages = batch.page_ids
-        in_range = pages[(pages >= 0) & (pages < self.total_pages)]
-        if in_range.size == 0:
-            return HintFault.empty()
-        # First occurrence of each page in program order.
-        first_idx = np.unique(in_range, return_index=True)[1]
-        candidates = in_range[np.sort(first_idx)]
-        unmap_times = self._unmap_time[candidates]
-        faulted_mask = unmap_times >= 0.0
-        faulted = candidates[faulted_mask]
+        faulted, unmap_times = accel.hint_faults(
+            self._unmap_time,
+            batch.head_page_ids,
+            batch.run_starts,
+            batch.run_counts,
+        )
         if faulted.size == 0:
             return HintFault.empty()
-        latencies = now_ns - unmap_times[faulted_mask]
-        self._unmap_time[faulted] = -1.0  # PTE restored by the fault
         self.faults_taken += int(faulted.size)
-        return HintFault(page_ids=faulted, latencies_ns=np.maximum(latencies, 0.0))
+        latencies = now_ns - unmap_times
+        return HintFault(
+            page_ids=faulted, latencies_ns=np.maximum(latencies, 0.0)
+        )
 
     def overhead_ns(self, num_faults: int) -> float:
         """Modeled CPU tax of servicing ``num_faults`` minor faults."""

@@ -101,12 +101,19 @@ class RecordedTrace(Workload):
             for i, batch in enumerate(self.inner.batches()):
                 if i >= self.max_batches:
                     break
+                # Copy the compressed arrays (generators may reuse
+                # their buffers) and every scalar, so a replay costs
+                # exactly what the live run did.
                 self._recorded.append(
                     AccessBatch(
-                        page_ids=batch.page_ids.copy(),
+                        None,
                         num_ops=batch.num_ops,
                         cpu_ns=batch.cpu_ns,
                         label=batch.label,
+                        bytes_per_access=batch.bytes_per_access,
+                        head_page_ids=batch.head_page_ids.copy(),
+                        run_starts=batch.run_starts.copy(),
+                        run_counts=batch.run_counts.copy(),
                     )
                 )
 

@@ -86,9 +86,22 @@ class TraceFileWorkload(Workload):
             self._footprint = int(data["footprint_pages"])
         if len(self._ends) != len(self._ops):
             raise ValueError(f"corrupt trace file {self.path!r}")
-        if self._page_ids.size and int(self._page_ids.max()) >= self._footprint:
+        if self._page_ids.size and (
+            int(self._page_ids.min()) < 0
+            or int(self._page_ids.max()) >= self._footprint
+        ):
             raise ValueError(
-                f"trace {self.path!r} references pages beyond its footprint"
+                f"trace {self.path!r} references pages outside "
+                f"[0, {self._footprint})"
+            )
+        last_end = int(self._ends[-1]) if self._ends.size else 0
+        if last_end != self._page_ids.size or np.any(
+            np.diff(self._ends, prepend=0) < 0
+        ):
+            raise ValueError(
+                f"trace {self.path!r} has malformed batch_ends: they must "
+                f"be non-decreasing and end at the {self._page_ids.size} "
+                "recorded accesses"
             )
         self.name = f"trace:{os.path.basename(self.path)}"
 

@@ -62,9 +62,11 @@ def test_compressed_counts_match_expanded_stream(seed):
 
     prefix = np.empty(n_pages + 1, dtype=np.int64)
     accel.placement_prefix(placement, prefix)
+    scratch = np.empty(head.size, dtype=np.int8)
     n_local, n_cxl = accel.compressed_placement_counts(
-        placement, prefix, head, starts, counts
+        placement, prefix, head, starts, counts, scratch
     )
+    np.testing.assert_array_equal(scratch, placement[head])
 
     expanded = np.concatenate([head, _expand(starts, counts)])
     out = np.empty(expanded.size, dtype=np.int8)
@@ -78,7 +80,7 @@ def test_compressed_counts_empty_batch():
     accel.placement_prefix(placement, prefix)
     empty = np.empty(0, dtype=np.int64)
     assert accel.compressed_placement_counts(
-        placement, prefix, empty, empty, empty
+        placement, prefix, empty, empty, empty, np.empty(0, dtype=np.int8)
     ) == (0, 0)
 
 
@@ -94,6 +96,7 @@ def test_compressed_counts_out_of_range_raises():
             empty,
             np.array([6], dtype=np.int64),
             np.array([5], dtype=np.int64),  # run [6, 11) exceeds 8 pages
+            np.empty(0, dtype=np.int8),
         )
 
 
@@ -377,11 +380,22 @@ def _reference_hint_faults(unmap_time, expanded):
     return faulted, times[mask]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_hint_faults_match_expanded_first_occurrence(seed):
-    rng = np.random.default_rng(seed)
+def _heads_only_int32(rng, n_pages):
+    """An explicit int32 stream: duplicates plus out-of-range ids."""
+    head = rng.integers(-64, n_pages + 64, size=6_000).astype(np.int32)
+    empty = np.empty(0, dtype=np.int64)
+    return head, empty, empty, empty, head
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "heads-int32"])
+def test_hint_faults_match_expanded_first_occurrence(case):
     n_pages = 4096
-    head, starts, counts, _, expanded = _compressed(rng, n_pages)
+    if case == "heads-int32":
+        rng = np.random.default_rng(4)
+        head, starts, counts, _, expanded = _heads_only_int32(rng, n_pages)
+    else:
+        rng = np.random.default_rng(case)
+        head, starts, counts, _, expanded = _compressed(rng, n_pages)
     unmap = np.where(
         rng.random(n_pages) < 0.3, rng.random(n_pages) * 1e6, -1.0
     )

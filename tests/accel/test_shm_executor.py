@@ -221,9 +221,9 @@ def test_stream_over_memory_budget_falls_back(monkeypatch):
     import repro.core.shm as shm_mod
 
     records, arrays, _ = record_stream(WORKLOAD, CONFIG.max_batches)
-    fields = ("head_page_ids", "run_starts", "run_counts", "page_ids")
+    fields = ("head_page_ids", "run_starts", "run_counts")
     batch_bytes = [
-        sum(arrays[r[f]].nbytes for f in fields if f in r) for r in records
+        sum(arrays[r[f]].nbytes for f in fields) for r in records
     ]
     # Room for the whole stream once, not for the two copies publishing
     # holds at the same time.

@@ -19,6 +19,7 @@ from repro.memsim.machine import Machine, MachineConfig
 from repro.policies.freqtier.intensity import TieringState
 from repro.sampling.events import AccessBatch
 from repro.sampling.pebs import PEBSSampler, SamplingLevel
+from tests.policies.conftest import drive
 
 
 class TestSampleLoss:
@@ -39,11 +40,7 @@ class TestSampleLoss:
         machine.allocate(1024)
         hot = np.arange(500, 540)
         for i in range(30):
-            batch = AccessBatch(
-                page_ids=np.tile(hot, 50), num_ops=1.0, cpu_ns=0.0
-            )
-            tiers = machine.placement_of(batch.page_ids)
-            policy.on_batch(batch, tiers, float(i))
+            drive(machine, policy, np.tile(hot, 50), now=float(i))
         assert policy.pebs.total_lost > 0
         # Flush-at-window-close still processed what survived.
         assert policy.stats.samples_processed > 0
@@ -81,8 +78,7 @@ class TestDegenerateShapes:
         machine.allocate(256)
         one_page = np.full(2_000, 200, dtype=np.int64)
         for i in range(10):
-            batch = AccessBatch(page_ids=one_page, num_ops=1.0, cpu_ns=0.0)
-            policy.on_batch(batch, machine.placement_of(one_page), float(i))
+            drive(machine, policy, one_page, now=float(i))
         # The single hot page ends up local.
         assert machine.placement_of(np.array([200]))[0] == 0
 
@@ -96,7 +92,7 @@ class TestDegenerateShapes:
         empty = AccessBatch(
             page_ids=np.zeros(0, dtype=np.int64), num_ops=0.0, cpu_ns=0.0
         )
-        overhead = policy.on_batch(empty, np.zeros(0, dtype=np.int64), 0.0)
+        overhead = policy.on_batch(empty, 0.0, (0, 0))
         assert overhead == 0.0
 
     def test_footprint_smaller_than_local(self):
@@ -125,8 +121,8 @@ class TestSamplerEdgeCases:
         sampler = PEBSSampler(base_period=2, seed=0)
         batch = AccessBatch(page_ids=np.arange(100), num_ops=1.0, cpu_ns=0.0)
         sampler.set_level(SamplingLevel.OFF)
-        sampler.observe(batch, np.zeros(100))
+        sampler.observe(batch)
         assert sampler.pending_samples == 0
         sampler.set_level(SamplingLevel.HIGH)
-        sampler.observe(batch, np.zeros(100))
+        sampler.observe(batch)
         assert sampler.pending_samples > 0

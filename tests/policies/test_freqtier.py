@@ -7,8 +7,9 @@ from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
 from repro.policies.freqtier import FreqTier, FreqTierConfig
 from repro.policies.freqtier.intensity import TieringState
-from repro.sampling.events import AccessBatch
 from repro.workloads.trace import SyntheticZipfWorkload
+
+from tests.policies.conftest import drive
 
 
 def make_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
@@ -26,12 +27,6 @@ def make_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
     policy.attach(machine)
     machine.allocate(footprint)
     return machine, policy
-
-
-def drive(machine, policy, pages: np.ndarray, now: float = 0.0) -> float:
-    batch = AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
 
 
 class TestAttach:
@@ -157,11 +152,12 @@ class TestEndToEndOnZipf:
         for i in range(60):
             batch = next(gen)
             tiers = machine.placement_of(batch.page_ids)
-            machine.traffic.record_accesses(
+            counts = (
                 int(np.count_nonzero(tiers == LOCAL_TIER)),
                 int(np.count_nonzero(tiers == CXL_TIER)),
             )
-            policy.on_batch(batch, tiers, float(i))
+            machine.traffic.record_accesses(*counts)
+            policy.on_batch(batch, float(i), counts)
         assert machine.traffic.local_hit_ratio > 0.5  # >> static share
 
     def test_hot_threshold_exposed(self):

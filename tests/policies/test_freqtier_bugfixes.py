@@ -22,7 +22,8 @@ from repro.memsim.pagetable import LOCAL_TIER
 from repro.obs import ListSink, Tracer
 from repro.policies.freqtier import FreqTier, FreqTierConfig
 from repro.policies.freqtier.intensity import TieringState
-from repro.sampling.events import AccessBatch
+
+from tests.policies.conftest import drive
 
 
 def make_traced_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
@@ -36,12 +37,6 @@ def make_traced_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
     policy.attach(machine)
     machine.allocate(footprint)
     return machine, policy, sink
-
-
-def drive(machine, policy, pages: np.ndarray, now: float = 0.0) -> float:
-    batch = AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
 
 
 class TestMonitoringRingFlush:

@@ -6,7 +6,8 @@ import pytest
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.freqtier import FreqTier, FreqTierConfig
-from repro.sampling.events import AccessBatch
+
+from tests.policies.conftest import drive
 
 
 def make_setup(granularity: int, local=128, footprint=2048):
@@ -25,11 +26,6 @@ def make_setup(granularity: int, local=128, footprint=2048):
     policy.attach(machine)
     machine.allocate(footprint)
     return machine, policy
-
-
-def drive(machine, policy, pages, now=0.0):
-    batch = AccessBatch(page_ids=np.asarray(pages), num_ops=1.0, cpu_ns=0.0)
-    return policy.on_batch(batch, machine.placement_of(batch.page_ids), now)
 
 
 class TestUnitTranslation:

@@ -8,7 +8,8 @@ from repro.cbf.exact import HEMEM_BYTES_PER_PAGE
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.hemem import HeMem
-from repro.sampling.events import AccessBatch
+
+from tests.policies.conftest import drive
 
 
 def make_setup(local=128, cxl=4096, footprint=2048, **kwargs):
@@ -23,12 +24,6 @@ def make_setup(local=128, cxl=4096, footprint=2048, **kwargs):
     policy.attach(machine)
     machine.allocate(footprint)
     return machine, policy
-
-
-def drive(machine, policy, pages, now=0.0):
-    batch = AccessBatch(page_ids=np.asarray(pages), num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
 
 
 class TestMetadata:

@@ -7,13 +7,8 @@ from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.alllocal import AllLocal
 from repro.policies.multiclock import MultiClock
 from repro.policies.static_policy import StaticNoMigration
-from repro.sampling.events import AccessBatch
 
-
-def drive(machine, policy, pages, now=0.0):
-    batch = AccessBatch(page_ids=np.asarray(pages), num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
+from tests.policies.conftest import drive
 
 
 class TestNoOpPolicies:

@@ -16,6 +16,15 @@ class TestAccessBatch:
         b = AccessBatch(page_ids=[1, 2], num_ops=1.0, cpu_ns=0.0)
         assert b.page_ids.dtype == np.int64
 
+    def test_explicit_stream_is_a_heads_only_batch(self):
+        stream = np.array([4, 1, 4], dtype=np.int32)
+        b = AccessBatch(page_ids=stream, num_ops=1.0, cpu_ns=0.0)
+        assert b.head_page_ids is stream  # int32 kept, no copy
+        assert b.run_starts.size == 0 and b.run_counts.size == 0
+        assert b.page_ids is stream
+        np.testing.assert_array_equal(b.pages_at(np.array([0, 2])), [4, 4])
+        np.testing.assert_array_equal(b.strided_pages(2), [4, 4])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AccessBatch(page_ids=np.array([1]), num_ops=-1.0, cpu_ns=0.0)
@@ -90,10 +99,6 @@ class TestCompressedAccessBatch:
 
 
 class TestSampleBatch:
-    def test_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            SampleBatch(page_ids=np.array([1, 2]), tiers=np.array([0]))
-
     def test_empty(self):
         b = SampleBatch.empty()
         assert b.num_samples == 0

@@ -16,7 +16,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import run_experiment
 from repro.faults import FaultPlan
-from repro.state import CheckpointManager
+from repro.state import STATE_SCHEMA_VERSION, CheckpointManager
 
 TOTAL_BATCHES = 36
 KILL_AT = 17  # not a checkpoint multiple: resume replays a partial interval
@@ -175,5 +175,5 @@ def test_snapshots_are_json_documents(tmp_path):
     paths = CheckpointManager(ckpt).generations()
     assert paths
     doc = json.loads(paths[-1].read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == STATE_SCHEMA_VERSION
     assert doc["payload"]["progress"]["batches_done"] == 10

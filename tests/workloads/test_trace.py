@@ -1,8 +1,13 @@
 """Tests for trace utilities and the synthetic Zipf workload."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.config import ExperimentConfig
+from repro.core.parallel import PolicySpec, WorkloadSpec
+from repro.core.runner import run_experiment
 from repro.memsim.machine import Machine, MachineConfig
 from repro.workloads.trace import RecordedTrace, SyntheticZipfWorkload
 
@@ -68,3 +73,27 @@ class TestRecordedTrace:
     def test_footprint_delegates(self):
         inner = SyntheticZipfWorkload(num_pages=123)
         assert RecordedTrace(inner, max_batches=1).footprint_pages == 123
+
+    def test_replayed_cdn_run_equals_live_run(self):
+        """A recording keeps the runs and CDN's 1024-byte accesses, so
+        the replayed run costs exactly what the live run did."""
+        cdn = WorkloadSpec("cdn", slab_pages=2_048, ops_per_batch=2_000, seed=7)
+        config = ExperimentConfig(
+            local_fraction=0.12, ratio_label="1:16", max_batches=20, seed=7
+        )
+        recorded = []
+
+        def replay():
+            trace = RecordedTrace(cdn(), max_batches=20)
+            recorded.append(trace)
+            return trace
+
+        policy = PolicySpec("freqtier", seed=1)
+        live = dataclasses.asdict(run_experiment(cdn, policy, config))
+        replayed = dataclasses.asdict(run_experiment(replay, policy, config))
+        assert replayed.pop("workload_name") == "recorded-" + live.pop(
+            "workload_name"
+        )
+        assert replayed == live
+        [batch, *_] = recorded[0].batches()
+        assert batch.run_starts.size and batch.bytes_per_access == 1024.0

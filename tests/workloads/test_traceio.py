@@ -87,3 +87,43 @@ class TestSaveLoad:
         save_trace(path, [batch], footprint_pages=100)
         with pytest.raises(ValueError):
             TraceFileWorkload(path)
+
+
+def _write_raw_trace(path, page_ids, batch_ends, footprint=100):
+    """An ``.npz`` in the trace layout, bypassing save_trace's checks."""
+    n = len(batch_ends)
+    np.savez(
+        path,
+        page_ids=np.asarray(page_ids, dtype=np.int64),
+        batch_ends=np.asarray(batch_ends, dtype=np.int64),
+        num_ops=np.ones(n),
+        cpu_ns=np.zeros(n),
+        bytes_per_access=np.full(n, 64.0),
+        labels=np.asarray([""] * n, dtype="U64"),
+        footprint_pages=np.int64(footprint),
+    )
+
+
+class TestTraceFileValidation:
+    def test_well_formed_raw_trace_loads(self, tmp_path):
+        path = tmp_path / "ok.npz"
+        _write_raw_trace(path, [1, 2, 3, 4], [1, 1, 4])
+        assert TraceFileWorkload(path).num_batches == 3
+
+    def test_negative_page_ids_rejected(self, tmp_path):
+        path = tmp_path / "negative.npz"
+        _write_raw_trace(path, [3, -1, 7], [3])
+        with pytest.raises(ValueError, match="outside"):
+            TraceFileWorkload(path)
+
+    def test_decreasing_batch_ends_rejected(self, tmp_path):
+        path = tmp_path / "decreasing.npz"
+        _write_raw_trace(path, [1, 2, 3, 4], [3, 2, 4])
+        with pytest.raises(ValueError, match="batch_ends"):
+            TraceFileWorkload(path)
+
+    def test_batch_ends_must_cover_every_access(self, tmp_path):
+        path = tmp_path / "short.npz"
+        _write_raw_trace(path, [1, 2, 3, 4], [1, 3])
+        with pytest.raises(ValueError, match="batch_ends"):
+            TraceFileWorkload(path)
