@@ -76,8 +76,10 @@ class MetricsCollector:
     scalar stores instead of a dict/dataclass allocation.  Values pass
     through float64/int64 columns losslessly, and :attr:`records`
     materializes the familiar :class:`BatchRecord` list on demand (all
-    consumers are read-only), so the result build and the checkpoint
-    schema are unchanged.
+    consumers are read-only).  Checkpoints keep the same layout: the
+    columns as ndarrays plus the labels as a sorted vocabulary and an
+    ``int32`` code column, so a save costs a few bulk copies, not a
+    Python dict per batch.
     """
 
     def __init__(self):
@@ -137,35 +139,36 @@ class MetricsCollector:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
+        """The history as columns: copies, so later batches cannot
+        mutate a captured state."""
         n = self._n
-        columns = {
-            name: self._cols[name][:n].tolist() for name, __ in _COLUMNS
+        state: dict = {
+            name: self._cols[name][:n].copy() for name, __ in _COLUMNS
         }
-        return {
-            "records": [
-                {
-                    **{name: columns[name][i] for name, __ in _COLUMNS},
-                    "label": self._labels[i],
-                }
-                for i in range(n)
-            ]
-        }
+        vocab = sorted(set(self._labels))
+        code_of = {label: code for code, label in enumerate(vocab)}
+        state["label_vocab"] = vocab
+        state["label_codes"] = np.array(
+            [code_of[label] for label in self._labels], dtype=np.int32
+        )
+        return state
 
     def load_state(self, state: dict) -> None:
-        records = state["records"]
-        self._n = 0
-        self._cap = 0
-        self._cols = {
-            name: np.empty(0, dtype=dtype) for name, dtype in _COLUMNS
+        codes = np.asarray(state["label_codes"])
+        n = len(codes)
+        cols = {
+            name: np.array(state[name], dtype=dtype) for name, dtype in _COLUMNS
         }
-        self._labels = []
-        while self._cap < len(records):
-            self._grow()
-        for i, record in enumerate(records):
-            for name, __ in _COLUMNS:
-                self._cols[name][i] = record[name]
-            self._labels.append(record.get("label", ""))
-        self._n = len(records)
+        for name, col in cols.items():
+            if col.shape != (n,):
+                raise ValueError(
+                    f"metrics column {name!r} has shape {col.shape}, "
+                    f"expected ({n},)"
+                )
+        self._cols = cols
+        self._n = self._cap = n
+        vocab = np.array(state["label_vocab"], dtype=object)
+        self._labels = vocab[codes].tolist()
 
     def finalize(
         self,

@@ -11,6 +11,7 @@ file.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 
 class CounterRegistry:
@@ -142,3 +143,32 @@ class HistogramRegistry:
 
     def __len__(self) -> int:
         return len(self._stats)
+
+    # -- checkpointing -----------------------------------------------------
+
+    def state_dict(self) -> dict[str, Any]:
+        """Moments plus buckets per histogram: O(buckets), not O(samples).
+
+        Buckets are ``[idx, count]`` pairs because snapshot dict keys
+        must be strings.
+        """
+        return {
+            name: {
+                "stats": list(stats),
+                "buckets": [
+                    [idx, count]
+                    for idx, count in sorted(self._buckets[name].items())
+                ],
+            }
+            for name, stats in self._stats.items()
+        }
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        self._stats = {
+            name: [float(v) for v in hist["stats"]]
+            for name, hist in state.items()
+        }
+        self._buckets = {
+            name: {int(idx): int(count) for idx, count in hist["buckets"]}
+            for name, hist in state.items()
+        }

@@ -96,7 +96,7 @@ class MultiHostSimulation:
         return {
             h.spec.name: h.engine.finalize()
             for h in self._hosts
-            if h.engine.metrics.records
+            if len(h.engine.metrics)
         }
 
     def _one_round(self) -> None:

@@ -128,11 +128,21 @@ class TieringDaemon:
             if checkpoint_dir is not None
             else None
         )
-        self.ladder = DegradationLadder(self.serve)
         self.budget = TickBudget(self.serve.tick_budget_ns)
         self.watchdog = Watchdog(
             self.serve.max_restarts, self.serve.watchdog_stall_s
         )
+        self._reset_accounting()
+        self._pending_serve: dict[str, Any] | None = None
+        self._pending_policy: dict[str, Any] | None = None
+        self._stop_requested = False
+        self._build()
+
+    # -- construction / recovery -------------------------------------------
+
+    def _reset_accounting(self) -> None:
+        """Serving accounting at tick zero (construction, fresh restart)."""
+        self.ladder = DegradationLadder(self.serve)
         #: SLO aggregation, live regardless of tracing: enqueue-to-
         #: service latency, per-tick policy overhead, queue depth.
         self.slo = HistogramRegistry()
@@ -142,12 +152,6 @@ class TieringDaemon:
         self.promotions = 0
         self.config_swaps = 0
         self.migration_stall_ns = 0.0
-        self._pending_serve: dict[str, Any] | None = None
-        self._pending_policy: dict[str, Any] | None = None
-        self._stop_requested = False
-        self._build()
-
-    # -- construction / recovery -------------------------------------------
 
     def _build(self) -> None:
         """(Re)build the engine stack fresh from the factories.
@@ -437,8 +441,7 @@ class TieringDaemon:
             # Fresh restart: serving accounting starts over too, and
             # the rebuilt injector's scheduled crash -- which already
             # fired once -- must not re-fire on the replay.
-            self.ladder = DegradationLadder(self.serve)
-            self.ticks = 0
+            self._reset_accounting()
             if self.engine.fault_injector is not None:
                 self.engine.fault_injector.disarm_crash()
         self.budget = TickBudget(self.serve.tick_budget_ns)
@@ -464,6 +467,7 @@ class TieringDaemon:
                 for name, queue in self.queues.items()
             },
             "config": self.serve.to_dict(),
+            "slo": self.slo.state_dict(),
             "counters": {
                 "deadline_ticks": self.deadline_ticks,
                 "degradations": self.degradations,
@@ -493,6 +497,8 @@ class TieringDaemon:
             queue.capacity = self.serve.queue_capacity
             queue.backpressure = self.serve.backpressure
         self.ticks = int(state["ticks"])
+        self.slo = HistogramRegistry()
+        self.slo.load_state(state["slo"])
         counters = state.get("counters", {})
         self.deadline_ticks = int(counters.get("deadline_ticks", 0))
         self.degradations = int(counters.get("degradations", 0))
@@ -555,7 +561,7 @@ class TieringDaemon:
         ``None`` when nothing was ever serviced (the metrics reduction
         needs at least one record).
         """
-        if not self.engine.metrics.records:
+        if not len(self.engine.metrics):
             return None
         return self.engine.finalize(warmup_fraction=warmup_fraction)
 

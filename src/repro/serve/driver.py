@@ -17,12 +17,13 @@ and drops its (now inconsistent) queue entries.  The driver then
 workloads, skips the disposed prefix (``served + shed`` -- both
 dispose strictly from the FIFO front, so under ``block`` and
 ``shed-oldest`` backpressure the disposed set is exactly the oldest
-offered batches), re-offers the checkpointed backlog depth, and
-continues the schedule.  The engine then replays the identical batch
-sequence, so its post-drain state converges bit-identically with an
-uncrashed run.  ``reject`` backpressure refuses the *newest* offers
-and therefore breaks the prefix property -- replay under it is
-best-effort, not exact.
+offered batches), re-admits the checkpointed backlog (with its
+original stream indices and enqueue times, and without counting it as
+offered again), and continues the schedule.  The engine then replays
+the identical batch sequence, so its post-drain state converges
+bit-identically with an uncrashed run.  ``reject`` backpressure
+refuses the *newest* offers and therefore breaks the prefix property
+-- replay under it is best-effort, not exact.
 """
 
 from __future__ import annotations
@@ -140,14 +141,16 @@ class VirtualTimeDriver:
                     break
             self._pulled[tenant] = disposed
             # The backlog that was in-queue at checkpoint time: the
-            # next `depth` stream items.  Re-offer them directly (the
-            # queue is empty post-recovery, so they always fit).
+            # next `depth` stream items.  Re-admit them directly (the
+            # queue is empty post-recovery, so they always fit); they
+            # were offered before the checkpoint, so they are not
+            # offered again.
             for _ in range(queue.restored_depth):
                 batch = self._next_batch(tenant)
                 if batch is None:
                     break
-                self.daemon.submit(tenant, batch)
-            queue.restored_depth = 0
+                queue.readmit(batch)
+            queue.backlog_ns.clear()
 
     # -- stepping ----------------------------------------------------------
 

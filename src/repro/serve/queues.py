@@ -85,10 +85,10 @@ class TenantQueue:
         self.capacity = int(capacity)
         self.backpressure = backpressure
         self.counters = QueueCounters()
-        #: Depth recorded in the checkpoint this queue was last
-        #: restored from (0 otherwise).  Crash recovery re-offers this
-        #: many regenerated batches to rebuild the lost backlog.
-        self.restored_depth = 0
+        #: Enqueue times of the backlog recorded in the checkpoint this
+        #: queue was last restored from, oldest first.  Crash recovery
+        #: re-admits one regenerated batch per entry (:meth:`readmit`).
+        self.backlog_ns: deque[float] = deque()
         self._entries: deque[QueuedBatch] = deque()
 
     # -- intake ------------------------------------------------------------
@@ -124,6 +124,29 @@ class TenantQueue:
         )
         return "enqueued", shed
 
+    def readmit(self, batch: AccessBatch) -> QueuedBatch:
+        """Re-admit the next entry of the restored backlog.
+
+        Not a new offer: the counters already count it, so they stay
+        as restored, and the entry gets back its original stream index
+        and enqueue time.  Under ``block`` and ``shed-oldest`` the
+        backlog is the newest ``depth`` offers, so the k-th of ``d``
+        entries had index ``offered - d + k``.
+        """
+        if not self.backlog_ns:
+            raise RuntimeError(
+                f"tenant {self.tenant!r}: no restored backlog to re-admit"
+            )
+        enqueued_ns = self.backlog_ns.popleft()
+        entry = QueuedBatch(
+            batch=batch,
+            tenant=self.tenant,
+            index=self.counters.offered - len(self.backlog_ns) - 1,
+            enqueued_ns=enqueued_ns,
+        )
+        self._entries.append(entry)
+        return entry
+
     # -- service -----------------------------------------------------------
 
     def pop(self) -> QueuedBatch | None:
@@ -153,21 +176,29 @@ class TenantQueue:
     def fill_fraction(self) -> float:
         return len(self._entries) / self.capacity
 
+    @property
+    def restored_depth(self) -> int:
+        """Restored backlog entries not yet re-admitted."""
+        return len(self.backlog_ns)
+
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
-        """Counters + depth -- the entries themselves are *not* captured.
+        """Counters, depth and the entries' enqueue times -- the
+        batches themselves are *not* captured.
 
         Pending batches reference live workload-generator output; the
         crash-recovery driver regenerates them from the per-tenant
         stream using the counters as replay cursors: disposed =
         served + shed is a prefix of the offered stream under ``block``
         and ``shed-oldest`` backpressure (both dispose strictly from
-        the FIFO front), and ``depth`` entries follow it.
+        the FIFO front), and ``depth`` entries follow it.  The state is
+        bounded by the queue capacity.
         """
         return {
             "counters": self.counters.as_dict(),
             "depth": len(self._entries),
+            "enqueued_ns": [entry.enqueued_ns for entry in self._entries],
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -176,7 +207,7 @@ class TenantQueue:
             key: int(counters.get(key, 0))
             for key in QueueCounters().as_dict()
         })
-        self.restored_depth = int(state.get("depth", 0))
+        self.backlog_ns = deque(float(t) for t in state["enqueued_ns"])
         self._entries.clear()
 
 

@@ -173,6 +173,10 @@ class CheckpointManager:
                     digest=snapshot.digest,
                 )
                 payload = snapshot.payload
+                if isinstance(payload, dict) and isinstance(
+                    payload.get("engine"), dict
+                ):
+                    payload = payload["engine"]  # a daemon snapshot
                 if isinstance(payload, dict):
                     for section in ("identity", "progress"):
                         value = payload.get(section)

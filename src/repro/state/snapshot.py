@@ -20,7 +20,7 @@ from repro.state.codec import decode_state, encode_state
 
 #: Bump whenever the snapshot payload layout changes incompatibly;
 #: every older generation then fails verification and is skipped.
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 
 
 class SnapshotError(ValueError):

@@ -1,8 +1,11 @@
 """Tests for the counter and histogram registries."""
 
+import json
+
 import pytest
 
 from repro.obs.registry import CounterRegistry, HistogramRegistry
+from repro.state import decode_state, encode_state
 
 
 class TestCounterRegistry:
@@ -111,3 +114,18 @@ class TestHistogramRegistry:
         reg.observe("lat", 1.0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             reg.quantile("lat", 1.5)
+
+    def test_state_round_trip_through_snapshot_codec(self):
+        reg = HistogramRegistry()
+        for v in (0.0, -3.0, 1.0, 7.5, 7.5, 1e9):
+            reg.observe("lat", v)
+        reg.observe("depth", 4)
+        encoded = json.loads(json.dumps(encode_state(reg.state_dict())))
+        fresh = HistogramRegistry()
+        fresh.load_state(decode_state(encoded))
+        assert fresh.as_dict() == reg.as_dict()
+        for r in (reg, fresh):
+            r.observe("lat", 42.0)
+            r.observe("new", 1.0)
+        assert fresh.as_dict() == reg.as_dict()
+        assert fresh.state_dict() == reg.state_dict()

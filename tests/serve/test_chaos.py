@@ -17,7 +17,7 @@ from repro.obs import Tracer
 from repro.obs.sinks import ListSink
 from repro.serve import ServeConfig, VirtualTimeDriver
 
-from tests.serve.conftest import make_daemon
+from tests.serve.conftest import make_daemon, zipf_factory
 
 
 def canonical(state: dict) -> str:
@@ -152,3 +152,53 @@ class TestChaosSoak:
         # (replayed batches are observed again, so >= offers).
         slo = crashed.slo_summary()
         assert slo["enqueue_to_service_ns_count"] >= 60
+
+
+def run_overloaded(faults, ckpt_dir, *, offers=30):
+    """Two shed-oldest tenants offered more than a tick serves, so every
+    checkpoint holds a backlog that recovery must re-admit."""
+    daemon = make_daemon(
+        serve=serve_config(
+            queue_capacity=4, backpressure="shed-oldest",
+            max_batches_per_tick=3,
+        ),
+        tenants={"a": zipf_factory(seed=1), "b": zipf_factory(seed=2)},
+        faults=faults,
+        checkpoint_dir=str(ckpt_dir),
+    )
+    driver = VirtualTimeDriver(daemon, arrivals=3, max_offers=offers)
+    driver.finish()
+    return daemon, driver
+
+
+class TestRecoveryAccounting:
+    """Serving counters and SLO histograms roll back with the engine."""
+
+    @pytest.mark.parametrize("crash_at", [17, 26])
+    def test_readmitted_backlog_is_not_offered_again(self, tmp_path, crash_at):
+        daemon, driver = run_overloaded(
+            FaultPlan(seed=3, crash_after_batches=crash_at), tmp_path
+        )
+        assert driver.restarts_seen == 1
+        for tenant, queue in daemon.queues.items():
+            c = queue.counters
+            assert c.shed > 0, tenant  # the schedule really overloads
+            assert c.offered == c.served + c.shed + c.rejected == 30, tenant
+            assert c.enqueued == c.offered, tenant
+
+    @pytest.mark.parametrize("crash_at", [2, 17, 26])
+    def test_slo_histograms_roll_back(self, tmp_path, crash_at):
+        crashed, driver = run_overloaded(
+            FaultPlan(seed=3, crash_after_batches=crash_at),
+            tmp_path / "crashed",
+        )
+        assert driver.restarts_seen == 1
+        slo = crashed.slo_summary()
+        served = sum(q.counters.served for q in crashed.queues.values())
+        assert slo["enqueue_to_service_ns_count"] == served
+        assert slo["tick_overhead_ns_count"] == crashed.ticks
+        assert slo["queue_depth_count"] == crashed.ticks
+        # Re-admitted entries keep their enqueue times, so the whole
+        # SLO state equals that of a run that never crashed.
+        reference, _ = run_overloaded(FaultPlan(seed=3), tmp_path / "ref")
+        assert crashed.slo.state_dict() == reference.slo.state_dict()

@@ -79,6 +79,22 @@ class TestStateRoundTrip:
         assert fresh.restored_depth == 3
         assert len(fresh) == 0  # entries are never captured
 
+    def test_readmit_restores_indices_and_enqueue_times(self):
+        queue = TenantQueue("t", capacity=4, backpressure="shed-oldest")
+        for i in range(6):  # indices 0-1 shed, 2-5 queued
+            queue.offer(batch(), float(i))
+        queue.pop()
+        queue.counters.served += 1
+        fresh = TenantQueue("t", capacity=4, backpressure="shed-oldest")
+        fresh.load_state(queue.state_dict())
+        readmitted = [fresh.readmit(batch()) for _ in range(3)]
+        assert [e.index for e in readmitted] == [3, 4, 5]
+        assert [e.enqueued_ns for e in readmitted] == [3.0, 4.0, 5.0]
+        assert fresh.counters.as_dict() == queue.counters.as_dict()
+        assert fresh.restored_depth == 0
+        with pytest.raises(RuntimeError, match="backlog"):
+            fresh.readmit(batch())
+
     def test_disposed_is_stream_prefix_under_shed(self):
         # The crash-replay invariant: served + shed always equals the
         # count of the *oldest* offered batches, in every interleaving.

@@ -103,3 +103,10 @@ class TestInspect:
         assert "error" in torn
         # inspect() never quarantines -- the torn file stays in place.
         assert bad.exists()
+
+    def test_reports_engine_progress_of_daemon_snapshots(self, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        mgr.save({"engine": _payload(7), "serve": {"ticks": 3}})
+        [entry] = mgr.inspect()
+        assert entry["valid"] is True
+        assert entry["progress"]["batches_done"] == 7

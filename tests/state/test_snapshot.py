@@ -9,6 +9,7 @@ import pytest
 
 from repro.state import (
     STATE_SCHEMA_VERSION,
+    CheckpointManager,
     Snapshot,
     SnapshotError,
     decode_state,
@@ -99,6 +100,17 @@ class TestSnapshot:
         doc["schema"] = STATE_SCHEMA_VERSION + 1
         with pytest.raises(SnapshotError, match="schema"):
             Snapshot.from_json_dict(doc).verify()
+
+    def test_schema_2_document_refused(self, tmp_path):
+        # Schema 2 stored the metric history as one dict per batch.
+        payload = {"engine": {"metrics": {"records": [{"start_ns": 0.0}]}}}
+        doc = Snapshot.create(payload).to_json_dict()
+        doc["schema"] = 2
+        doc["digest"] = payload_digest(doc["payload"])
+        with pytest.raises(SnapshotError, match="schema 2"):
+            Snapshot.from_json_dict(doc).verify()
+        (tmp_path / "snap-00000001.json").write_text(json.dumps(doc))
+        assert CheckpointManager(tmp_path).load_latest() is None
 
     @pytest.mark.parametrize(
         "doc",
