@@ -124,6 +124,8 @@ class GapWorkload(Workload):
         super().__init__(seed=seed)
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+        if num_trials < 1:
+            raise ValueError(f"num_trials must be >= 1, got {num_trials}")
         self.kernel = kernel
         self.name = f"gap-{kernel}"
         self.num_trials = int(num_trials)
@@ -177,13 +179,12 @@ class GapWorkload(Workload):
 
     def _pick_source(self) -> int:
         """A random non-isolated source node (GAP requires degree > 0)."""
-        degrees = self.graph.degrees()
         for __ in range(64):
             node = int(self._rng.integers(0, self.graph.num_nodes))
-            if degrees[node] > 0:
+            if self._degrees[node] > 0:
                 return node
         # Fall back to the highest-degree node (always connected).
-        return int(np.argmax(degrees))
+        return int(np.argmax(self._degrees))
 
     def batches(self) -> Iterator[AccessBatch]:
         for trial in range(self.num_trials):

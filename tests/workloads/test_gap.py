@@ -46,6 +46,15 @@ class TestWorkloadSetup:
         with pytest.raises(ValueError):
             GapWorkload("pagerank")
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_num_trials_validated_before_graph_build(self, trials, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("graph built before num_trials was checked")
+
+        monkeypatch.setattr("repro.workloads.gap.generate_kronecker", no_build)
+        with pytest.raises(ValueError, match="num_trials"):
+            GapWorkload("cc", num_trials=trials)
+
     def test_footprint_covers_all_arrays(self):
         w = GapWorkload("bfs", scale=10, seed=0)
         assert w.footprint_pages == (

@@ -1,9 +1,35 @@
 """Tests for the Kronecker/R-MAT graph generator."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.workloads.kronecker import CSRGraph, generate_kronecker
+from repro import ExperimentConfig, FreqTier, GapWorkload, run_experiment
+from repro.workloads.kronecker import (
+    CSRGraph,
+    _rmat_edges,
+    generate_kronecker,
+)
+
+
+def reference_csr(scale: int, avg_degree: int, seed: int) -> CSRGraph:
+    """The straightforward stable-argsort CSR build (test oracle)."""
+    num_nodes = 1 << scale
+    src, dst = _rmat_edges(
+        scale, num_nodes * avg_degree, np.random.default_rng(seed)
+    )
+    all_src = np.concatenate([src, dst])
+    all_dst = np.concatenate([dst, src])
+    order = np.argsort(all_src, kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(all_src, minlength=num_nodes))
+    return CSRGraph(
+        indptr=indptr,
+        indices=all_dst[order].astype(np.int32),
+        num_nodes=num_nodes,
+    )
 
 
 class TestGeneration:
@@ -48,6 +74,83 @@ class TestGeneration:
             generate_kronecker(scale=31)
         with pytest.raises(ValueError):
             generate_kronecker(scale=5, avg_degree=0)
+
+    def test_too_many_edges_for_sort_keys_rejected_before_allocating(self):
+        # 2**30 nodes x 8 -> 2**34 directed edges: source bits plus
+        # position bits need 64 > 63 bits.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="63-bit"):
+                generate_kronecker(scale=30, avg_degree=8)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "scale,avg_degree,seed",
+    [(1, 1, 0), (1, 4, 3), (2, 1, 1), (6, 3, 5), (10, 4, 0), (12, 8, 9),
+     (18, 4, 1)],
+)
+def test_csr_matches_stable_argsort_reference(scale, avg_degree, seed):
+    got = generate_kronecker(scale, avg_degree, seed)
+    want = reference_csr(scale, avg_degree, seed)
+    assert got.num_nodes == want.num_nodes
+    assert got.indptr.dtype == want.indptr.dtype
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+class TestMemo:
+    def test_equal_key_returns_identical_graph(self):
+        a = generate_kronecker(scale=7, avg_degree=2, seed=11)
+        b = generate_kronecker(scale=7, avg_degree=2, seed=11)
+        assert a is b
+        assert GapWorkload("cc", scale=7, avg_degree=2, seed=11).graph is a
+
+    def test_arrays_read_only(self):
+        g = generate_kronecker(scale=7, seed=11)
+        with pytest.raises(ValueError):
+            g.indptr[0] = 1
+        with pytest.raises(ValueError):
+            g.indices[0] = 1
+        with pytest.raises(ValueError):
+            g.neighbors(0)[:] = 0
+
+    def test_fields_frozen(self):
+        g = generate_kronecker(scale=7, seed=11)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.num_nodes = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.indices = np.zeros(0, dtype=np.int32)
+
+    def test_new_key_evicts_old_graph(self):
+        a = generate_kronecker(scale=7, seed=11)
+        other = generate_kronecker(scale=7, seed=12)
+        assert other is not a
+        again = generate_kronecker(scale=7, seed=11)
+        assert again is not a
+        assert np.array_equal(again.indices, a.indices)
+
+    def test_cold_and_warm_gap_cells_identical(self):
+        config = ExperimentConfig(local_fraction=0.1, max_batches=None, seed=4)
+        graphs = []
+
+        def factory():
+            workload = GapWorkload("cc", scale=10, num_trials=2, seed=4)
+            graphs.append(workload.graph)
+            return workload
+
+        generate_kronecker(scale=3, seed=99)  # force a cold build
+        cold = run_experiment(factory, FreqTier, config).to_dict()
+        warm = run_experiment(factory, FreqTier, config).to_dict()
+        assert graphs[0] is graphs[1]
+        generate_kronecker(scale=3, seed=99)
+        rebuilt = run_experiment(factory, FreqTier, config).to_dict()
+        assert graphs[2] is not graphs[0]
+        assert cold == warm == rebuilt
 
 
 class TestPowerLaw:
