@@ -35,6 +35,13 @@ class SampledLFU(TieringPolicy):
     """
 
     name = "SampledLFU"
+    # Everything the policy accumulates or randomizes is checkpointed,
+    # so a killed-and-resumed run matches an uninterrupted one.
+    _state_fields = TieringPolicy._state_fields + (
+        "tracker",
+        "pebs",
+        "_since_replace",
+    )
 
     def __init__(self, replace_interval_accesses: int = 400_000, seed: int = 0):
         super().__init__()

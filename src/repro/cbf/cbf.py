@@ -19,11 +19,14 @@ import numpy as np
 
 from repro import accel
 from repro.cbf.counters import PackedCounterArray
+from repro.state.codec import Stateful
 
 
 @dataclass
-class CBFStats:
+class CBFStats(Stateful):
     """Operation counters for overhead accounting and the coalescing study."""
+
+    _state_fields = ("gets", "increments", "slot_accesses", "agings")
 
     gets: int = 0
     increments: int = 0
@@ -32,16 +35,8 @@ class CBFStats:
     slot_accesses: int = 0
     agings: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "gets": self.gets,
-            "increments": self.increments,
-            "slot_accesses": self.slot_accesses,
-            "agings": self.agings,
-        }
 
-
-class CountingBloomFilter:
+class CountingBloomFilter(Stateful):
     """Classic counting Bloom filter over 64-bit keys (page ids).
 
     Parameters
@@ -60,6 +55,8 @@ class CountingBloomFilter:
         counters are halved automatically.  ``None`` leaves aging to
         explicit :meth:`age` calls (FreqTier's policy layer drives it).
     """
+
+    _state_fields = ("_counters", "_since_aging", "stats")
 
     def __init__(
         self,
@@ -204,24 +201,6 @@ class CountingBloomFilter:
         """Reset every counter to zero."""
         self._counters = PackedCounterArray(self.num_counters, bits=self.bits)
         self._since_aging = 0
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "counters": self._counters.state_dict(),
-            "since_aging": self._since_aging,
-            "stats": self.stats.snapshot(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._counters.load_state(state["counters"])
-        self._since_aging = int(state["since_aging"])
-        stats = state["stats"]
-        self.stats.gets = int(stats["gets"])
-        self.stats.increments = int(stats["increments"])
-        self.stats.slot_accesses = int(stats["slot_accesses"])
-        self.stats.agings = int(stats["agings"])
 
     # -- analysis helpers --------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import accel
+from repro.state.codec import Stateful
 
 _SUPPORTED_BITS = (1, 2, 4, 8, 16)
 
@@ -37,8 +38,11 @@ def _lane_count_matrix(bits: int, per_byte: int, max_value: int) -> np.ndarray:
     return matrix
 
 
-class PackedCounterArray:
+class PackedCounterArray(Stateful):
     """Fixed-size array of ``bits``-wide saturating unsigned counters."""
+
+    #: The packed backing store (bit-exact, see repro.state.codec).
+    _state_fields = ("_store",)
 
     def __init__(self, size: int, bits: int = 4):
         if bits not in _SUPPORTED_BITS:
@@ -242,21 +246,6 @@ class PackedCounterArray:
         if padding:
             hist[0] -= padding
         return hist
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The packed backing store (bit-exact, see repro.state.codec)."""
-        return {"store": self._store.copy()}
-
-    def load_state(self, state: dict) -> None:
-        store = np.asarray(state["store"], dtype=self._store.dtype)
-        if store.shape != self._store.shape:
-            raise ValueError(
-                f"counter store shape {store.shape} != expected "
-                f"{self._store.shape}"
-            )
-        self._store = store.copy()
 
     def fill(self, value: int) -> None:
         """Set every counter to ``value`` (clamped)."""

@@ -27,6 +27,7 @@ from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER, PageTable
 from repro.memsim.tier import CXL1_CONFIG, TieredMemoryConfig
 from repro.memsim.traffic import TrafficMeter
 from repro.obs import NULL_TRACER, Tracer
+from repro.state.codec import Stateful
 
 if TYPE_CHECKING:  # import cycle guard: faults imports obs only
     from repro.faults import FaultInjector
@@ -122,8 +123,21 @@ class CapacityError(RuntimeError):
     """Raised when an allocation cannot fit in the machine."""
 
 
-class Machine:
-    """A two-tier (local DRAM + CXL) memory machine."""
+class Machine(Stateful):
+    """A two-tier (local DRAM + CXL) memory machine.
+
+    Checkpoints placement, traffic and reservations.  The address
+    space's region layout is *not* captured: it is a pure function of
+    the deterministic setup sequence, which resume replays before
+    restoring this state (see ``SimulationEngine.restore_state``).
+    """
+
+    _state_fields = (
+        "page_table",
+        "traffic",
+        "_reserved_local_pages",
+        "migrations_deferred",
+    )
 
     def __init__(self, config: MachineConfig):
         self.config = config
@@ -386,25 +400,7 @@ class Machine:
 
     # -- checkpointing ----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Placement, traffic and reservations.
-
-        The address space's region layout is *not* captured: it is a
-        pure function of the deterministic setup sequence, which resume
-        replays before restoring this state (see
-        ``SimulationEngine.restore_state``).
-        """
-        return {
-            "page_table": self.page_table.state_dict(),
-            "traffic": self.traffic.state_dict(),
-            "reserved_local_pages": self._reserved_local_pages,
-            "migrations_deferred": self.migrations_deferred,
-        }
-
     def load_state(self, state: dict) -> None:
-        self.page_table.load_state(state["page_table"])
-        self.traffic.load_state(state["traffic"])
-        self._reserved_local_pages = int(state["reserved_local_pages"])
-        # Default keeps pre-gate snapshots loadable.
-        self.migrations_deferred = int(state.get("migrations_deferred", 0))
+        super().load_state(state)
+        # The migration gate is per-tick daemon control, not state.
         self.migrations_enabled = True

@@ -19,17 +19,28 @@ machine's memory controllers observe a page copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._units import PAGE_SIZE
+from repro.state.codec import Stateful
 
 #: Bytes per application memory access (one cache line).
 CACHE_LINE_BYTES = 64
 
 
 @dataclass
-class TrafficMeter:
+class TrafficMeter(Stateful):
     """Running byte/page counters for one simulation."""
+
+    _state_fields = (
+        "local_access_bytes",
+        "cxl_access_bytes",
+        "migration_bytes",
+        "pages_promoted",
+        "pages_demoted",
+        "local_accesses",
+        "cxl_accesses",
+    )
 
     local_access_bytes: int = 0
     cxl_access_bytes: int = 0
@@ -38,7 +49,6 @@ class TrafficMeter:
     pages_demoted: int = 0
     local_accesses: int = 0
     cxl_accesses: int = 0
-    _history: list[tuple[float, int, int]] = field(default_factory=list, repr=False)
 
     # -- recording -------------------------------------------------------
 
@@ -60,10 +70,6 @@ class TrafficMeter:
         else:
             self.pages_demoted += pages
         self.migration_bytes += pages * PAGE_SIZE * 2
-
-    def checkpoint(self, time_ns: float) -> None:
-        """Snapshot cumulative access counts for windowed hit ratios."""
-        self._history.append((time_ns, self.local_accesses, self.cxl_accesses))
 
     # -- derived metrics -----------------------------------------------------
 
@@ -97,39 +103,3 @@ class TrafficMeter:
             "cxl": self.cxl_access_bytes / total,
             "migration": self.migration_bytes / total,
         }
-
-    def state_dict(self) -> dict:
-        return {
-            "local_access_bytes": self.local_access_bytes,
-            "cxl_access_bytes": self.cxl_access_bytes,
-            "migration_bytes": self.migration_bytes,
-            "pages_promoted": self.pages_promoted,
-            "pages_demoted": self.pages_demoted,
-            "local_accesses": self.local_accesses,
-            "cxl_accesses": self.cxl_accesses,
-            "history": [list(entry) for entry in self._history],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.local_access_bytes = int(state["local_access_bytes"])
-        self.cxl_access_bytes = int(state["cxl_access_bytes"])
-        self.migration_bytes = int(state["migration_bytes"])
-        self.pages_promoted = int(state["pages_promoted"])
-        self.pages_demoted = int(state["pages_demoted"])
-        self.local_accesses = int(state["local_accesses"])
-        self.cxl_accesses = int(state["cxl_accesses"])
-        self._history = [
-            (float(t), int(local), int(cxl))
-            for t, local, cxl in state["history"]
-        ]
-
-    def windowed_hit_ratio(self) -> float:
-        """Hit ratio since the most recent :meth:`checkpoint`."""
-        if not self._history:
-            return self.local_hit_ratio
-        __, local0, cxl0 = self._history[-1]
-        d_local = self.local_accesses - local0
-        d_cxl = self.cxl_accesses - cxl0
-        if d_local + d_cxl == 0:
-            return self.local_hit_ratio
-        return d_local / (d_local + d_cxl)

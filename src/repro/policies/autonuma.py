@@ -35,6 +35,16 @@ class AutoNUMA(TieringPolicy):
     """Hint-fault latency promotion + MGLRU-recency demotion."""
 
     name = "AutoNUMA"
+    _state_fields = TieringPolicy._state_fields + (
+        "hot_threshold_ns",
+        "scanner",
+        "_last_seen_ns",
+        "_generation",
+        "_seen_this_window",
+        "_accesses_since_scan",
+        "_accesses_in_rate_window",
+        "_promoted_in_rate_window",
+    )
 
     def __init__(
         self,
@@ -86,46 +96,6 @@ class AutoNUMA(TieringPolicy):
         self._last_seen_ns = np.zeros(total, dtype=np.float64)
         self._generation = np.zeros(total, dtype=np.int8)
         self._seen_this_window = np.zeros(total, dtype=bool)
-
-    # -- checkpointing ----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        assert (
-            self.scanner is not None
-            and self._last_seen_ns is not None
-            and self._generation is not None
-            and self._seen_this_window is not None
-        ), "state_dict requires attach()"
-        state = super().state_dict()
-        state.update(
-            {
-                "hot_threshold_ns": self.hot_threshold_ns,
-                "scanner": self.scanner.state_dict(),
-                "last_seen_ns": self._last_seen_ns.copy(),
-                "generation": self._generation.copy(),
-                "seen_this_window": self._seen_this_window.copy(),
-                "accesses_since_scan": self._accesses_since_scan,
-                "accesses_in_rate_window": self._accesses_in_rate_window,
-                "promoted_in_rate_window": self._promoted_in_rate_window,
-            }
-        )
-        return state
-
-    def load_state(self, state: dict) -> None:
-        assert self.scanner is not None, "load_state requires attach()"
-        super().load_state(state)
-        self.hot_threshold_ns = float(state["hot_threshold_ns"])
-        self.scanner.load_state(state["scanner"])
-        self._last_seen_ns = np.asarray(
-            state["last_seen_ns"], dtype=np.float64
-        ).copy()
-        self._generation = np.asarray(state["generation"], dtype=np.int8).copy()
-        self._seen_this_window = np.asarray(
-            state["seen_this_window"], dtype=bool
-        ).copy()
-        self._accesses_since_scan = int(state["accesses_since_scan"])
-        self._accesses_in_rate_window = int(state["accesses_in_rate_window"])
-        self._promoted_in_rate_window = int(state["promoted_in_rate_window"])
 
     # -- main hook ----------------------------------------------------------
 

@@ -28,6 +28,7 @@ import numpy as np
 from repro.memsim.machine import Machine, MoveOutcome
 from repro.obs import NULL_TRACER, Tracer
 from repro.sampling.events import AccessBatch
+from repro.state.codec import Stateful
 
 if TYPE_CHECKING:
     from repro.faults import FaultInjector
@@ -36,8 +37,19 @@ _NO_PAGES = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
-class PolicyStats:
+class PolicyStats(Stateful):
     """Uniform per-policy counters for reports and overhead studies."""
+
+    _state_fields = (
+        "promotions",
+        "demotions",
+        "promotion_calls",
+        "demotion_calls",
+        "overhead_ns",
+        "samples_processed",
+        "metadata_bytes",
+        "extra",
+    )
 
     promotions: int = 0
     demotions: int = 0
@@ -61,30 +73,6 @@ class PolicyStats:
         }
         out.update(self.extra)
         return out
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-            "promotion_calls": self.promotion_calls,
-            "demotion_calls": self.demotion_calls,
-            "overhead_ns": self.overhead_ns,
-            "samples_processed": self.samples_processed,
-            "metadata_bytes": self.metadata_bytes,
-            "extra": dict(self.extra),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.promotions = int(state["promotions"])
-        self.demotions = int(state["demotions"])
-        self.promotion_calls = int(state["promotion_calls"])
-        self.demotion_calls = int(state["demotion_calls"])
-        self.overhead_ns = float(state["overhead_ns"])
-        self.samples_processed = int(state["samples_processed"])
-        self.metadata_bytes = int(state["metadata_bytes"])
-        self.extra = dict(state["extra"])
 
 
 class MigrationRetryQueue:
@@ -246,10 +234,20 @@ class MigrationRetryQueue:
         self._blacklist_arr = None  # lazy cache; rebuilt on demand
 
 
-class TieringPolicy(abc.ABC):
-    """Base class for all tiering systems."""
+class TieringPolicy(Stateful, abc.ABC):
+    """Base class for all tiering systems.
+
+    Checkpointing follows :class:`~repro.state.codec.Stateful`: after
+    ``p2.load_state(p1.state_dict())`` on a freshly attached policy of
+    the same class and configuration, ``p2`` behaves bit-identically
+    to ``p1`` for every subsequent ``on_batch`` call.  Subclasses
+    extend ``_state_fields`` with every mutable attribute, including
+    components built at attach time (so both calls follow
+    :meth:`attach`).
+    """
 
     name: str = "policy"
+    _state_fields = ("stats",)
 
     def __init__(self):
         self.stats = PolicyStats()
@@ -388,30 +386,6 @@ class TieringPolicy(abc.ABC):
         self._record_migrations(0, outcome.num_moved)
         self._count_extra("demotions_failed", outcome.num_failed)
         return outcome
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot all mutable policy state for checkpointing.
-
-        The contract (paired with :meth:`load_state`): after
-        ``p2.load_state(p1.state_dict())`` on a freshly attached policy
-        of the same class and configuration, ``p2`` behaves
-        bit-identically to ``p1`` for every subsequent ``on_batch``
-        call.  Subclasses override both methods, call ``super()``, and
-        add their own mutable fields.  Must be called after
-        :meth:`attach` (components built at attach time are part of the
-        state).
-        """
-        return {"stats": self.stats.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`.
-
-        Must be called on an attached policy of the same class and
-        configuration as the one that produced ``state``.
-        """
-        self.stats.load_state(state["stats"])
 
     def describe(self) -> dict[str, object]:
         """Metadata for benchmark reports."""

@@ -33,6 +33,12 @@ class DAMONRegion(TieringPolicy):
     """Adaptive-region access monitoring and wholesale region migration."""
 
     name = "DAMON"
+    _state_fields = TieringPolicy._state_fields + (
+        "pebs",
+        "_bounds",
+        "_region_hits",
+        "_accesses_since_adjust",
+    )
 
     def __init__(
         self,
@@ -84,32 +90,14 @@ class DAMONRegion(TieringPolicy):
 
     # -- checkpointing ----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        assert (
-            self.pebs is not None
-            and self._bounds is not None
-            and self._region_hits is not None
-        ), "state_dict requires attach()"
-        state = super().state_dict()
-        state.update(
-            {
-                "pebs": self.pebs.state_dict(),
-                "bounds": self._bounds.copy(),
-                "region_hits": self._region_hits.copy(),
-                "accesses_since_adjust": self._accesses_since_adjust,
-            }
-        )
-        return state
-
     def load_state(self, state: dict) -> None:
-        assert self.pebs is not None, "load_state requires attach()"
+        # Splits and merges resize the region arrays, so restore them
+        # at the snapshot's length rather than the attached one.
+        self._bounds = np.empty(len(state["bounds"]), dtype=np.int64)
+        self._region_hits = np.empty(
+            len(state["region_hits"]), dtype=np.float64
+        )
         super().load_state(state)
-        self.pebs.load_state(state["pebs"])
-        self._bounds = np.asarray(state["bounds"], dtype=np.int64).copy()
-        self._region_hits = np.asarray(
-            state["region_hits"], dtype=np.float64
-        ).copy()
-        self._accesses_since_adjust = int(state["accesses_since_adjust"])
 
     # -- main hook ----------------------------------------------------------
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.obs import NULL_TRACER, Tracer
 from repro.sampling.pebs import SamplingLevel
 from repro.sampling.perf_stat import PerfStatCounter
+from repro.state.codec import Stateful
 
 
 class TieringState(enum.Enum):
@@ -54,8 +55,10 @@ class WindowReport:
     processing_rounds: int = 0
 
 
-class IntensityController:
+class IntensityController(Stateful):
     """The sampling-level / monitoring-mode state machine."""
+
+    _state_fields = ("state", "level", "_reference_ratio", "perf")
 
     def __init__(
         self,
@@ -166,20 +169,3 @@ class IntensityController:
     @property
     def sampling_active(self) -> bool:
         return self.state == TieringState.SAMPLING
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "state": self.state.value,
-            "level": int(self.level),
-            "reference_ratio": self._reference_ratio,
-            "perf": self.perf.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.state = TieringState(state["state"])
-        self.level = SamplingLevel(int(state["level"]))
-        reference = state["reference_ratio"]
-        self._reference_ratio = None if reference is None else float(reference)
-        self.perf.load_state(state["perf"])

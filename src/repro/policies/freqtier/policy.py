@@ -39,6 +39,22 @@ class FreqTier(TieringPolicy):
     """
 
     name = "FreqTier"
+    _state_fields = TieringPolicy._state_fields + (
+        "cbf",
+        "coalescer",
+        "pebs",
+        "intensity",
+        "threshold_ctl",
+        "_promo_retry",
+        "_demo_retry",
+        "_batch_index",
+        "_scan_cursor",
+        "_window_accesses",
+        "_promoted_in_window",
+        "_empty_scan_in_window",
+        "_rounds_in_window",
+        "_samples_since_aging",
+    )
 
     def __init__(self, config: FreqTierConfig | None = None, seed: int = 0):
         super().__init__()
@@ -539,65 +555,6 @@ class FreqTier(TieringPolicy):
                 empty=bool(scanned >= scan_limit and not to_demote),
             )
         return overhead
-
-    # -- checkpointing ----------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        assert (
-            self.cbf is not None
-            and self.coalescer is not None
-            and self.pebs is not None
-            and self.intensity is not None
-            and self.threshold_ctl is not None
-            and self._promo_retry is not None
-            and self._demo_retry is not None
-        ), "state_dict requires attach()"
-        state = super().state_dict()
-        state.update(
-            {
-                "cbf": self.cbf.state_dict(),
-                "coalescer": self.coalescer.state_dict(),
-                "pebs": self.pebs.state_dict(),
-                "intensity": self.intensity.state_dict(),
-                "threshold_ctl": self.threshold_ctl.state_dict(),
-                "promo_retry": self._promo_retry.state_dict(),
-                "demo_retry": self._demo_retry.state_dict(),
-                "batch_index": self._batch_index,
-                "scan_cursor": self._scan_cursor,
-                "window_accesses": self._window_accesses,
-                "promoted_in_window": self._promoted_in_window,
-                "empty_scan_in_window": self._empty_scan_in_window,
-                "rounds_in_window": self._rounds_in_window,
-                "samples_since_aging": self._samples_since_aging,
-            }
-        )
-        return state
-
-    def load_state(self, state: dict) -> None:
-        assert (
-            self.cbf is not None
-            and self.coalescer is not None
-            and self.pebs is not None
-            and self.intensity is not None
-            and self.threshold_ctl is not None
-            and self._promo_retry is not None
-            and self._demo_retry is not None
-        ), "load_state requires attach()"
-        super().load_state(state)
-        self.cbf.load_state(state["cbf"])
-        self.coalescer.load_state(state["coalescer"])
-        self.pebs.load_state(state["pebs"])
-        self.intensity.load_state(state["intensity"])
-        self.threshold_ctl.load_state(state["threshold_ctl"])
-        self._promo_retry.load_state(state["promo_retry"])
-        self._demo_retry.load_state(state["demo_retry"])
-        self._batch_index = int(state["batch_index"])
-        self._scan_cursor = int(state["scan_cursor"])
-        self._window_accesses = int(state["window_accesses"])
-        self._promoted_in_window = int(state["promoted_in_window"])
-        self._empty_scan_in_window = bool(state["empty_scan_in_window"])
-        self._rounds_in_window = int(state["rounds_in_window"])
-        self._samples_since_aging = int(state["samples_since_aging"])
 
     # -- introspection ----------------------------------------------------------------------
 

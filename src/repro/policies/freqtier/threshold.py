@@ -15,10 +15,13 @@ conservative about lowering the threshold).
 from __future__ import annotations
 
 from repro.cbf.cbf import CountingBloomFilter
+from repro.state.codec import Stateful
 
 
-class HotThresholdController:
+class HotThresholdController(Stateful):
     """Adjusts the hot threshold toward local-DRAM-sized hot sets."""
+
+    _state_fields = ("threshold", "adjustments")
 
     def __init__(
         self,
@@ -83,12 +86,3 @@ class HotThresholdController:
             self.threshold -= 1
             self.adjustments += 1
         return self.threshold
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {"threshold": self.threshold, "adjustments": self.adjustments}
-
-    def load_state(self, state: dict) -> None:
-        self.threshold = int(state["threshold"])
-        self.adjustments = int(state["adjustments"])

@@ -33,6 +33,11 @@ class HeMem(TieringPolicy):
     """Exact per-page frequency tiering with heavyweight metadata."""
 
     name = "HeMem"
+    _state_fields = TieringPolicy._state_fields + (
+        "tracker",
+        "pebs",
+        "_samples_since_aging",
+    )
 
     def __init__(
         self,
@@ -90,27 +95,6 @@ class HeMem(TieringPolicy):
         )
         machine.reserve_local_pages(hot_metadata_pages)
         self.stats.metadata_bytes = total_metadata
-
-    # -- checkpointing ----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        assert self.pebs is not None, "state_dict requires attach()"
-        state = super().state_dict()
-        state.update(
-            {
-                "tracker": self.tracker.state_dict(),
-                "pebs": self.pebs.state_dict(),
-                "samples_since_aging": self._samples_since_aging,
-            }
-        )
-        return state
-
-    def load_state(self, state: dict) -> None:
-        assert self.pebs is not None, "load_state requires attach()"
-        super().load_state(state)
-        self.tracker.load_state(state["tracker"])
-        self.pebs.load_state(state["pebs"])
-        self._samples_since_aging = int(state["samples_since_aging"])
 
     # -- main hook ----------------------------------------------------------
 

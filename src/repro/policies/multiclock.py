@@ -25,6 +25,11 @@ class MultiClock(TieringPolicy):
     """Two-level (once vs many) access classification."""
 
     name = "MULTI-CLOCK"
+    _state_fields = TieringPolicy._state_fields + (
+        "pebs",
+        "_seen",
+        "_samples_since_sweep",
+    )
 
     def __init__(
         self,
@@ -49,29 +54,6 @@ class MultiClock(TieringPolicy):
         self.pebs.set_level(SamplingLevel.HIGH)
         self.pebs.fault_injector = self.fault_injector
         self._seen = np.zeros(machine.config.total_capacity_pages, dtype=np.int8)
-
-    # -- checkpointing ----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        assert self.pebs is not None and self._seen is not None, (
-            "state_dict requires attach()"
-        )
-        state = super().state_dict()
-        state.update(
-            {
-                "pebs": self.pebs.state_dict(),
-                "seen": self._seen.copy(),
-                "samples_since_sweep": self._samples_since_sweep,
-            }
-        )
-        return state
-
-    def load_state(self, state: dict) -> None:
-        assert self.pebs is not None, "load_state requires attach()"
-        super().load_state(state)
-        self.pebs.load_state(state["pebs"])
-        self._seen = np.asarray(state["seen"], dtype=np.int8).copy()
-        self._samples_since_sweep = int(state["samples_since_sweep"])
 
     def on_batch(
         self,

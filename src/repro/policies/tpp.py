@@ -30,6 +30,14 @@ class TPP(TieringPolicy):
     """Hint faults + active-LRU promotion, plain-LRU demotion."""
 
     name = "TPP"
+    _state_fields = TieringPolicy._state_fields + (
+        "scanner",
+        "_last_fault_ns",
+        "_last_ref_ns",
+        "_lru_snapshot",
+        "_accesses_since_scan",
+        "_accesses_since_snapshot",
+    )
 
     def __init__(
         self,
@@ -78,44 +86,6 @@ class TPP(TieringPolicy):
         # inactive tail and get demoted again -- the ping-pong the
         # paper blames for TPP's poor low-capacity behaviour.
         self._lru_snapshot = self._last_ref_ns.copy()
-
-    # -- checkpointing ----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        assert (
-            self.scanner is not None
-            and self._last_fault_ns is not None
-            and self._last_ref_ns is not None
-            and self._lru_snapshot is not None
-        ), "state_dict requires attach()"
-        state = super().state_dict()
-        state.update(
-            {
-                "scanner": self.scanner.state_dict(),
-                "last_fault_ns": self._last_fault_ns.copy(),
-                "last_ref_ns": self._last_ref_ns.copy(),
-                "lru_snapshot": self._lru_snapshot.copy(),
-                "accesses_since_scan": self._accesses_since_scan,
-                "accesses_since_snapshot": self._accesses_since_snapshot,
-            }
-        )
-        return state
-
-    def load_state(self, state: dict) -> None:
-        assert self.scanner is not None, "load_state requires attach()"
-        super().load_state(state)
-        self.scanner.load_state(state["scanner"])
-        self._last_fault_ns = np.asarray(
-            state["last_fault_ns"], dtype=np.float64
-        ).copy()
-        self._last_ref_ns = np.asarray(
-            state["last_ref_ns"], dtype=np.float64
-        ).copy()
-        self._lru_snapshot = np.asarray(
-            state["lru_snapshot"], dtype=np.float64
-        ).copy()
-        self._accesses_since_scan = int(state["accesses_since_scan"])
-        self._accesses_since_snapshot = int(state["accesses_since_snapshot"])
 
     def on_batch(
         self,

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro import accel
 from repro.sampling.events import AccessBatch, SampleBatch
+from repro.state.codec import Stateful
 
 #: Shared zero-length result for batches the sampler skips entirely
 #: (callers only read it, so one instance serves every sampler).
@@ -67,7 +68,7 @@ class SamplingLevel(enum.IntEnum):
         return {0: 0, 1: 1_000, 2: 10_000, 3: 100_000}[int(self)]
 
 
-class PEBSSampler:
+class PEBSSampler(Stateful):
     """Uniform subsampler of the access stream with a bounded ring buffer.
 
     Parameters
@@ -84,6 +85,21 @@ class PEBSSampler:
     seed:
         Seed for the geometric skip-sampling stream.
     """
+
+    #: Everything mutable: RNG, ring contents, gap carry, counters.
+    _state_fields = (
+        "level",
+        "_rng",
+        "_pending_pages",
+        "_pending_count",
+        "_lost",
+        "total_samples",
+        "total_lost",
+        "total_offered",
+        "rng_values_drawn",
+        "_next_pos",
+        "_gap_prob",
+    )
 
     def __init__(
         self,
@@ -282,37 +298,3 @@ class PEBSSampler:
     def overhead_ns(self, num_samples: int) -> float:
         """Modeled CPU tax for collecting ``num_samples`` samples."""
         return num_samples * self.sample_cost_ns
-
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Everything mutable: RNG, ring contents, gap carry, counters."""
-        return {
-            "level": int(self.level),
-            "rng": self._rng.bit_generator.state,
-            "pending_pages": [arr.copy() for arr in self._pending_pages],
-            "pending_count": self._pending_count,
-            "lost": self._lost,
-            "total_samples": self.total_samples,
-            "total_lost": self.total_lost,
-            "total_offered": self.total_offered,
-            "rng_values_drawn": self.rng_values_drawn,
-            "next_pos": self._next_pos,
-            "gap_prob": self._gap_prob,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.level = SamplingLevel(int(state["level"]))
-        self._rng.bit_generator.state = state["rng"]
-        self._pending_pages = [
-            np.asarray(arr) for arr in state["pending_pages"]
-        ]
-        self._pending_count = int(state["pending_count"])
-        self._lost = int(state["lost"])
-        self.total_samples = int(state["total_samples"])
-        self.total_lost = int(state["total_lost"])
-        self.total_offered = int(state["total_offered"])
-        self.rng_values_drawn = int(state["rng_values_drawn"])
-        next_pos = state["next_pos"]
-        self._next_pos = None if next_pos is None else int(next_pos)
-        self._gap_prob = float(state["gap_prob"])

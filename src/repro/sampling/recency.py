@@ -24,6 +24,7 @@ import numpy as np
 
 from repro import accel
 from repro.sampling.events import AccessBatch
+from repro.state.codec import Stateful
 
 #: Modeled CPU cost of one minor (hint) page fault.
 HINT_FAULT_COST_NS = 1000.0
@@ -49,7 +50,7 @@ class HintFault:
         )
 
 
-class HintFaultScanner:
+class HintFaultScanner(Stateful):
     """Address-space scanner producing hint faults.
 
     Parameters
@@ -62,6 +63,8 @@ class HintFaultScanner:
     seed:
         Unused today; reserved for randomized scan starts.
     """
+
+    _state_fields = ("_cursor", "_unmap_time", "faults_taken", "windows_scanned")
 
     def __init__(self, total_pages: int, window_pages: int, seed: int = 0):
         if total_pages <= 0:
@@ -130,25 +133,3 @@ class HintFaultScanner:
     def overhead_ns(self, num_faults: int) -> float:
         """Modeled CPU tax of servicing ``num_faults`` minor faults."""
         return num_faults * HINT_FAULT_COST_NS
-
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "cursor": self._cursor,
-            "unmap_time": self._unmap_time.copy(),
-            "faults_taken": self.faults_taken,
-            "windows_scanned": self.windows_scanned,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._cursor = int(state["cursor"])
-        unmap_time = np.asarray(state["unmap_time"], dtype=np.float64)
-        if unmap_time.shape != self._unmap_time.shape:
-            raise ValueError(
-                f"unmap_time shape {unmap_time.shape} != expected "
-                f"{self._unmap_time.shape}"
-            )
-        self._unmap_time = unmap_time.copy()
-        self.faults_taken = int(state["faults_taken"])
-        self.windows_scanned = int(state["windows_scanned"])

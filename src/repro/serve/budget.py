@@ -134,5 +134,5 @@ class DegradationLadder:
                 f"known: {DEGRADATION_MODES}"
             )
         self.mode = mode
-        self.overloaded_streak = int(state.get("overloaded_streak", 0))
-        self.calm_streak = int(state.get("calm_streak", 0))
+        self.overloaded_streak = int(state["overloaded_streak"])
+        self.calm_streak = int(state["calm_streak"])

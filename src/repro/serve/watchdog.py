@@ -19,6 +19,8 @@ from __future__ import annotations
 import time
 from typing import Any
 
+from repro.state.codec import Stateful
+
 
 class WatchdogGaveUp(RuntimeError):
     """The loop crashed more times than ``max_restarts`` allows."""
@@ -32,8 +34,11 @@ class WatchdogGaveUp(RuntimeError):
         self.last_reason = last_reason
 
 
-class Watchdog:
+class Watchdog(Stateful):
     """Restart budget plus optional wall-clock heartbeat."""
+
+    #: Restart accounting only (the heartbeat is wall-clock ephemera).
+    _state_fields = ("restarts", "last_reason")
 
     def __init__(self, max_restarts: int, stall_timeout_s: float = 0.0):
         if max_restarts < 0:
@@ -78,11 +83,6 @@ class Watchdog:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_dict(self) -> dict[str, Any]:
-        """Restart accounting only (heartbeat is wall-clock ephemera)."""
-        return {"restarts": self.restarts, "last_reason": self.last_reason}
-
     def load_state(self, state: dict[str, Any]) -> None:
-        self.restarts = int(state.get("restarts", 0))
-        self.last_reason = state.get("last_reason")
+        super().load_state(state)
         self._last_beat = time.monotonic()

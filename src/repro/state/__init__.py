@@ -4,7 +4,8 @@ The state layer turns a live experiment into a versioned, integrity-
 checked document and back:
 
 - :mod:`repro.state.codec` -- JSON-safe encoding of numpy arrays, numpy
-  scalars and RNG bit-generator states;
+  scalars and RNG bit-generator states, and :class:`Stateful`, the one
+  capture/restore rule components declare their state with;
 - :mod:`repro.state.snapshot` -- the :class:`Snapshot` schema (schema
   version + sha256 payload digest);
 - :mod:`repro.state.checkpoint` -- :class:`CheckpointManager`: atomic
@@ -14,7 +15,10 @@ checked document and back:
   completed-cell log so interrupted sweeps skip finished cells.
 
 Every stateful simulator component exposes ``state_dict()`` /
-``load_state()``; the engine composes them into one payload (see
+``load_state()``.  Most get both from :class:`Stateful` by naming
+their mutable attributes in a ``_state_fields`` tuple; the few whose
+format is not a field list (int-keyed dicts, sets, column stores)
+write the pair by hand.  The engine composes them into one payload (see
 ``SimulationEngine.capture_state``) and
 ``run_experiment(..., resume_from=...)`` restores it.  For fixed seeds
 a resumed run is bit-identical to an uninterrupted one (see DESIGN.md
@@ -23,6 +27,7 @@ a resumed run is bit-identical to an uninterrupted one (see DESIGN.md
 
 from repro.state.checkpoint import CheckpointManager, LoadedCheckpoint
 from repro.state.codec import (
+    Stateful,
     decode_state,
     encode_state,
     rng_state,
@@ -42,6 +47,7 @@ __all__ = [
     "LoadedCheckpoint",
     "Snapshot",
     "SnapshotError",
+    "Stateful",
     "SweepJournal",
     "decode_state",
     "encode_state",

@@ -13,12 +13,17 @@ kinds are not:
 
 Tuples become lists (JSON has no tuple); ``state_dict()`` producers
 must accept lists back in ``load_state()``.
+
+Most components do not hand-write that pair: they subclass
+:class:`Stateful` and name their mutable attributes in
+``_state_fields``, and one capture/restore rule does the rest.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any
+import enum
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -85,3 +90,80 @@ def rng_state(rng: np.random.Generator) -> dict[str, Any]:
 def set_rng_state(rng: np.random.Generator, state: dict[str, Any]) -> None:
     """Restore a state captured by :func:`rng_state`."""
     rng.bit_generator.state = state
+
+
+class Stateful:
+    """Checkpointing by declaration: ``_state_fields`` names the state.
+
+    Each entry is an attribute name; its state-dict key is the name
+    without its leading underscore.  A subclass extends its parent's
+    tuple (``_state_fields = Parent._state_fields + ("_extra",)``), so
+    keys appear parent-first.  Capture and restore follow one rule for
+    every component (see :func:`capture` and :func:`restore`).
+    Anything a component randomizes or accumulates must be listed, or
+    a resumed run silently diverges from an uninterrupted one.
+    """
+
+    _state_fields: ClassVar[tuple[str, ...]] = ()
+
+    def state_dict(self) -> dict[str, Any]:
+        """The declared fields, captured (arrays copied)."""
+        return {
+            name.removeprefix("_"): capture(getattr(self, name))
+            for name in self._state_fields
+        }
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Restore every declared field (a missing key raises KeyError)."""
+        for name in self._state_fields:
+            key = name.removeprefix("_")
+            setattr(self, name, restore(getattr(self, name), state[key], key))
+
+
+def capture(value: Any) -> Any:
+    """One field's state: ndarrays copied, a generator's bit-generator
+    state, an enum's value, a sub-component's ``state_dict()``, lists
+    and dicts recursively, anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, np.random.Generator):
+        return rng_state(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if hasattr(value, "state_dict"):
+        return value.state_dict()
+    if isinstance(value, (list, tuple)):
+        return [capture(item) for item in value]
+    if isinstance(value, dict):
+        return {k: capture(v) for k, v in value.items()}
+    return value
+
+
+def restore(current: Any, saved: Any, key: str) -> Any:
+    """The value that replaces ``current`` when restoring ``saved``.
+
+    ``saved`` is cast back to the type of ``current``: an array to its
+    dtype (its shape must match, else ValueError naming ``key``), an
+    enum to its class, a scalar to its type.  Generators and
+    sub-components are restored in place.  Lists and dicts, and
+    ``None`` on either side, take the saved value.  Nothing returned
+    aliases ``saved``.
+    """
+    if current is None or saved is None or isinstance(current, (list, dict)):
+        return capture(saved)
+    if isinstance(current, np.ndarray):
+        array = np.array(saved, dtype=current.dtype)
+        if array.shape != current.shape:
+            raise ValueError(
+                f"{key}: shape {array.shape} != expected {current.shape}"
+            )
+        return array
+    if isinstance(current, np.random.Generator):
+        set_rng_state(current, saved)
+        return current
+    if isinstance(current, enum.Enum):
+        return type(current)(saved)
+    if hasattr(current, "load_state"):
+        current.load_state(saved)
+        return current
+    return type(current)(saved)

@@ -15,8 +15,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core.metrics import ExperimentResult
+if TYPE_CHECKING:
+    from repro.core.metrics import ExperimentResult
 
 
 class SweepJournal:
@@ -67,6 +69,10 @@ class SweepJournal:
         An entry whose payload no longer deserializes (schema drift) is
         treated as absent rather than raising.
         """
+        # Imported here: repro.core.metrics reaches the components that
+        # import this package's codec, so a module-level import cycles.
+        from repro.core.metrics import ExperimentResult
+
         payload = self._results.get(fingerprint)
         if payload is None:
             return None

@@ -113,6 +113,9 @@ class GapWorkload(Workload):
         Kernel repetitions (different BFS/BC sources per trial).
     """
 
+    #: RNG only; the graph and layout are seed-deterministic.
+    _state_fields = ("_rng",)
+
     def __init__(
         self,
         kernel: str,
@@ -165,15 +168,6 @@ class GapWorkload(Workload):
             region = machine.allocate(arr.num_pages, name=f"gap-{label}")
             arr.start_page = region.start_page
         self._machine = machine
-
-    # -- checkpointing -------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """RNG state only; the graph and layout are seed-deterministic."""
-        return {"rng": self._rng.bit_generator.state}
-
-    def load_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
 
     # -- trace emission ------------------------------------------------------
 

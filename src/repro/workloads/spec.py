@@ -14,10 +14,22 @@ from collections.abc import Iterator
 
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
+from repro.state.codec import Stateful
 
 
-class Workload(abc.ABC):
-    """Base class for page-trace generators."""
+class Workload(Stateful, abc.ABC):
+    """Base class for page-trace generators.
+
+    Mutable generator state (RNGs, cursors, churn) is checkpointed by
+    listing it in ``_state_fields`` (see
+    :class:`~repro.state.codec.Stateful`): after
+    ``w2.load_state(w1.state_dict())`` on an identically constructed
+    workload, both draw identical batches.  Stateless workloads keep
+    the empty default.  Resume does **not** use this today
+    (generator-local state can't be captured); the engine
+    fast-forwards ``batches()`` instead -- this contract exists for
+    the round-trip property tests and external tools.
+    """
 
     #: Human-readable workload name (appears in benchmark tables).
     name: str = "workload"
@@ -41,23 +53,6 @@ class Workload(abc.ABC):
     def batches(self) -> Iterator[AccessBatch]:
         """Yield the access stream.  May be finite (GAP/XGBoost trials)
         or unbounded (cache serving); the engine decides when to stop."""
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot mutable generator state (RNGs, cursors, churn).
-
-        The contract: after ``w2.load_state(w1.state_dict())`` on an
-        identically constructed workload, both draw identical batches.
-        Stateless workloads inherit this empty default.  Note resume
-        does **not** use this (generator-local state can't be captured);
-        the engine fast-forwards ``batches()`` instead -- this contract
-        exists for the round-trip property tests and external tools.
-        """
-        return {}
-
-    def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
 
     # -- helpers -----------------------------------------------------------
 

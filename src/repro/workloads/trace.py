@@ -24,6 +24,7 @@ class SyntheticZipfWorkload(Workload):
     """Zipf-popular accesses over one flat region of pages."""
 
     name = "synthetic-zipf"
+    _state_fields = ("sampler",)
 
     def __init__(
         self,
@@ -60,12 +61,6 @@ class SyntheticZipfWorkload(Workload):
                 num_ops=float(self.accesses_per_batch),
                 cpu_ns=self.accesses_per_batch * self.cpu_ns_per_access,
             )
-
-    def state_dict(self) -> dict:
-        return {"sampler": self.sampler.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self.sampler.load_state(state["sampler"])
 
     def hottest_pages(self, count: int) -> np.ndarray:
         """Page ids of the ``count`` most popular pages (oracle)."""

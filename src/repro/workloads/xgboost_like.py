@@ -55,6 +55,7 @@ class XGBoostWorkload(Workload):
     """
 
     name = "xgboost"
+    _state_fields = ("_rng", "_column_sampler", "_rowblock_sampler")
 
     def __init__(
         self,
@@ -112,20 +113,6 @@ class XGBoostWorkload(Workload):
         self._hot_start = hot.start_page
         self._matrix_start = matrix.start_page
         self._machine = machine
-
-    # -- checkpointing ----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "rng": self._rng.bit_generator.state,
-            "column_sampler": self._column_sampler.state_dict(),
-            "rowblock_sampler": self._rowblock_sampler.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-        self._column_sampler.load_state(state["column_sampler"])
-        self._rowblock_sampler.load_state(state["rowblock_sampler"])
 
     # -- trace ------------------------------------------------------------
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.state.codec import Stateful
+
 
 def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vose alias table for the distribution proportional to ``weights``.
@@ -63,8 +65,14 @@ def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-class ZipfianSampler:
-    """Samples item ids with Zipf(alpha) popularity over ``num_items``."""
+class ZipfianSampler(Stateful):
+    """Samples item ids with Zipf(alpha) popularity over ``num_items``.
+
+    Checkpoints its RNG and churned rank permutation; the CDF and alias
+    tables are pure functions of ``(num_items, alpha)``.
+    """
+
+    _state_fields = ("_rng", "_rank_to_item")
 
     def __init__(
         self,
@@ -116,25 +124,6 @@ class ZipfianSampler:
         if rejected.size:
             lanes[rejected] = self._alias[lanes[rejected]]
         return lanes
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Mutable sampler state (RNG + churned rank permutation).
-
-        The CDF and alias tables are pure functions of
-        ``(num_items, alpha)`` and are not captured.
-        """
-        return {
-            "rng": self._rng.bit_generator.state,
-            "rank_to_item": self._rank_to_item.copy(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-        self._rank_to_item = np.asarray(
-            state["rank_to_item"], dtype=self._rank_to_item.dtype
-        ).copy()
 
     def item_of_rank(self, rank: int) -> int:
         """The item id occupying popularity rank ``rank``."""

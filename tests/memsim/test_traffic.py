@@ -68,20 +68,3 @@ class TestBreakdown:
         )
         assert meter.breakdown()["migration"] == pytest.approx(expected)
 
-
-class TestWindows:
-    def test_windowed_hit_ratio(self, meter):
-        meter.record_accesses(100, 100)  # 0.5 so far
-        meter.checkpoint(time_ns=0.0)
-        meter.record_accesses(90, 10)  # window is 0.9
-        assert meter.windowed_hit_ratio() == pytest.approx(0.9)
-        assert meter.local_hit_ratio == pytest.approx(190 / 300)
-
-    def test_window_without_checkpoint_falls_back(self, meter):
-        meter.record_accesses(3, 1)
-        assert meter.windowed_hit_ratio() == pytest.approx(0.75)
-
-    def test_empty_window_falls_back_to_overall(self, meter):
-        meter.record_accesses(3, 1)
-        meter.checkpoint(0.0)
-        assert meter.windowed_hit_ratio() == pytest.approx(0.75)

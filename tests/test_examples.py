@@ -35,3 +35,39 @@ def test_expected_examples_present():
         "custom_policy",
         "multihost_pooling",
     } <= names
+
+
+def test_custom_policy_kill_resume_is_bit_identical(tmp_path):
+    """The example policy declares its state, so resume does not diverge."""
+    from repro import ExperimentConfig, SyntheticZipfWorkload, run_experiment
+
+    path = EXAMPLES_DIR / "custom_policy.py"
+    spec = importlib.util.spec_from_file_location("example_custom_policy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def workload():
+        return SyntheticZipfWorkload(
+            num_pages=16_384, alpha=1.2, accesses_per_batch=40_000, seed=4
+        )
+
+    def policy():
+        return module.SampledLFU(seed=4)
+
+    def config(batches):
+        return ExperimentConfig(
+            local_fraction=0.08, ratio_label="1:16", max_batches=batches, seed=4
+        )
+
+    reference = run_experiment(workload, policy, config(40))
+    ckpt = tmp_path / "ck"
+    run_experiment(
+        workload,
+        policy,
+        config(17),
+        checkpoint_dir=ckpt,
+        checkpoint_every_batches=5,
+    )
+    resumed = run_experiment(workload, policy, config(40), resume_from=ckpt)
+    assert reference.pages_migrated > 0
+    assert resumed.to_dict() == reference.to_dict()
