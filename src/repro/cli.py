@@ -380,7 +380,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    """Capture a workload's access stream to a replayable .npz file."""
+    """Capture a workload's access stream to a replayable trace file."""
+    from repro.workloads.recording import StreamTooLarge
     from repro.workloads.traceio import save_trace
 
     workload_factory = _lookup(
@@ -392,12 +393,16 @@ def cmd_record(args: argparse.Namespace) -> int:
 
     machine = build_machine(workload.footprint_pages, config)
     workload.setup(machine)
-    count = save_trace(
-        args.out,
-        workload.batches(),
-        workload.footprint_pages,
-        max_batches=args.batches if args.batches > 0 else None,
-    )
+    try:
+        count = save_trace(
+            args.out,
+            workload.batches(),
+            workload.footprint_pages,
+            max_batches=args.batches if args.batches > 0 else None,
+        )
+    except StreamTooLarge as exc:
+        print(f"record: {exc}; nothing written, pass --batches", file=sys.stderr)
+        return 1
     payload = {
         "path": args.out,
         "batches": count,
@@ -851,13 +856,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rec = sub.add_parser("record", help="record a workload trace to .npz")
+    p_rec = sub.add_parser("record", help="record a version-1 trace file")
     _add_common_args(p_rec)
-    p_rec.add_argument("--out", required=True, help="output .npz path")
+    p_rec.add_argument("--out", required=True, help="output trace file path")
     p_rec.set_defaults(func=cmd_record)
 
     p_rep = sub.add_parser("replay", help="replay a recorded trace")
-    p_rep.add_argument("--trace", required=True, help=".npz trace path")
+    p_rep.add_argument("--trace", required=True, help="trace file (or an old .npz)")
     p_rep.add_argument("--policy", required=True)
     p_rep.add_argument("--local-fraction", type=float, default=0.06)
     p_rep.add_argument("--ratio", default="1:32")

@@ -345,12 +345,12 @@ class ExecutorStats:
     #: Times the process pool died (BrokenProcessPool) or was killed
     #: (running-cell timeout) and was rebuilt.
     pool_rebuilds: int = 0
-    #: Shared-memory stream segments published for this grid.
+    #: Shared stream recording files published for this grid.
     shm_segments: int = 0
-    #: Bytes of access-stream data served zero-copy from those segments.
+    #: Bytes of access-stream data served zero-copy from those files.
     shm_bytes: int = 0
     #: Workload groups that fell back to per-cell generation after a
-    #: publish attempt failed (platform without shared memory, a stream
+    #: publish attempt failed (an unwritable temp directory, a stream
     #: too large for the host's memory budget, etc.).
     shm_fallbacks: int = 0
 
@@ -398,15 +398,15 @@ class ParallelExecutor:
     share_streams:
         Zero-copy access-stream sharing (default on).  When several
         pool-bound cells run the same workload spec under the same
-        batch budget, the parent generates the stream once, publishes
-        it in a :mod:`multiprocessing.shared_memory` segment, and the
-        workers replay read-only views instead of regenerating it
-        (see :mod:`repro.core.shm`).  Results are bit-identical either
+        batch budget, the parent generates the stream once, saves it
+        as a recording file in ``/dev/shm``, and the workers replay
+        read-only views of it instead of regenerating it (see
+        :mod:`repro.core.shm`).  Results are bit-identical either
         way; ineligible cells (closure factories, unbounded budgets,
-        ``max_accesses`` limits), platforms without shared memory and
+        ``max_accesses`` limits), an unwritable temp directory and
         streams too large for half the host's available memory fall
         back to per-cell generation silently (``stats.shm_fallbacks``).
-        Segments are unlinked when the grid finishes (plus an
+        The files are deleted when the grid finishes (plus an
         ``atexit`` net).
 
     Determinism: each cell builds fresh workload/policy instances from
@@ -593,7 +593,7 @@ class ParallelExecutor:
         """Publish each multi-cell workload group's stream once.
 
         Returns the (possibly substituted) spec list plus the owned
-        segment handles the caller must unlink after the grid runs.
+        stream handles the caller must unlink after the grid runs.
         Single-cell groups gain nothing and keep per-cell generation;
         any publish failure falls back silently.
         """

@@ -1,0 +1,358 @@
+"""Recorded access streams: one columnar format, recorder and replay loop.
+
+A :class:`Recording` holds run-compressed batches as columns (see
+``docs/API.md``, Workloads): the concatenated ``head_page_ids``,
+``run_starts`` and ``run_counts``, per-batch end offsets into them and
+per-batch scalars, with labels as a sorted vocabulary plus codes.
+:func:`record` is the only builder and :meth:`Recording.batches` the
+only replay loop.  The columns live on the heap or in one uncompressed
+file (format version 1): the magic ``RPTRACE\\0``, a little-endian
+uint64 header length, a JSON header, then the columns at 64-byte-aligned
+offsets.  :meth:`Recording.load` memory-maps such a file, loads the
+version-less ``.npz`` traces of earlier releases as the heads-only
+recordings they are; :meth:`Recording.validate` checks either kind.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import mmap
+import os
+from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from repro.sampling.events import AccessBatch
+
+FORMAT_VERSION = 1
+
+_MAGIC = b"RPTRACE\0"
+_ALIGN = 64
+
+#: Every column, in file order.
+_COLUMNS = (
+    "head_page_ids", "run_starts", "run_counts", "head_batch_ends",
+    "run_batch_ends", "num_ops", "cpu_ns", "bytes_per_access", "label_codes",
+)
+#: The columns with one entry per batch.
+_PER_BATCH = _COLUMNS[3:]
+#: The dtypes each column may hold: what :func:`record` writes, and
+#: the head dtypes live batches have.
+_DTYPES = {
+    "head_page_ids": (np.int32, np.int64),
+    **dict.fromkeys(_COLUMNS[1:5], (np.int64,)),
+    **dict.fromkeys(_COLUMNS[5:8], (np.float64,)),
+    "label_codes": (np.int32,),
+}
+#: Bytes :meth:`Recording.save` writes (and, moving, frees) at a time.
+_SLICE = 1 << 23
+
+
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
+class StreamTooLarge(MemoryError):
+    """A stream recording stopped before it outgrew the memory budget."""
+
+    def __init__(self, recorded_bytes: int, budget: int):
+        super().__init__(
+            f"stream recording stopped at {recorded_bytes} bytes: "
+            f"it would exceed the {budget}-byte memory budget"
+        )
+        self.recorded_bytes = recorded_bytes
+        self.budget = budget
+
+
+def _memory_budget() -> int:
+    """Bytes one recording may hold: half the host's available memory
+    (``MemAvailable`` where the kernel reports it, else free pages),
+    leaving the other half to the processes that replay the stream."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024 // 2
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
+class _Column:
+    """A growable flat array in an anonymous mapping (not the malloc
+    heap, so dropping it or ``madvise`` returns the memory to the OS).
+    It maps twice the room it projects for ``batches_left`` more batches
+    like the last; untouched room costs no resident memory."""
+
+    def __init__(self) -> None:
+        self.buffer: mmap.mmap | None = None
+        self.data = np.empty(0, dtype=np.int64)
+        self.size = 0
+
+    def append(self, values: np.ndarray, batches_left: int) -> None:
+        dtype = values.dtype
+        if self.size:
+            dtype = np.promote_types(self.data.dtype, dtype)
+        end = self.size + values.size
+        if end > self.data.size or dtype != self.data.dtype:
+            room = 2 * (end + values.size * batches_left) * dtype.itemsize
+            buffer = mmap.mmap(-1, max(room, dtype.itemsize), flags=mmap.MAP_PRIVATE)
+            grown = np.frombuffer(buffer, dtype=dtype)
+            grown[: self.size] = self.data[: self.size]
+            self.buffer, self.data = buffer, grown
+        self.data[self.size : end] = values
+        self.size = end
+
+
+def record(
+    batches: Iterable[AccessBatch],
+    footprint_pages: int,
+    max_batches: int | None = None,
+) -> Recording:
+    """Copy up to ``max_batches`` batches (all, when ``None``) into a
+    heap :class:`Recording`.
+
+    Raises :class:`StreamTooLarge` after the first batch when its size
+    times ``max_batches`` exceeds the memory budget, else as soon as
+    the recorded bytes do: at most one batch past the budget.
+    """
+    budget = _memory_budget()
+    columns = {name: _Column() for name in _COLUMNS[:3]}
+    heads, starts = columns["head_page_ids"], columns["run_starts"]
+    ends: list[tuple[int, int]] = []
+    scalars: list[tuple[float, float, float]] = []
+    labels: list[str] = []
+    for batch in itertools.islice(batches, max_batches):
+        left = max_batches - len(labels) - 1 if max_batches else 0
+        for name, column in columns.items():
+            column.append(getattr(batch, name), left)
+        ends.append((heads.size, starts.size))
+        scalars.append((batch.num_ops, batch.cpu_ns, batch.bytes_per_access))
+        labels.append(batch.label)
+        # run_starts and run_counts align: 16 bytes per run.
+        recorded = heads.size * heads.data.itemsize + 16 * starts.size
+        first = len(labels) == 1 and max_batches is not None
+        if (recorded * max_batches if first else recorded) > budget:
+            raise StreamTooLarge(recorded, budget)
+    vocab, codes = np.unique(np.array(labels, dtype=str), return_inverse=True)
+    head_ends, run_ends = np.array(ends, dtype=np.int64).reshape(-1, 2).T.copy()
+    num_ops, cpu_ns, bpa = np.array(scalars, dtype=np.float64).reshape(-1, 3).T.copy()
+    recording = Recording(
+        **{name: column.data[: column.size] for name, column in columns.items()},
+        head_batch_ends=head_ends,
+        run_batch_ends=run_ends,
+        num_ops=num_ops,
+        cpu_ns=cpu_ns,
+        bytes_per_access=bpa,
+        label_codes=codes.astype(np.int32),
+        labels=vocab,
+        footprint_pages=footprint_pages,
+    )
+    recording._buffers = {name: column.buffer for name, column in columns.items()}
+    for name in _COLUMNS:
+        getattr(recording, name).flags.writeable = False
+    return recording
+
+
+class Recording:
+    """A recorded stream's columns (see the module docstring)."""
+
+    def __init__(
+        self, *, labels: Sequence[str], footprint_pages: int, **columns: np.ndarray
+    ):
+        for name in _COLUMNS:
+            setattr(self, name, columns[name])
+        self.labels = [str(label) for label in labels]
+        self.footprint_pages = int(footprint_pages)
+        #: The mappings :func:`record` grew the columns in, by column.
+        self._buffers: dict[str, mmap.mmap | None] = {}
+
+    def __len__(self) -> int:
+        return int(self.head_batch_ends.size)
+
+    def batches(self) -> Iterator[AccessBatch]:
+        """Replay the stream as zero-copy views of the columns."""
+        labels = [self.labels[code] for code in self.label_codes.tolist()]
+        heads, starts, counts = self.head_page_ids, self.run_starts, self.run_counts
+        h = r = 0
+        for label, h_end, r_end, ops, cpu, bpa in zip(
+            labels,
+            self.head_batch_ends.tolist(),
+            self.run_batch_ends.tolist(),
+            self.num_ops.tolist(),
+            self.cpu_ns.tolist(),
+            self.bytes_per_access.tolist(),
+        ):
+            yield AccessBatch(
+                None,
+                num_ops=ops,
+                cpu_ns=cpu,
+                label=label,
+                bytes_per_access=bpa,
+                head_page_ids=heads[h:h_end],
+                run_starts=starts[r:r_end],
+                run_counts=counts[r:r_end],
+            )
+            h, r = h_end, r_end
+
+    # -- the file form ------------------------------------------------
+
+    def save(self, path: str | os.PathLike) -> int:
+        """Write the recording to ``path`` (a failed write removes the
+        partial file); returns the file size.
+
+        A recording that :func:`record` built moves into the file: each
+        slice of a column goes back to the OS once written, so saving
+        never holds the stream twice, and the recording then reads its
+        columns from the file (a failed save leaves it unusable).
+        """
+        layout, offset = {}, 0
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            layout[name] = [column.dtype.str, int(column.size), offset]
+            offset = _aligned(offset + column.nbytes)
+        header = json.dumps(
+            {
+                "format_version": FORMAT_VERSION,
+                "footprint_pages": self.footprint_pages,
+                "labels": self.labels,
+                "columns": layout,
+            }
+        ).encode()
+        base = _aligned(len(_MAGIC) + 8 + len(header))
+        try:
+            with open(path, "wb") as fh:
+                fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+                for name in _COLUMNS:
+                    fh.seek(base + layout[name][2])
+                    column = np.ascontiguousarray(getattr(self, name)).view(np.uint8)
+                    buffer = self._buffers.get(name)
+                    for start in range(0, column.size, _SLICE):
+                        fh.write(column[start : start + _SLICE].data)
+                        if buffer is not None:
+                            buffer.madvise(mmap.MADV_DONTNEED, start, _SLICE)
+                fh.truncate(base + offset)
+        except BaseException:
+            if os.path.exists(path):
+                os.unlink(path)
+            raise
+        if self._buffers:
+            vars(self).update(vars(Recording.load(path)))
+        return base + offset
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> Recording:
+        """Open a saved recording, memory-mapped, or a version-less
+        ``.npz`` trace.  Only the layout is checked here: call
+        :meth:`validate` (which reads every page) on outside input."""
+        source = os.fspath(path)
+        with open(source, "rb") as fh:
+            mapped = fh.read(len(_MAGIC)) == _MAGIC
+            header = fh.read(int.from_bytes(fh.read(8), "little")) if mapped else b""
+        try:
+            return cls._mapped(source, header) if mapped else cls._npz(source)
+        except Exception as exc:  # numpy, zipfile and json raise many kinds
+            raise ValueError(f"trace {source!r} is unreadable: {exc}") from exc
+
+    @classmethod
+    def _mapped(cls, source: str, header: bytes) -> Recording:
+        meta = json.loads(header)
+        if meta["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {meta['format_version']!r}")
+        # A plain view: per-batch slices of a memmap subclass cost more.
+        raw = np.asarray(np.memmap(source, dtype=np.uint8, mode="r"))
+        base = _aligned(len(_MAGIC) + 8 + len(header))
+        columns = {}
+        for name in _COLUMNS:
+            dtype, length, offset = meta["columns"][name]
+            dtype = np.dtype(dtype)
+            start = base + int(offset)
+            stop = start + int(length) * dtype.itemsize
+            if stop > raw.size:
+                raise ValueError(f"column {name} runs past the end of the file")
+            columns[name] = raw[start:stop].view(dtype)
+        return cls(
+            labels=meta["labels"], footprint_pages=meta["footprint_pages"], **columns
+        )
+
+    @classmethod
+    def _npz(cls, source: str) -> Recording:
+        def widened(array: np.ndarray, keep: tuple = ()) -> np.ndarray:
+            # Integers as int64, as earlier releases and AccessBatch
+            # (which keeps int32 heads) did; validate() rejects the rest.
+            if array.dtype.kind not in "iu" or array.dtype in keep:
+                return array
+            return array.astype(np.int64)
+
+        with np.load(source, allow_pickle=False) as data:
+            ends = widened(data["batch_ends"])
+            vocab, codes = np.unique(data["labels"], return_inverse=True)
+            return cls(
+                head_page_ids=widened(data["page_ids"], (np.int32,)),
+                run_starts=np.empty(0, dtype=np.int64),
+                run_counts=np.empty(0, dtype=np.int64),
+                head_batch_ends=ends,
+                run_batch_ends=np.zeros(ends.shape, dtype=np.int64),
+                num_ops=data["num_ops"].astype(np.float64),
+                cpu_ns=data["cpu_ns"].astype(np.float64),
+                bytes_per_access=data["bytes_per_access"].astype(np.float64),
+                label_codes=codes.reshape(-1).astype(np.int32),
+                labels=vocab,
+                footprint_pages=int(data["footprint_pages"]),
+            )
+
+    def validate(self, source: str) -> None:
+        """Reject anything a replay could trip over, raising
+        ``ValueError`` that names ``source`` and the defect."""
+
+        def require(ok: bool, defect: str) -> None:
+            if not ok:
+                raise ValueError(f"trace {source!r} {defect}")
+
+        n = len(self)
+        for name, dtypes in _DTYPES.items():
+            column = getattr(self, name)
+            require(
+                column.ndim == 1 and column.dtype in dtypes,
+                f"has {name} of dtype {column.dtype} and shape {column.shape}, "
+                f"not a flat {' or '.join(np.dtype(d).name for d in dtypes)} column",
+            )
+            if name in _PER_BATCH:
+                require(column.size == n, f"has {column.size} {name} for {n} batches")
+        for ends, column in (
+            (self.head_batch_ends, self.head_page_ids),
+            (self.run_batch_ends, self.run_starts),
+            (self.run_batch_ends, self.run_counts),
+        ):
+            require(
+                (ends[-1] if n else 0) == column.size
+                and not np.any(np.diff(ends, prepend=0) < 0),
+                f"has malformed batch_ends: they must be non-decreasing "
+                f"and end at the {column.size} recorded entries",
+            )
+        heads, starts, counts = self.head_page_ids, self.run_starts, self.run_counts
+        limit = self.footprint_pages
+        require(not np.any(counts < 0), "has negative run_counts")
+        require(
+            not heads.size or (heads.min() >= 0 and heads.max() < limit),
+            f"has head_page_ids outside [0, {limit})",
+        )
+        # With run_counts >= 0, this also bounds run_starts by limit.
+        require(
+            not np.any((starts < 0) | (counts > limit - starts)),
+            f"has runs outside [0, {limit})",
+        )
+        require(
+            bool(np.all(self.num_ops >= 0) and np.all(self.cpu_ns >= 0)),
+            "has negative num_ops or cpu_ns",
+        )
+        require(
+            bool(np.all(self.bytes_per_access > 0)),
+            "has non-positive bytes_per_access",
+        )
+        codes = self.label_codes
+        require(
+            not (codes.size and (codes.min() < 0 or codes.max() >= len(self.labels))),
+            f"has label_codes outside its {len(self.labels)}-label vocabulary",
+        )

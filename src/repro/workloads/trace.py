@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
+from repro.workloads.recording import Recording, record
 from repro.workloads.spec import Workload
 from repro.workloads.zipfian import ZipfianSampler
 
@@ -72,7 +73,8 @@ class RecordedTrace(Workload):
 
     ``setup`` re-runs the inner workload's setup (regions must be laid
     out identically, which holds when replaying onto a machine with
-    the same capacities).
+    the same capacities) and records the first ``max_batches`` batches
+    into a heap :class:`~repro.workloads.recording.Recording`.
     """
 
     def __init__(self, inner: Workload, max_batches: int):
@@ -82,7 +84,7 @@ class RecordedTrace(Workload):
         self.inner = inner
         self.name = f"recorded-{inner.name}"
         self.max_batches = int(max_batches)
-        self._recorded: list[AccessBatch] | None = None
+        self._recording: Recording | None = None
 
     @property
     def footprint_pages(self) -> int:
@@ -91,28 +93,12 @@ class RecordedTrace(Workload):
     def setup(self, machine: Machine) -> None:
         self.inner.setup(machine)
         self._machine = machine
-        if self._recorded is None:
-            self._recorded = []
-            for i, batch in enumerate(self.inner.batches()):
-                if i >= self.max_batches:
-                    break
-                # Copy the compressed arrays (generators may reuse
-                # their buffers) and every scalar, so a replay costs
-                # exactly what the live run did.
-                self._recorded.append(
-                    AccessBatch(
-                        None,
-                        num_ops=batch.num_ops,
-                        cpu_ns=batch.cpu_ns,
-                        label=batch.label,
-                        bytes_per_access=batch.bytes_per_access,
-                        head_page_ids=batch.head_page_ids.copy(),
-                        run_starts=batch.run_starts.copy(),
-                        run_counts=batch.run_counts.copy(),
-                    )
-                )
+        if self._recording is None:
+            self._recording = record(
+                self.inner.batches(), self.footprint_pages, self.max_batches
+            )
 
     def batches(self) -> Iterator[AccessBatch]:
-        if self._recorded is None:
+        if self._recording is None:
             raise RuntimeError("RecordedTrace.batches() before setup()")
-        yield from iter(self._recorded)
+        return self._recording.batches()

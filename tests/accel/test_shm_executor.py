@@ -3,14 +3,15 @@
 The contract: turning ``share_streams`` on changes *nothing* about the
 results -- every cell of a grid must be byte-identical to serial
 execution -- while the workload's access stream is generated once and
-mapped read-only by every worker.  Segments must not outlive the grid.
+mapped read-only by every worker.  Recording files must not outlive
+the grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.core.shm import (
     SharedStreamFactory,
     SharedStreamWorkload,
     publish_stream,
-    record_stream,
 )
 
 WORKLOAD = WorkloadSpec("cdn", slab_pages=2_048, ops_per_batch=2_000, seed=11)
@@ -53,12 +53,9 @@ def _dicts(results):
 
 
 def test_replay_reproduces_generated_stream():
-    records, arrays, exhausted = record_stream(WORKLOAD, 20)
-    assert len(records) == 20
-    assert not exhausted  # the CDN workload generates forever
-
     handle = publish_stream(WORKLOAD, 20)
     try:
+        assert len(handle.open()) == 20
         replay = SharedStreamWorkload(WORKLOAD, handle)
         fresh = WORKLOAD()
         from repro.core.runner import build_all_local_machine
@@ -81,11 +78,10 @@ def test_replay_reproduces_generated_stream():
 def test_replay_views_are_read_only():
     handle = publish_stream(WORKLOAD, 5)
     try:
-        views = handle.attach()
-        assert views
-        for view in views:
-            with pytest.raises(ValueError):
-                view[0] = 0
+        for batch in handle.open().batches():
+            for view in (batch.head_page_ids, batch.run_starts, batch.run_counts):
+                with pytest.raises(ValueError):
+                    view[0] = 0
     finally:
         handle.unlink()
 
@@ -94,22 +90,19 @@ def test_handle_pickles_by_value_and_reattaches():
     handle = publish_stream(WORKLOAD, 5)
     try:
         clone = pickle.loads(pickle.dumps(handle))
-        assert clone.segment == handle.segment
-        assert not clone._owner
-        for mine, theirs in zip(handle.attach(), clone.attach()):
-            np.testing.assert_array_equal(mine, theirs)
-        clone.close()
+        assert clone == handle
+        for mine, theirs in zip(handle.open().batches(), clone.open().batches()):
+            np.testing.assert_array_equal(mine.page_ids, theirs.page_ids)
     finally:
         handle.unlink()
 
 
 def test_unlink_is_idempotent_and_removes_segment():
     handle = publish_stream(WORKLOAD, 5)
-    name = handle.segment
+    path = handle.path
     handle.unlink()
     handle.unlink()  # second call is a no-op
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name, create=False)
+    assert not os.path.exists(path)
 
 
 def test_shared_workload_delegates_identity():
@@ -152,12 +145,11 @@ def test_segments_unlinked_after_grid():
     executor = ParallelExecutor(jobs=2, share_streams=True)
     specs, handles = executor._substitute_shared(_grid())
     assert len(handles) == 1
-    name = handles[0].segment
+    path = handles[0].path
     assert isinstance(specs[0].workload, SharedStreamFactory)
     for handle in handles:
         handle.unlink()
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name, create=False)
+    assert not os.path.exists(path)
 
 
 # ---------------------------------------------------------------------------
@@ -217,35 +209,60 @@ def test_publish_failure_counts_fallback(monkeypatch):
     assert not any(isinstance(s.workload, SharedStreamFactory) for s in specs)
 
 
+def _batch_bytes() -> list[int]:
+    """Recorded bytes of each batch of the grid's stream."""
+    handle = publish_stream(WORKLOAD, CONFIG.max_batches)
+    try:
+        return [
+            b.head_page_ids.nbytes + b.run_starts.nbytes + b.run_counts.nbytes
+            for b in handle.open().batches()
+        ]
+    finally:
+        handle.unlink()
+
+
+def test_stream_counted_once_against_memory_budget(monkeypatch):
+    import repro.workloads.recording as recording_mod
+
+    batch_bytes = _batch_bytes()
+    # Room for one copy of the stream (and of the first batch's
+    # projection), not for two.
+    one_copy = max(sum(batch_bytes), batch_bytes[0] * CONFIG.max_batches)
+    monkeypatch.setattr(recording_mod, "_memory_budget", lambda: 3 * one_copy // 2)
+    executor = ParallelExecutor(jobs=2, share_streams=True)
+    _, handles = executor._substitute_shared(_grid())
+    for handle in handles:
+        handle.unlink()
+    assert executor.stats.shm_segments == 1
+    assert executor.stats.shm_fallbacks == 0
+
+
 def test_stream_over_memory_budget_falls_back(monkeypatch):
     import repro.core.shm as shm_mod
+    import repro.workloads.recording as recording_mod
 
-    records, arrays, _ = record_stream(WORKLOAD, CONFIG.max_batches)
-    fields = ("head_page_ids", "run_starts", "run_counts")
-    batch_bytes = [
-        sum(arrays[r[f]].nbytes for f in fields) for r in records
-    ]
-    # Room for the whole stream once, not for the two copies publishing
-    # holds at the same time.
-    budget = sum(batch_bytes)
+    batch_bytes = _batch_bytes()
+    # Room for half the stream.
+    budget = sum(batch_bytes) // 2
     stopped = []
+    publish = shm_mod.publish_stream
 
-    def recording(*args, **kwargs):
+    def publishing(*args, **kwargs):
         try:
-            return record_stream(*args, **kwargs)
-        except shm_mod.StreamTooLarge as exc:
+            return publish(*args, **kwargs)
+        except recording_mod.StreamTooLarge as exc:
             stopped.append(exc)
             raise
 
-    monkeypatch.setattr(shm_mod, "_memory_budget", lambda: budget)
-    monkeypatch.setattr(shm_mod, "record_stream", recording)
+    monkeypatch.setattr(recording_mod, "_memory_budget", lambda: budget)
+    monkeypatch.setattr(shm_mod, "publish_stream", publishing)
     capped = ParallelExecutor(jobs=2, share_streams=True)
     results = capped.run(_grid())
 
     [exc] = stopped
     assert exc.budget == budget
-    # Each recorded byte counts twice; at most one batch past the budget.
-    assert 2 * (exc.recorded_bytes - max(batch_bytes)) <= budget
+    # At most one batch past the budget.
+    assert exc.recorded_bytes - max(batch_bytes) <= budget
     assert capped.stats.shm_fallbacks == 1
     assert capped.stats.shm_segments == 0
     unshared = ParallelExecutor(jobs=2, share_streams=False).run(_grid())

@@ -203,6 +203,36 @@ class TestRecordReplay:
         data = json.loads(out)
         assert data["workload"].startswith("trace:")
 
+    def test_unbounded_record_stops_at_memory_budget(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.workloads.recording as recording_mod
+
+        monkeypatch.setattr(recording_mod, "_memory_budget", lambda: 1_000_000)
+        trace_path = tmp_path / "endless.trace"
+        argv = ["record", "--workload", "zipf", "--batches", "0"]
+        assert main([*argv, "--out", str(trace_path)]) == 1
+        assert "memory budget" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_unbounded_record_keeps_a_finite_stream_whole(
+        self, capsys, tmp_path
+    ):
+        trace_path = str(tmp_path / "xgboost.trace")
+        out = run_cli(
+            capsys,
+            "record",
+            "--workload",
+            "xgboost",
+            "--batches",
+            "0",
+            "--out",
+            trace_path,
+            "--json",
+        )
+        # 80 boosting rounds of one batch per tree level (depth 6).
+        assert json.loads(out)["batches"] == 480
+
 
 class TestParser:
     def test_requires_command(self):

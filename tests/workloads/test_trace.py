@@ -7,9 +7,12 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.parallel import PolicySpec, WorkloadSpec
-from repro.core.runner import run_experiment
+from repro.core.runner import build_all_local_machine, run_experiment
+from repro.core.shm import SharedStreamFactory, publish_stream
 from repro.memsim.machine import Machine, MachineConfig
+from repro.memsim.tier import CXL1_CONFIG
 from repro.workloads.trace import RecordedTrace, SyntheticZipfWorkload
+from repro.workloads.traceio import TraceFileWorkload, save_trace
 
 
 def build_machine(pages: int) -> Machine:
@@ -74,26 +77,66 @@ class TestRecordedTrace:
         inner = SyntheticZipfWorkload(num_pages=123)
         assert RecordedTrace(inner, max_batches=1).footprint_pages == 123
 
-    def test_replayed_cdn_run_equals_live_run(self):
-        """A recording keeps the runs and CDN's 1024-byte accesses, so
-        the replayed run costs exactly what the live run did."""
+    @pytest.mark.parametrize("source", ["heap", "file", "executor"])
+    def test_replayed_cdn_run_equals_live_run(self, source, tmp_path):
+        """A recording -- on the heap, in a saved trace file, or
+        published by the executor -- keeps the runs, the head dtype and
+        CDN's 1024-byte accesses, so the replayed run costs exactly what
+        the live run did."""
         cdn = WorkloadSpec("cdn", slab_pages=2_048, ops_per_batch=2_000, seed=7)
         config = ExperimentConfig(
             local_fraction=0.12, ratio_label="1:16", max_batches=20, seed=7
         )
-        recorded = []
 
-        def replay():
-            trace = RecordedTrace(cdn(), max_batches=20)
-            recorded.append(trace)
-            return trace
+        def live_stream():
+            workload = cdn()
+            workload.setup(
+                build_all_local_machine(workload.footprint_pages, CXL1_CONFIG)
+            )
+            return workload
+
+        if source == "heap":
+            recorded = []
+
+            def replay():
+                recorded.append(RecordedTrace(cdn(), max_batches=20))
+                return recorded[-1]
+
+            def replayed_batches():
+                return recorded[0].batches()
+
+        elif source == "file":
+            path = tmp_path / "cdn.trace"
+            stream = live_stream()
+            save_trace(path, stream.batches(), stream.footprint_pages, 20)
+
+            def replay():
+                return TraceFileWorkload(path)
+
+            def replayed_batches():
+                return TraceFileWorkload(path).batches()
+
+        else:
+            handle = publish_stream(cdn, 20)
+            replay = SharedStreamFactory(cdn, handle)
+
+            def replayed_batches():
+                return handle.open().batches()
 
         policy = PolicySpec("freqtier", seed=1)
-        live = dataclasses.asdict(run_experiment(cdn, policy, config))
-        replayed = dataclasses.asdict(run_experiment(replay, policy, config))
-        assert replayed.pop("workload_name") == "recorded-" + live.pop(
-            "workload_name"
-        )
+        try:
+            live = dataclasses.asdict(run_experiment(cdn, policy, config))
+            replayed = dataclasses.asdict(run_experiment(replay, policy, config))
+            batch = next(iter(replayed_batches()))
+        finally:
+            if source == "executor":
+                handle.unlink()
+        live_name = live.pop("workload_name")
+        replayed_name = replayed.pop("workload_name")
+        if source == "heap":
+            assert replayed_name == "recorded-" + live_name
         assert replayed == live
-        [batch, *_] = recorded[0].batches()
-        assert batch.run_starts.size and batch.bytes_per_access == 1024.0
+        assert batch.run_starts.size > 0
+        assert batch.bytes_per_access == 1024.0
+        live_batch = next(live_stream().batches())
+        assert batch.head_page_ids.dtype == live_batch.head_page_ids.dtype

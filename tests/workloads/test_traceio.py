@@ -7,6 +7,8 @@ from repro.core.config import ExperimentConfig
 from repro.core.runner import run_experiment
 from repro.memsim.machine import Machine, MachineConfig
 from repro.policies.static_policy import StaticNoMigration
+from repro.sampling.events import AccessBatch
+from repro.workloads.recording import Recording
 from repro.workloads.trace import SyntheticZipfWorkload
 from repro.workloads.traceio import TraceFileWorkload, save_trace
 
@@ -78,8 +80,6 @@ class TestSaveLoad:
         assert result.workload_name.startswith("trace:")
 
     def test_footprint_validation(self, tmp_path):
-        from repro.sampling.events import AccessBatch
-
         batch = AccessBatch(
             page_ids=np.array([500]), num_ops=1.0, cpu_ns=0.0
         )
@@ -89,19 +89,44 @@ class TestSaveLoad:
             TraceFileWorkload(path)
 
 
-def _write_raw_trace(path, page_ids, batch_ends, footprint=100):
-    """An ``.npz`` in the trace layout, bypassing save_trace's checks."""
+def _write_raw_trace(path, page_ids, batch_ends, footprint=100, **columns):
+    """An ``.npz`` in the version-less trace layout, bypassing
+    save_trace's checks; ``columns`` replace the defaults."""
     n = len(batch_ends)
     np.savez(
         path,
-        page_ids=np.asarray(page_ids, dtype=np.int64),
-        batch_ends=np.asarray(batch_ends, dtype=np.int64),
-        num_ops=np.ones(n),
-        cpu_ns=np.zeros(n),
-        bytes_per_access=np.full(n, 64.0),
-        labels=np.asarray([""] * n, dtype="U64"),
-        footprint_pages=np.int64(footprint),
+        **{
+            "page_ids": np.asarray(page_ids),
+            "batch_ends": np.asarray(batch_ends),
+            "num_ops": np.ones(n),
+            "cpu_ns": np.zeros(n),
+            "bytes_per_access": np.full(n, 64.0),
+            "labels": np.asarray([""] * n, dtype="U64"),
+            "footprint_pages": np.int64(footprint),
+            **columns,
+        },
     )
+
+
+def _write_recording(path, labels=("",), **columns):
+    """A one-batch recording file (two heads, one 5-page run) over 100
+    pages, bypassing the recorder; ``columns`` replace the defaults."""
+    Recording(
+        labels=labels,
+        footprint_pages=100,
+        **{
+            "head_page_ids": np.array([1, 2]),
+            "run_starts": np.array([10]),
+            "run_counts": np.array([5]),
+            "head_batch_ends": np.array([2]),
+            "run_batch_ends": np.array([1]),
+            "num_ops": np.array([1.0]),
+            "cpu_ns": np.array([0.0]),
+            "bytes_per_access": np.array([64.0]),
+            "label_codes": np.array([0], dtype=np.int32),
+            **columns,
+        },
+    ).save(path)
 
 
 class TestTraceFileValidation:
@@ -125,5 +150,90 @@ class TestTraceFileValidation:
     def test_batch_ends_must_cover_every_access(self, tmp_path):
         path = tmp_path / "short.npz"
         _write_raw_trace(path, [1, 2, 3, 4], [1, 3])
+        with pytest.raises(ValueError, match="batch_ends"):
+            TraceFileWorkload(path)
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            ({"bytes_per_access": np.full(2, 64.0)}, "bytes_per_access"),
+            ({"labels": np.asarray(["a", "b"])}, "label_codes"),
+            ({"num_ops": np.array([1.0, 1.0, -1.0])}, "num_ops"),
+            ({"cpu_ns": np.array([0.0, -5.0, 0.0])}, "cpu_ns"),
+            ({"bytes_per_access": np.array([64.0, 0.0, 64.0])}, "bytes_per_access"),
+        ],
+    )
+    def test_malformed_batch_columns_rejected(self, tmp_path, columns, match):
+        path = tmp_path / "bad.npz"
+        _write_raw_trace(path, [1, 2, 3], [1, 2, 3], **columns)
+        with pytest.raises(ValueError, match=match):
+            TraceFileWorkload(path)
+
+    def test_float_page_ids_rejected(self, tmp_path):
+        path = tmp_path / "float.npz"
+        _write_raw_trace(path, [1.7, 2.2], [2])
+        with pytest.raises(ValueError, match="not a flat int32 or int64"):
+            TraceFileWorkload(path)
+
+    def test_long_label_survives_round_trip(self, tmp_path):
+        label = "phase-" + "x" * 74
+        batch = AccessBatch(
+            page_ids=np.array([5]), num_ops=1.0, cpu_ns=0.0, label=label
+        )
+        path = tmp_path / "long_label.trace"
+        save_trace(path, [batch], footprint_pages=100)
+        [replayed] = TraceFileWorkload(path).batches()
+        assert replayed.label == label
+
+    def test_well_formed_recording_is_memory_mapped(self, tmp_path):
+        path = tmp_path / "ok.trace"
+        _write_recording(path)
+        [batch] = TraceFileWorkload(path).batches()
+        assert batch.page_ids.tolist() == [1, 2, 10, 11, 12, 13, 14]
+        assert not batch.head_page_ids.flags.writeable
+        base = batch.run_starts
+        while not isinstance(base, np.memmap):
+            base = base.base
+        assert base.mode == "r"
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            ({"run_counts": np.array([-5])}, "run_counts"),
+            ({"run_starts": np.array([98])}, "outside"),
+            ({"run_starts": np.array([10.5])}, "not a flat int64"),
+            (
+                {"head_page_ids": np.array([1, 2], dtype=np.uint64)},
+                "not a flat int32 or int64",
+            ),
+            ({"label_codes": np.array([1], dtype=np.int32)}, "vocabulary"),
+        ],
+    )
+    def test_malformed_recording_rejected(self, tmp_path, columns, match):
+        path = tmp_path / "bad.trace"
+        _write_recording(path, **columns)
+        with pytest.raises(ValueError, match=match):
+            TraceFileWorkload(path)
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        path = tmp_path / "future.trace"
+        _write_recording(path)
+        data = path.read_bytes().replace(
+            b'"format_version": 1', b'"format_version": 9'
+        )
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="version"):
+            TraceFileWorkload(path)
+
+    def test_uint64_page_ids_replay_as_int64(self, tmp_path):
+        path = tmp_path / "unsigned.npz"
+        _write_raw_trace(path, np.array([1, 2, 3], dtype=np.uint64), [1, 3])
+        trace = TraceFileWorkload(path)
+        assert [b.page_ids.tolist() for b in trace.batches()] == [[1], [2, 3]]
+        assert {b.head_page_ids.dtype for b in trace.batches()} == {np.dtype(np.int64)}
+
+    def test_unsigned_decreasing_batch_ends_rejected(self, tmp_path):
+        path = tmp_path / "unsigned_ends.npz"
+        _write_raw_trace(path, [1, 2, 3, 4], np.array([3, 2, 4], np.uint64))
         with pytest.raises(ValueError, match="batch_ends"):
             TraceFileWorkload(path)
