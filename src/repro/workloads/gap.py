@@ -17,17 +17,33 @@ Memory layout (one region per array, mirroring the GAP C++ layout):
 Accesses are emitted at cache-line granularity (one access per 64-byte
 line touched), matching how the hardware counters in the paper's setup
 observe traffic.
+
+A completed trial's pre-shuffle page arrays are a pure function of the
+graph key ``(scale, avg_degree, seed)``, the kernel, the source (BFS and
+BC only; CC and PR ignore it) and the start pages of the five arrays.
+:meth:`GapWorkload.batches` memoises the most recent completed trial
+under that key, like :func:`~repro.workloads.kronecker.generate_kronecker`
+memoises its graph, so every policy cell, kernel trial, probe resume and
+restart that repeats it skips the kernel.  The memo holds one entry,
+cleared before a new trial is built; a trial cut short commits nothing.
+Steps are stored read-only, as int32 when the page ids fit, and
+identical consecutive steps (every CC and PR step) share one array.  A
+trial larger than :func:`repro.workloads.recording._memory_budget` is
+not memoised.  The RNG draws are the same on a hit: the source is still
+picked and every emitted batch is a fresh shuffled int64 copy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro._units import PAGE_SIZE
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
+from repro.workloads import recording
 from repro.workloads.kronecker import CSRGraph, generate_kronecker
 from repro.workloads.spec import Workload
 
@@ -66,6 +82,17 @@ def _lines_of_ranges(
         np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
     )
     return np.repeat(first, counts) + offsets
+
+
+class _Trial(NamedTuple):
+    """One completed trial: read-only pre-shuffle steps and kernel state."""
+
+    steps: tuple[np.ndarray, ...]
+    state: dict[str, np.ndarray]
+
+
+#: The one memoised trial: ``{(graph key, kernel, source, start pages): trial}``.
+_TRIALS: dict[tuple, _Trial] = {}
 
 
 class _Array:
@@ -133,6 +160,7 @@ class GapWorkload(Workload):
         self.name = f"gap-{kernel}"
         self.num_trials = int(num_trials)
         self.graph: CSRGraph = generate_kronecker(scale, avg_degree, seed=seed)
+        self._graph_key = (int(scale), int(avg_degree), int(seed))
         n = self.graph.num_nodes
         self._indptr_arr = _Array(8, n + 1)
         self._indices_arr = _Array(4, self.graph.num_directed_edges)
@@ -140,31 +168,27 @@ class GapWorkload(Workload):
         self._prop32 = _Array(4, n)
         self._prop64_a = _Array(8, n)
         self._prop64_b = _Array(8, n)
+        self._arrays = (
+            self._indptr_arr,
+            self._indices_arr,
+            self._prop32,
+            self._prop64_a,
+            self._prop64_b,
+        )
         self._rng = np.random.default_rng(seed + 7)
         self._degrees = np.diff(self.graph.indptr).astype(np.int64)
-        #: Kernel outputs of the most recent trial (verification hook):
-        #: bfs -> {"parent"}; cc -> {"comp"}; bc -> {"sigma", "level",
-        #: "delta"}; pr -> {"rank"}.
+        #: Read-only kernel outputs of the most recent trial
+        #: (verification hook): bfs -> {"parent"}; cc -> {"comp"};
+        #: bc -> {"sigma", "level", "delta"}; pr -> {"rank"}.
         self.last_kernel_state: dict[str, np.ndarray] = {}
 
     @property
     def footprint_pages(self) -> int:
-        return (
-            self._indptr_arr.num_pages
-            + self._indices_arr.num_pages
-            + self._prop32.num_pages
-            + self._prop64_a.num_pages
-            + self._prop64_b.num_pages
-        )
+        return sum(arr.num_pages for arr in self._arrays)
 
     def setup(self, machine: Machine) -> None:
-        for arr, label in (
-            (self._indptr_arr, "indptr"),
-            (self._indices_arr, "indices"),
-            (self._prop32, "prop32"),
-            (self._prop64_a, "prop64a"),
-            (self._prop64_b, "prop64b"),
-        ):
+        labels = ("indptr", "indices", "prop32", "prop64a", "prop64b")
+        for arr, label in zip(self._arrays, labels):
             region = machine.allocate(arr.num_pages, name=f"gap-{label}")
             arr.start_page = region.start_page
         self._machine = machine
@@ -183,17 +207,51 @@ class GapWorkload(Workload):
     def batches(self) -> Iterator[AccessBatch]:
         for trial in range(self.num_trials):
             source = self._pick_source()
-            if self.kernel == "bfs":
-                yield from self._bfs_trace(source, trial)
-            elif self.kernel == "cc":
-                yield from self._cc_trace(trial)
-            elif self.kernel == "pr":
-                yield from self._pr_trace(trial)
-            else:
-                yield from self._bc_trace(source, trial)
+            key = (
+                self._graph_key,
+                self.kernel,
+                source if self.kernel in ("bfs", "bc") else None,
+                tuple(arr.start_page for arr in self._arrays),
+            )
+            memo = _TRIALS.get(key)
+            steps = self._run_trial(key, source) if memo is None else memo.steps
+            for pages in steps:
+                yield self._emit(pages, trial)
+            if memo is not None:
+                self.last_kernel_state = dict(memo.state)
 
-    def _emit(self, pages: list[np.ndarray], trial: int) -> AccessBatch:
-        all_pages = np.concatenate(pages) if pages else np.zeros(0, dtype=np.int64)
+    def _run_trial(self, key: tuple, source: int) -> Iterator[np.ndarray]:
+        """Run the kernel, yielding each step's pre-shuffle pages, and
+        memoise the trial once it completes within the memory budget."""
+        _TRIALS.clear()
+        page_limit = max(arr.start_page + arr.num_pages for arr in self._arrays)
+        dtype = np.int32 if page_limit <= np.iinfo(np.int32).max else np.int64
+        budget = recording._memory_budget()
+        steps: list[np.ndarray] | None = []
+        held = 0
+        for pages in getattr(self, f"_{self.kernel}_steps")(source):
+            step = np.concatenate(pages, dtype=dtype)
+            if steps and np.array_equal(step, steps[-1]):
+                step = steps[-1]  # every CC and PR step scans the same lines
+            elif steps is not None:
+                step.flags.writeable = False
+                held += step.nbytes
+                if held > budget:
+                    steps = None
+            if steps is not None:
+                steps.append(step)
+            yield step
+        state = self.last_kernel_state
+        for array in state.values():
+            array.flags.writeable = False
+            held += array.nbytes
+        if steps is not None and held <= budget:
+            # Another workload may have committed while this trial ran.
+            _TRIALS.clear()
+            _TRIALS[key] = _Trial(tuple(steps), dict(state))
+
+    def _emit(self, pages: np.ndarray, trial: int) -> AccessBatch:
+        all_pages = pages.astype(np.int64)
         self._rng.shuffle(all_pages)
         return AccessBatch(
             page_ids=all_pages,
@@ -225,9 +283,16 @@ class GapWorkload(Workload):
         ]
         return neighbors, pages
 
+    def _edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-edge source and destination ids in CSR scan order."""
+        edge_src = np.repeat(
+            np.arange(self.graph.num_nodes, dtype=np.int64), self._degrees
+        )
+        return edge_src, self.graph.indices.astype(np.int64)
+
     # -- BFS (direction-optimizing omitted; top-down level-synchronous) ----------
 
-    def _bfs_trace(self, source: int, trial: int) -> Iterator[AccessBatch]:
+    def _bfs_steps(self, source: int) -> Iterator[list[np.ndarray]]:
         n = self.graph.num_nodes
         parent = np.full(n, -1, dtype=np.int64)
         parent[source] = source
@@ -244,7 +309,7 @@ class GapWorkload(Workload):
                 frontier = fresh
             else:
                 frontier = np.zeros(0, dtype=np.int64)
-            yield self._emit(pages, trial)
+            yield pages
         self.last_kernel_state = {
             "parent": parent,
             "source": np.array([source]),
@@ -252,15 +317,12 @@ class GapWorkload(Workload):
 
     # -- Connected components (Shiloach-Vishkin style label propagation) ----------
 
-    def _cc_trace(self, trial: int) -> Iterator[AccessBatch]:
+    def _cc_steps(self, source: int) -> Iterator[list[np.ndarray]]:
+        """Label propagation; CC visits every node, so ``source`` is unused."""
         n = self.graph.num_nodes
         comp = np.arange(n, dtype=np.int64)
         graph = self.graph
-        # Precompute the per-edge source ids once (the CSR scan order).
-        edge_src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(graph.indptr).astype(np.int64)
-        )
-        edge_dst = graph.indices.astype(np.int64)
+        edge_src, edge_dst = self._edge_endpoints()
         for _ in range(64):  # safety bound; converges much sooner
             old = comp.copy()
             # comp[dst] = min(comp[dst], comp[src]) over the full edge scan.
@@ -279,23 +341,21 @@ class GapWorkload(Workload):
                 self._prop32.pages_of_elements(edge_dst[:: 16]),
                 self._prop32.pages_of_elements(edge_src[:: 16]),
             ]
-            yield self._emit(pages, trial)
+            yield pages
             if np.array_equal(old, comp):
                 break
         self.last_kernel_state = {"comp": comp}
 
     # -- PageRank (power iteration, GAP defaults) -----------------------------------
 
-    def _pr_trace(self, trial: int) -> Iterator[AccessBatch]:
-        """Power-iteration PageRank: full CSR scans + rank gathers."""
+    def _pr_steps(self, source: int) -> Iterator[list[np.ndarray]]:
+        """Power-iteration PageRank: full CSR scans + rank gathers
+        (``source`` is unused)."""
         n = self.graph.num_nodes
         graph = self.graph
         degrees = np.maximum(graph.degrees().astype(np.float64), 1.0)
         rank = np.full(n, 1.0 / n, dtype=np.float64)
-        edge_src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(graph.indptr).astype(np.int64)
-        )
-        edge_dst = graph.indices.astype(np.int64)
+        edge_src, edge_dst = self._edge_endpoints()
         base = (1.0 - PR_DAMPING) / n
         for _ in range(PR_ITERATIONS):
             contrib = rank[edge_src] / degrees[edge_src]
@@ -312,12 +372,12 @@ class GapWorkload(Workload):
                 self._prop64_a.pages_of_elements(edge_src[:: 8]),
                 self._prop64_b.pages_of_elements(edge_dst[:: 8]),
             ]
-            yield self._emit(pages, trial)
+            yield pages
         self.last_kernel_state = {"rank": rank}
 
     # -- Betweenness centrality (Brandes, level-synchronous) ------------------------
 
-    def _bc_trace(self, source: int, trial: int) -> Iterator[AccessBatch]:
+    def _bc_steps(self, source: int) -> Iterator[list[np.ndarray]]:
         n = self.graph.num_nodes
         level = np.full(n, -1, dtype=np.int64)
         sigma = np.zeros(n, dtype=np.float64)
@@ -349,7 +409,7 @@ class GapWorkload(Workload):
             if frontier.size:
                 levels.append(frontier)
             depth += 1
-            yield self._emit(pages, trial)
+            yield pages
         # Backward phase: dependency accumulation, deepest level first.
         delta = np.zeros(n, dtype=np.float64)
         for front in reversed(levels[1:]):
@@ -367,7 +427,7 @@ class GapWorkload(Workload):
                     np.add.at(delta, neighbors[predecessor], contrib)
                 pages.append(self._prop64_a.pages_of_elements(neighbors))
                 pages.append(self._prop64_b.pages_of_elements(owner[:: 4]))
-            yield self._emit(pages, trial)
+            yield pages
         self.last_kernel_state = {
             "sigma": sigma,
             "level": level,

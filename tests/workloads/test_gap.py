@@ -1,10 +1,16 @@
 """Tests for the GAP kernel trace generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.config import ExperimentConfig
+from repro.core.parallel import PolicySpec, WorkloadSpec
+from repro.core.runner import run_experiment
 from repro.memsim.machine import Machine, MachineConfig
-from repro.workloads.gap import GapWorkload, _lines_of_ranges
+from repro.workloads import gap
+from repro.workloads.gap import KERNELS, GapWorkload, _lines_of_ranges
 
 
 def run_workload(kernel: str, scale: int = 10, trials: int = 1, seed: int = 0):
@@ -146,3 +152,120 @@ class TestKernelSemantics:
             )
         share = in_indices / max(total, 1)
         assert 0.02 < share < 0.9
+
+
+def _stream(batches):
+    return [(b.label, b.cpu_ns, b.page_ids.tolist()) for b in batches]
+
+
+def _counting(monkeypatch, method: str) -> list[int]:
+    """Count calls of one kernel's step generator (one call per cold trial)."""
+    calls: list[int] = []
+    original = getattr(GapWorkload, method)
+
+    def counted(self, source):
+        calls.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(GapWorkload, method, counted)
+    return calls
+
+
+class TestTrialMemo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        gap._TRIALS.clear()
+        yield
+        gap._TRIALS.clear()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_warm_memo_replays_the_cold_stream(self, kernel, monkeypatch):
+        cold_w, cold = run_workload(kernel, trials=1, seed=3)
+        assert len(gap._TRIALS) == 1
+        calls = _counting(monkeypatch, f"_{kernel}_steps")
+        warm_w, warm = run_workload(kernel, trials=1, seed=3)
+        assert calls == []
+        assert _stream(warm) == _stream(cold)
+        assert cold_w.last_kernel_state.keys() == warm_w.last_kernel_state.keys()
+        for name, array in cold_w.last_kernel_state.items():
+            assert np.array_equal(warm_w.last_kernel_state[name], array)
+        # Every batch is a fresh int64 array the consumer may modify.
+        assert all(b.page_ids.dtype == np.int64 for b in warm)
+        assert all(b.page_ids.flags.writeable for b in warm)
+
+    @pytest.mark.parametrize("kernel", ["cc", "pr"])
+    def test_source_free_kernels_run_once_per_graph(self, kernel, monkeypatch):
+        calls = _counting(monkeypatch, f"_{kernel}_steps")
+        __, batches = run_workload(kernel, trials=3, seed=2)
+        assert len(calls) == 1
+        steps = next(iter(gap._TRIALS.values())).steps
+        # Every step scans the same lines, so the trial holds one array.
+        assert all(step is steps[0] for step in steps)
+        assert steps[0].dtype == np.int32
+        assert {b.label for b in batches} == {"trial0", "trial1", "trial2"}
+
+    @pytest.mark.parametrize("kernel", ["bfs", "bc"])
+    def test_hit_requires_the_same_source(self, kernel, monkeypatch):
+        w, __ = run_workload(kernel, trials=1, seed=3)
+        source = int(w.last_kernel_state["source"][0])
+        calls = _counting(monkeypatch, f"_{kernel}_steps")
+        same, __ = run_workload(kernel, trials=1, seed=3)
+        assert calls == []
+
+        other = int(np.flatnonzero(w._degrees)[-1])
+        assert other != source
+        monkeypatch.setattr(GapWorkload, "_pick_source", lambda self: other)
+        moved, __ = run_workload(kernel, trials=1, seed=3)
+        assert calls == [other]
+        assert int(moved.last_kernel_state["source"][0]) == other
+        (key,) = gap._TRIALS
+        assert key[2] == other
+
+    def test_trial_cut_short_commits_nothing(self):
+        run_workload("cc", trials=1, seed=1)
+        assert len(gap._TRIALS) == 1
+        w = GapWorkload("bfs", scale=10, num_trials=1, seed=1)
+        w.setup(Machine(MachineConfig(local_capacity_pages=w.footprint_pages,
+                                      cxl_capacity_pages=64)))
+        stream = w.batches()
+        list(itertools.islice(stream, 2))
+        # The old entry went before the new trial was built ...
+        assert gap._TRIALS == {}
+        stream.close()
+        # ... and the unfinished trial left none behind.
+        assert gap._TRIALS == {}
+
+    def test_trial_cut_by_max_batches_commits_nothing(self):
+        workload = WorkloadSpec("gap", kernel="bc", scale=10, num_trials=1, seed=1)
+        config = ExperimentConfig(local_fraction=0.1, max_batches=2, seed=1)
+        run_experiment(workload, PolicySpec("freqtier", seed=1), config)
+        assert gap._TRIALS == {}
+
+    def test_memo_never_holds_two_entries(self):
+        for kernel, seed in [("bfs", 0), ("cc", 0), ("cc", 1), ("pr", 1), ("bc", 2)]:
+            run_workload(kernel, trials=2, seed=seed)
+            assert len(gap._TRIALS) == 1
+        # Two interleaved workloads: the later commit replaces the earlier.
+        a, __ = run_workload("cc", trials=1, seed=5)
+        b, __ = run_workload("pr", trials=1, seed=5)
+        gap._TRIALS.clear()
+        for __ in itertools.zip_longest(a.batches(), b.batches()):
+            assert len(gap._TRIALS) <= 1
+        assert len(gap._TRIALS) == 1
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_over_budget_trial_is_not_memoised(self, kernel, monkeypatch):
+        __, memoised = run_workload(kernel, trials=2, seed=4)
+        gap._TRIALS.clear()
+        monkeypatch.setattr("repro.workloads.recording._memory_budget", lambda: 4096)
+        __, unmemoised = run_workload(kernel, trials=2, seed=4)
+        assert gap._TRIALS == {}
+        assert _stream(unmemoised) == _stream(memoised)
+
+    def test_memoised_arrays_are_read_only(self):
+        w, __ = run_workload("bc", trials=1, seed=6)
+        (trial,) = gap._TRIALS.values()
+        for array in (*trial.steps, *trial.state.values(),
+                      *w.last_kernel_state.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
