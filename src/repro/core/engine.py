@@ -13,10 +13,11 @@ Virtual time only; nothing depends on the wall clock.
 
 Checkpointing: pass a :class:`~repro.state.CheckpointManager` plus
 ``checkpoint_every_batches`` and the engine snapshots its full state
-(progress, metrics, machine placement, policy, fault injector) every N
-batches; :meth:`SimulationEngine.restore_state` resumes a fresh engine
-from such a snapshot bit-identically (see docs/API.md "Checkpoint &
-resume").
+(progress, workload stream position, metrics, machine placement,
+policy, fault injector) every N batches;
+:meth:`SimulationEngine.restore_state` resumes a fresh engine from such
+a snapshot bit-identically, without regenerating the completed batches
+(see docs/API.md "Checkpoint & resume").
 """
 
 from __future__ import annotations
@@ -165,12 +166,10 @@ class SimulationEngine:
         """Full engine state as a checkpoint payload.
 
         Captures everything :meth:`restore_state` needs to continue the
-        run bit-identically: progress counters, per-batch metrics, the
-        machine's placement/traffic, the policy's internal state and
-        (when present) the fault injector.  The workload is *not*
-        captured -- generator-based traces hold unpicklable locals --
-        so resume rebuilds the workload from its factory and
-        fast-forwards ``batches()`` past the completed prefix.
+        run bit-identically: progress counters, the workload's declared
+        state (its stream position: RNGs and cursors), per-batch
+        metrics, the machine's placement/traffic, the policy's internal
+        state and (when present) the fault injector.
         """
         self.setup()
         payload = {
@@ -185,6 +184,7 @@ class SimulationEngine:
                 "batches_done": self.batches_done,
                 "accesses_done": self.accesses_done,
             },
+            "workload": self.workload.state_dict(),
             "metrics": self.metrics.state_dict(),
             "machine": self.machine.state_dict(),
             "policy": self.policy.state_dict(),
@@ -201,9 +201,12 @@ class SimulationEngine:
 
         Must be called before :meth:`run`; the engine/machine/policy
         must be configured identically to the run that produced the
-        snapshot (identity fields are validated).  The next ``run()``
-        fast-forwards the workload's batch stream past the completed
-        prefix, then continues bit-identically.
+        snapshot (identity fields are validated).  The workload takes
+        back its stream position
+        (:meth:`~repro.workloads.spec.Workload.load_position`, which
+        raises rather than restart a stream it cannot continue), so the
+        next ``run()`` pulls the first batch after the snapshot and
+        continues bit-identically.
         """
         self.setup()
         identity = payload["identity"]
@@ -226,6 +229,7 @@ class SimulationEngine:
         self.now_ns = float(progress["now_ns"])
         self.batches_done = int(progress["batches_done"])
         self.accesses_done = int(progress["accesses_done"])
+        self.workload.load_position(payload["workload"], self.batches_done)
         self.metrics.load_state(payload["metrics"])
         self.machine.load_state(payload["machine"])
         self.policy.load_state(payload["policy"])
@@ -376,18 +380,7 @@ class SimulationEngine:
     ):
         """Run to a limit (or trace exhaustion); returns ExperimentResult."""
         self.setup()
-        stream = self.workload.batches()
-        if self.batches_done:
-            # Resuming: replay the workload generator deterministically
-            # over the already-completed prefix.  The generator's own
-            # RNG draws reconstruct the exact state it had at the
-            # snapshot; the batches themselves are discarded (their
-            # effects live in the restored machine/policy/metrics).
-            skip = self.batches_done
-            for _ in range(skip):
-                if next(stream, None) is None:
-                    break
-        for batch in stream:
+        for batch in self.workload.batches():
             if max_batches is not None and self.batches_done >= max_batches:
                 break
             if max_accesses is not None and self.accesses_done >= max_accesses:

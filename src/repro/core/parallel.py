@@ -402,10 +402,11 @@ class ParallelExecutor:
         as a recording file in ``/dev/shm``, and the workers replay
         read-only views of it instead of regenerating it (see
         :mod:`repro.core.shm`).  Results are bit-identical either
-        way; ineligible cells (closure factories, unbounded budgets,
-        ``max_accesses`` limits), an unwritable temp directory and
-        streams too large for half the host's available memory fall
-        back to per-cell generation silently (``stats.shm_fallbacks``).
+        way.  Ineligible cells (closure factories, unbounded budgets,
+        ``max_accesses`` limits, checkpointing) generate their own
+        streams; an unwritable temp directory and streams too large for
+        half the host's available memory fall back to per-cell
+        generation silently (``stats.shm_fallbacks``).
         The files are deleted when the grid finishes (plus an
         ``atexit`` net).
 
@@ -572,8 +573,12 @@ class ParallelExecutor:
         Eligible cells have a content-addressable workload spec and a
         bounded batch budget (the recording length); a ``max_accesses``
         limit makes the effective batch count placement-dependent, so
-        such cells keep per-cell generation.
+        such cells keep per-cell generation.  Cells that checkpoint
+        generate their own stream too: their snapshots carry the live
+        workload's position, which a replay does not have.
         """
+        if spec.checkpoint_dir is not None:
+            return None
         if not isinstance(spec.workload, _RegistrySpec):
             return None
         config = spec.config

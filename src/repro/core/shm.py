@@ -13,10 +13,11 @@ by slice, freeing each slice's memory as it is written.
 - **Keyed by workload fingerprint.**  A file serves every cell whose
   (workload spec, batch budget) content-hash matches.
 - **Replay wraps the real workload.**  :class:`SharedStreamWorkload`
-  builds the true workload in the worker and delegates everything but
-  ``batches()`` to it, so region allocation, placement and checkpoint
-  identity are *bit-identical* to the per-cell path.  Resume
-  fast-forward works unchanged.
+  builds the true workload in the worker and delegates layout, naming
+  and description to it, so region allocation and placement are
+  *bit-identical* to the per-cell path.  A replay always starts at the
+  first batch and has no stream position to checkpoint, so cells that
+  checkpoint never share a stream.
 - **Strict fallback.**  Unbounded streams, closure factories, an
   unwritable temp directory or a stream over the recorder's memory
   budget (``StreamTooLarge``) fall back to per-cell generation;
@@ -105,16 +106,22 @@ class SharedStreamHandle:
                 os.unlink(self.path)
 
 
+#: The stream-position interface a replayed recording must not forward
+#: to the wrapped workload, whose position the replay never advances.
+_POSITION_API = frozenset({"state_dict", "load_state", "load_position", "position"})
+
+
 class SharedStreamWorkload:
     """A workload whose ``batches()`` replays a shared recorded stream.
 
     Wraps the real workload (built from ``inner_factory`` in this
-    process) for everything *except* batch generation: layout,
-    allocation, naming, description and checkpoint state all come from
-    the genuine instance, so an engine driving this workload is
+    process) for everything *except* batch generation and stream
+    position: layout, allocation, naming and description come from the
+    genuine instance, so an engine driving this workload is
     indistinguishable from one driving the original -- the recorded
     batches are, by construction, exactly what the original would have
-    generated.
+    generated.  The replay has no position, so checkpointing or
+    resuming through it raises ``AttributeError``.
     """
 
     def __init__(
@@ -125,9 +132,14 @@ class SharedStreamWorkload:
 
     def __getattr__(self, name: str) -> Any:
         # Only reached for attributes this class lacks: name, seed,
-        # footprint_pages, machine, setup(), state_dict(), ...
+        # footprint_pages, machine, setup(), ...
         if name.startswith("_"):
             raise AttributeError(name)
+        if name in _POSITION_API:
+            raise AttributeError(
+                f"{name}: a shared stream replays from its first batch and "
+                "has no position to checkpoint or resume"
+            )
         return getattr(self._inner, name)
 
     def describe(self) -> dict[str, object]:

@@ -81,6 +81,11 @@ class MultiTenantLayout(Workload):
     def batches(self) -> Iterator[AccessBatch]:
         return iter(())
 
+    def load_position(self, state: dict, batches_done: int) -> None:
+        """Nothing to continue: the layout never streams.  Each tenant's
+        position rides in its queue's checkpoint instead (see
+        :class:`~repro.serve.driver.VirtualTimeDriver`)."""
+
 
 @dataclass(frozen=True)
 class TickReport:
@@ -199,17 +204,24 @@ class TieringDaemon:
 
     # -- intake ------------------------------------------------------------
 
-    def submit(self, tenant: str, batch: AccessBatch) -> str:
+    def submit(
+        self,
+        tenant: str,
+        batch: AccessBatch,
+        cursor: dict[str, Any] | None = None,
+    ) -> str:
         """Offer one batch; returns the admission outcome.
 
         ``"enqueued"`` / ``"rejected"`` / ``"blocked"`` per the
         configured backpressure (see
         :class:`~repro.serve.queues.TenantQueue`); shedding to admit is
         reported as ``"enqueued"`` with a ``load_shed`` trace event for
-        the evicted entries.
+        the evicted entries.  ``cursor`` is the tenant workload's state
+        right after ``batch`` was pulled; the queue checkpoints it so
+        crash recovery can resume the stream there.
         """
         queue = self.queues[tenant]
-        outcome, shed = queue.offer(batch, self.engine.now_ns)
+        outcome, shed = queue.offer(batch, self.engine.now_ns, cursor)
         if self.tracer.enabled:
             if shed:
                 self.tracer.emit(
@@ -336,8 +348,7 @@ class TieringDaemon:
                     and not self.budget.exceeded
                 )
                 outcome = engine.step(entry.batch, invoke_policy=invoke)
-                queue = self.queues[entry.tenant]
-                queue.counters.served += 1
+                self.queues[entry.tenant].served(entry)
                 served += 1
                 self.budget.charge(outcome.overhead_ns)
                 latency = engine.now_ns - entry.enqueued_ns
@@ -425,8 +436,9 @@ class TieringDaemon:
         found, i.e. a fresh restart from tick zero).  Pending queue
         entries are dropped -- after rolling the engine back they no
         longer line up with the restored accounting; the
-        :class:`~repro.serve.driver.VirtualTimeDriver` regenerates and
-        re-offers the backlog from the checkpointed replay cursors.
+        :class:`~repro.serve.driver.VirtualTimeDriver` resumes each
+        tenant's stream at its queue's checkpointed cursor and
+        regenerates only the backlog.
         """
         self._build()
         generation = -1

@@ -8,22 +8,31 @@ the same factories, schedule and serve config produce bit-identical
 traces, SLO quantiles and engine state -- the property the chaos soak
 test leans on.
 
-Crash recovery replay
----------------------
+Crash recovery
+--------------
 
 When a tick crashes, the daemon rolls back to its newest checkpoint
 and drops its (now inconsistent) queue entries.  The driver then
-*resyncs*: it rebuilds each tenant's stream from the daemon's rebuilt
-workloads, skips the disposed prefix (``served + shed`` -- both
-dispose strictly from the FIFO front, so under ``block`` and
+*resyncs*: each tenant's rebuilt workload takes back the stream cursor
+its queue checkpointed -- the workload's state right after the newest
+batch disposed from the queue front -- so its stream continues after
+the disposed prefix (``served + shed``) without regenerating it.  Both
+dispositions take strictly from the FIFO front, so under ``block`` and
 ``shed-oldest`` backpressure the disposed set is exactly the oldest
-offered batches), re-admits the checkpointed backlog (with its
-original stream indices and enqueue times, and without counting it as
-offered again), and continues the schedule.  The engine then replays
+offered batches, and the checkpointed backlog is the next ``depth``
+batches of the stream: the driver regenerates and re-admits just those
+(with their original stream indices and enqueue times, and without
+counting them as offered again), then continues the schedule.
+Recovery therefore costs at most the queue capacity in regenerated
+batches per tenant, however late the crash.  The engine then services
 the identical batch sequence, so its post-drain state converges
 bit-identically with an uncrashed run.  ``reject`` backpressure
 refuses the *newest* offers and therefore breaks the prefix property
--- replay under it is best-effort, not exact.
+-- recovery under it is best-effort, not exact.
+
+The driver captures a tenant's cursor with each pull only when the
+daemon checkpoints; without checkpoints recovery always restarts the
+streams from their first batch.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ class VirtualTimeDriver:
         self.reports: list[TickReport] = []
         self.restarts_seen = 0
         self._streams: dict[str, Iterator[AccessBatch]] = {}
-        self._pending: dict[str, AccessBatch | None] = {}
+        self._pending: dict[str, tuple[AccessBatch, dict | None] | None] = {}
         self._pulled: dict[str, int] = {}
         self._exhausted: set[str] = set()
         self._reset_streams()
@@ -83,7 +92,10 @@ class VirtualTimeDriver:
 
     # -- intake schedule ---------------------------------------------------
 
-    def _next_batch(self, tenant: str) -> AccessBatch | None:
+    def _next_batch(self, tenant: str) -> tuple[AccessBatch, dict | None] | None:
+        """The tenant's next batch and its cursor (the workload's state
+        right after the pull, captured only when the daemon checkpoints),
+        or ``None`` once the stream is done."""
         held = self._pending[tenant]
         if held is not None:
             self._pending[tenant] = None
@@ -101,7 +113,10 @@ class VirtualTimeDriver:
             self._exhausted.add(tenant)
             return None
         self._pulled[tenant] += 1
-        return batch
+        cursor = None
+        if self.daemon.checkpoint_manager is not None:
+            cursor = self.daemon.tenants[tenant].state_dict()
+        return batch, cursor
 
     def offer_round(self) -> int:
         """Offer this round's arrivals; returns batches admitted.
@@ -113,12 +128,12 @@ class VirtualTimeDriver:
         admitted = 0
         for tenant in sorted(self._streams):
             for _ in range(self._arrivals(self.round, tenant)):
-                batch = self._next_batch(tenant)
-                if batch is None:
+                pulled = self._next_batch(tenant)
+                if pulled is None:
                     break
-                outcome = self.daemon.submit(tenant, batch)
+                outcome = self.daemon.submit(tenant, *pulled)
                 if outcome == "blocked":
-                    self._pending[tenant] = batch
+                    self._pending[tenant] = pulled
                     break
                 if outcome == "enqueued":
                     admitted += 1
@@ -127,29 +142,35 @@ class VirtualTimeDriver:
     # -- crash resync ------------------------------------------------------
 
     def _resync(self) -> None:
-        """Re-derive streams and backlog after a watchdog restart."""
+        """Resume streams at the checkpointed cursors after a watchdog
+        restart and regenerate the backlog."""
         self.restarts_seen += 1
+        for tenant, workload in self.daemon.tenants.items():
+            queue = self.daemon.queues[tenant]
+            counters = queue.counters
+            disposed = counters.served + counters.shed
+            if queue.cursor is not None:
+                workload.load_state(queue.cursor)
+            elif disposed:
+                raise RuntimeError(
+                    f"tenant {tenant!r}: the checkpoint disposed {disposed} "
+                    "batches but holds no stream cursor to resume after them"
+                )
         self._reset_streams()
         for tenant in sorted(self._streams):
             queue = self.daemon.queues[tenant]
             counters = queue.counters
-            disposed = counters.served + counters.shed
-            stream = self._streams[tenant]
-            for _ in range(disposed):
-                if next(stream, None) is None:
-                    self._exhausted.add(tenant)
-                    break
-            self._pulled[tenant] = disposed
+            self._pulled[tenant] = counters.served + counters.shed
             # The backlog that was in-queue at checkpoint time: the
             # next `depth` stream items.  Re-admit them directly (the
             # queue is empty post-recovery, so they always fit); they
             # were offered before the checkpoint, so they are not
             # offered again.
             for _ in range(queue.restored_depth):
-                batch = self._next_batch(tenant)
-                if batch is None:
+                pulled = self._next_batch(tenant)
+                if pulled is None:
                     break
-                queue.readmit(batch)
+                queue.readmit(*pulled)
             queue.backlog_ns.clear()
 
     # -- stepping ----------------------------------------------------------
@@ -180,7 +201,7 @@ class VirtualTimeDriver:
     def streams_exhausted(self) -> bool:
         return (
             len(self._exhausted) == len(self._streams)
-            and all(batch is None for batch in self._pending.values())
+            and all(held is None for held in self._pending.values())
         )
 
     def run_until_drained(self, max_rounds: int = 1_000_000) -> int:

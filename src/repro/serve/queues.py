@@ -31,11 +31,14 @@ class QueuedBatch:
     batch: AccessBatch
     tenant: str
     #: Per-tenant admission index (0-based over every batch this tenant
-    #: ever *offered*, shed or not) -- the replay cursor crash recovery
-    #: uses to re-derive the backlog.
+    #: ever *offered*, shed or not).
     index: int
     #: Virtual time at admission (engine ``now_ns``).
     enqueued_ns: float = 0.0
+    #: The tenant workload's state right after this batch was pulled
+    #: (its stream position), or ``None`` when the producer did not
+    #: capture it -- the cursor crash recovery resumes the stream from.
+    cursor: dict[str, Any] | None = None
 
 
 @dataclass
@@ -89,15 +92,25 @@ class TenantQueue:
         #: queue was last restored from, oldest first.  Crash recovery
         #: re-admits one regenerated batch per entry (:meth:`readmit`).
         self.backlog_ns: deque[float] = deque()
+        #: Cursor of the newest entry disposed from the queue front
+        #: (served or shed-oldest); ``None`` before the first.
+        self.cursor: dict[str, Any] | None = None
         self._entries: deque[QueuedBatch] = deque()
 
     # -- intake ------------------------------------------------------------
 
-    def offer(self, batch: AccessBatch, now_ns: float) -> tuple[str, int]:
+    def offer(
+        self,
+        batch: AccessBatch,
+        now_ns: float,
+        cursor: dict[str, Any] | None = None,
+    ) -> tuple[str, int]:
         """Offer one batch; returns ``(outcome, shed_count)``.
 
         ``shed_count`` is how many older entries were evicted to admit
         this one (only ever nonzero in ``shed-oldest`` mode).
+        ``cursor`` is the producer's stream position right after it
+        pulled ``batch`` (see :attr:`QueuedBatch.cursor`).
         """
         shed = 0
         if len(self._entries) >= self.capacity:
@@ -110,7 +123,7 @@ class TenantQueue:
                 return "rejected", 0
             # shed-oldest: evict from the front until there is room.
             while len(self._entries) >= self.capacity:
-                self._entries.popleft()
+                self.cursor = self._entries.popleft().cursor
                 self.counters.shed += 1
                 shed += 1
         index = self.counters.offered
@@ -119,12 +132,14 @@ class TenantQueue:
         self._entries.append(
             QueuedBatch(
                 batch=batch, tenant=self.tenant, index=index,
-                enqueued_ns=now_ns,
+                enqueued_ns=now_ns, cursor=cursor,
             )
         )
         return "enqueued", shed
 
-    def readmit(self, batch: AccessBatch) -> QueuedBatch:
+    def readmit(
+        self, batch: AccessBatch, cursor: dict[str, Any] | None = None
+    ) -> QueuedBatch:
         """Re-admit the next entry of the restored backlog.
 
         Not a new offer: the counters already count it, so they stay
@@ -143,6 +158,7 @@ class TenantQueue:
             tenant=self.tenant,
             index=self.counters.offered - len(self.backlog_ns) - 1,
             enqueued_ns=enqueued_ns,
+            cursor=cursor,
         )
         self._entries.append(entry)
         return entry
@@ -152,14 +168,20 @@ class TenantQueue:
     def pop(self) -> QueuedBatch | None:
         """Dequeue the oldest pending entry (None when empty).
 
-        The caller must account the service via ``counters.served``
-        only after the batch was actually processed -- the daemon does
-        this post-:meth:`~repro.core.engine.SimulationEngine.step` so a
+        The caller must account the service via :meth:`served` only
+        after the batch was actually processed -- the daemon does this
+        post-:meth:`~repro.core.engine.SimulationEngine.step` so a
         crash mid-step replays the batch instead of losing it.
         """
         if not self._entries:
             return None
         return self._entries.popleft()
+
+    def served(self, entry: QueuedBatch) -> None:
+        """Account a popped entry as served; its cursor becomes the
+        queue's (service disposes from the front, like shedding)."""
+        self.counters.served += 1
+        self.cursor = entry.cursor
 
     def clear(self) -> int:
         """Drop every pending entry (watchdog recovery); returns count."""
@@ -184,21 +206,25 @@ class TenantQueue:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
-        """Counters, depth and the entries' enqueue times -- the
-        batches themselves are *not* captured.
+        """Counters, depth, the entries' enqueue times and the stream
+        cursor of the newest disposal -- the batches themselves are
+        *not* captured.
 
         Pending batches reference live workload-generator output; the
-        crash-recovery driver regenerates them from the per-tenant
-        stream using the counters as replay cursors: disposed =
-        served + shed is a prefix of the offered stream under ``block``
-        and ``shed-oldest`` backpressure (both dispose strictly from
-        the FIFO front), and ``depth`` entries follow it.  The state is
-        bounded by the queue capacity.
+        crash-recovery driver regenerates them from the tenant's stream
+        resumed at :attr:`cursor`: under ``block`` and ``shed-oldest``
+        backpressure the disposed entries (served + shed, both taken
+        strictly from the FIFO front) are a prefix of the offered
+        stream, so the ``depth`` pending entries are the next batches
+        after the cursor.  Recovery thus regenerates at most
+        ``capacity`` batches, however long the run.  The state is
+        bounded by the queue capacity and one cursor.
         """
         return {
             "counters": self.counters.as_dict(),
             "depth": len(self._entries),
             "enqueued_ns": [entry.enqueued_ns for entry in self._entries],
+            "cursor": self.cursor,
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -208,6 +234,7 @@ class TenantQueue:
             for key in QueueCounters().as_dict()
         })
         self.backlog_ns = deque(float(t) for t in state["enqueued_ns"])
+        self.cursor = state["cursor"]
         self._entries.clear()
 
 

@@ -120,22 +120,29 @@ class Stateful:
             setattr(self, name, restore(getattr(self, name), state[key], key))
 
 
+#: Exact types :func:`capture` returns as they are, checked first:
+#: serving captures a stream cursor with every pull.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def capture(value: Any) -> Any:
     """One field's state: ndarrays copied, a generator's bit-generator
     state, an enum's value, a sub-component's ``state_dict()``, lists
     and dicts recursively, anything else as it is."""
-    if isinstance(value, np.ndarray):
-        return value.copy()
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, np.random.Generator):
         return rng_state(value)
+    if isinstance(value, dict):
+        return {k: capture(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.copy()
     if isinstance(value, enum.Enum):
         return value.value
     if hasattr(value, "state_dict"):
         return value.state_dict()
     if isinstance(value, (list, tuple)):
         return [capture(item) for item in value]
-    if isinstance(value, dict):
-        return {k: capture(v) for k, v in value.items()}
     return value
 
 
@@ -145,10 +152,23 @@ def restore(current: Any, saved: Any, key: str) -> Any:
     ``saved`` is cast back to the type of ``current``: an array to its
     dtype (its shape must match, else ValueError naming ``key``), an
     enum to its class, a scalar to its type.  Generators and
-    sub-components are restored in place.  Lists and dicts, and
-    ``None`` on either side, take the saved value.  Nothing returned
-    aliases ``saved``.
+    sub-components are restored in place, and so is a dict of
+    sub-components, key by key (its keys must match).  Other lists and
+    dicts, and ``None`` on either side, take the saved value.  Nothing
+    returned aliases ``saved``.
     """
+    if (
+        isinstance(current, dict)
+        and current
+        and all(hasattr(value, "load_state") for value in current.values())
+    ):
+        if saved.keys() != current.keys():
+            raise ValueError(
+                f"{key}: keys {sorted(saved)} != expected {sorted(current)}"
+            )
+        for name, component in current.items():
+            component.load_state(saved[name])
+        return current
     if current is None or saved is None or isinstance(current, (list, dict)):
         return capture(saved)
     if isinstance(current, np.ndarray):

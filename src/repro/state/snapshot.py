@@ -20,7 +20,9 @@ from repro.state.codec import decode_state, encode_state
 
 #: Bump whenever the snapshot payload layout changes incompatibly;
 #: every older generation then fails verification and is skipped.
-STATE_SCHEMA_VERSION = 3
+#: Schema 4 added the workload's stream position; schema-3 snapshots,
+#: which resumed by regenerating the completed batches, are refused.
+STATE_SCHEMA_VERSION = 4
 
 
 class SnapshotError(ValueError):

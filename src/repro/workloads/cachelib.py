@@ -116,6 +116,9 @@ class Phase:
 class CacheLibWorkload(Workload):
     """In-memory caching access-stream generator.
 
+    The stream position is the current phase and the batches emitted in
+    it; with the RNG and the phase samplers it is the declared state.
+
     Parameters
     ----------
     profile:
@@ -133,6 +136,8 @@ class CacheLibWorkload(Workload):
         popularity-rank swaps are applied before each batch, so the hot
         set slowly rotates instead of shifting wholesale.
     """
+
+    _state_fields = ("_rng", "_phase_samplers", "_phase_idx", "_batches_in_phase")
 
     def __init__(
         self,
@@ -163,8 +168,20 @@ class CacheLibWorkload(Workload):
         self._index_pages = max(1, int(self.profile.index_fraction * slab_pages))
         self._slab_start = 0
         self._index_start = 0
-        self._phase_samplers: dict[int, ZipfianSampler] = {}
-        self._phase_bounds: dict[int, tuple[int, int]] = {}
+        # One sampler per phase, keyed by its index as a string (a
+        # JSON-safe state key) and seeded by it, so building them all up
+        # front draws what building each on first use would.
+        self._phase_samplers: dict[str, ZipfianSampler] = {}
+        self._phase_bounds: list[tuple[int, int]] = []
+        for phase_idx, phase in enumerate(self.phase_plan):
+            lo = int(phase.item_lo_frac * self.num_items)
+            hi = max(lo + 1, int(phase.item_hi_frac * self.num_items))
+            self._phase_samplers[str(phase_idx)] = ZipfianSampler(
+                hi - lo, self.profile.zipf_alpha, seed=seed + 1000 + phase_idx
+            )
+            self._phase_bounds.append((lo, hi))
+        self._phase_idx = 0
+        self._batches_in_phase = 0
 
     # -- layout -----------------------------------------------------------
 
@@ -220,61 +237,30 @@ class CacheLibWorkload(Workload):
         # add per batch.
         self._item_start_abs = self._item_start + self._slab_start
 
-    # -- phase handling --------------------------------------------------------
-
-    def _sampler_for_phase(self, phase_idx: int) -> ZipfianSampler:
-        if phase_idx not in self._phase_samplers:
-            phase = self.phase_plan[phase_idx]
-            lo = int(phase.item_lo_frac * self.num_items)
-            hi = max(lo + 1, int(phase.item_hi_frac * self.num_items))
-            sampler = ZipfianSampler(
-                hi - lo,
-                self.profile.zipf_alpha,
-                seed=self.seed + 1000 + phase_idx,
-            )
-            self._phase_samplers[phase_idx] = sampler
-            self._phase_bounds[phase_idx] = (lo, hi)
-        return self._phase_samplers[phase_idx]
-
-    # -- checkpointing --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """RNG plus the state of every phase sampler built so far.
-
-        Phase indices become string keys (JSON-safe); samplers not yet
-        built are simply absent and will be constructed deterministically
-        by :meth:`_sampler_for_phase` when first needed.
-        """
-        return {
-            "rng": self._rng.bit_generator.state,
-            "phase_samplers": {
-                str(idx): sampler.state_dict()
-                for idx, sampler in self._phase_samplers.items()
-            },
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-        for key, sampler_state in state["phase_samplers"].items():
-            self._sampler_for_phase(int(key)).load_state(sampler_state)
-
     # -- access stream --------------------------------------------------------------
 
+    @property
+    def position(self) -> int:
+        return self._batches_in_phase + sum(
+            phase.num_batches for phase in self.phase_plan[: self._phase_idx]
+        )
+
     def batches(self) -> Iterator[AccessBatch]:
-        phase_idx = 0
-        batches_in_phase = 0
         while True:
-            phase = self.phase_plan[phase_idx]
-            if phase.num_batches is not None and batches_in_phase >= phase.num_batches:
-                if phase_idx + 1 < len(self.phase_plan):
-                    phase_idx += 1
-                    batches_in_phase = 0
-                    phase = self.phase_plan[phase_idx]
-            yield self._generate_batch(phase_idx)
-            batches_in_phase += 1
+            phase = self.phase_plan[self._phase_idx]
+            if (
+                phase.num_batches is not None
+                and self._batches_in_phase >= phase.num_batches
+                and self._phase_idx + 1 < len(self.phase_plan)
+            ):
+                self._phase_idx += 1
+                self._batches_in_phase = 0
+            batch = self._generate_batch(self._phase_idx)
+            self._batches_in_phase += 1
+            yield batch
 
     def _generate_batch(self, phase_idx: int) -> AccessBatch:
-        sampler = self._sampler_for_phase(phase_idx)
+        sampler = self._phase_samplers[str(phase_idx)]
         if self.churn_swaps_per_batch:
             sampler.reassign_ranks(self.churn_swaps_per_batch)
         lo, __ = self._phase_bounds[phase_idx]

@@ -23,8 +23,11 @@ graph key ``(scale, avg_degree, seed)``, the kernel, the source (BFS and
 BC only; CC and PR ignore it) and the start pages of the five arrays.
 :meth:`GapWorkload.batches` memoises the most recent completed trial
 under that key, like :func:`~repro.workloads.kronecker.generate_kronecker`
-memoises its graph, so every policy cell, kernel trial, probe resume and
-restart that repeats it skips the kernel.  The memo holds one entry,
+memoises its graph, so every policy cell, kernel trial and resume that
+repeats it skips the kernel.  The stream position (trial, step and
+source) is declared state: a resume continues mid-trial from the memo,
+or on a cold memo reruns that trial's kernel and skips its emitted
+steps without shuffling them.  The memo holds one entry,
 cleared before a new trial is built; a trial cut short commits nothing.
 Steps are stored read-only, as int32 when the page ids fit, and
 identical consecutive steps (every CC and PR step) share one array.  A
@@ -36,6 +39,7 @@ picked and every emitted batch is a fresh shuffled int64 copy.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -140,8 +144,10 @@ class GapWorkload(Workload):
         Kernel repetitions (different BFS/BC sources per trial).
     """
 
-    #: RNG only; the graph and layout are seed-deterministic.
-    _state_fields = ("_rng",)
+    #: The RNG plus the stream position: the trial, the steps of it
+    #: already emitted and its source (-1 until picked); the graph and
+    #: layout are seed-deterministic.
+    _state_fields = ("_rng", "_trial", "_step", "_source")
 
     def __init__(
         self,
@@ -176,6 +182,9 @@ class GapWorkload(Workload):
             self._prop64_b,
         )
         self._rng = np.random.default_rng(seed + 7)
+        self._trial = 0
+        self._step = 0
+        self._source = -1
         self._degrees = np.diff(self.graph.indptr).astype(np.int64)
         #: Read-only kernel outputs of the most recent trial
         #: (verification hook): bfs -> {"parent"}; cc -> {"comp"};
@@ -205,20 +214,42 @@ class GapWorkload(Workload):
         return int(np.argmax(self._degrees))
 
     def batches(self) -> Iterator[AccessBatch]:
-        for trial in range(self.num_trials):
-            source = self._pick_source()
+        """Continue the trials from the current position.
+
+        Mid-trial, the trial's first ``step`` steps come from the memo
+        or a rerun of its kernel and are skipped unshuffled: the RNG
+        already holds their shuffles.  Once the last trial is done the
+        position rewinds, so the next call starts over.
+        """
+        while self._trial < self.num_trials:
+            if self._source < 0:
+                self._source = self._pick_source()
             key = (
                 self._graph_key,
                 self.kernel,
-                source if self.kernel in ("bfs", "bc") else None,
+                self._source if self.kernel in ("bfs", "bc") else None,
                 tuple(arr.start_page for arr in self._arrays),
             )
             memo = _TRIALS.get(key)
-            steps = self._run_trial(key, source) if memo is None else memo.steps
+            steps = iter(
+                self._run_trial(key, self._source) if memo is None else memo.steps
+            )
+            skipped = sum(1 for __ in islice(steps, self._step))
+            if skipped < self._step:
+                raise ValueError(
+                    f"{self.name}: trial {self._trial} has fewer than "
+                    f"{self._step} steps, so its position cannot be resumed"
+                )
             for pages in steps:
-                yield self._emit(pages, trial)
+                batch = self._emit(pages, self._trial)
+                self._step += 1
+                yield batch
             if memo is not None:
                 self.last_kernel_state = dict(memo.state)
+            self._trial += 1
+            self._step = 0
+            self._source = -1
+        self._trial = 0
 
     def _run_trial(self, key: tuple, source: int) -> Iterator[np.ndarray]:
         """Run the kernel, yielding each step's pre-shuffle pages, and

@@ -5,12 +5,14 @@ A :class:`Recording` holds run-compressed batches as columns (see
 ``run_starts`` and ``run_counts``, per-batch end offsets into them and
 per-batch scalars, with labels as a sorted vocabulary plus codes.
 :func:`record` is the only builder and :meth:`Recording.batches` the
-only replay loop.  The columns live on the heap or in one uncompressed
-file (format version 1): the magic ``RPTRACE\\0``, a little-endian
-uint64 header length, a JSON header, then the columns at 64-byte-aligned
-offsets.  :meth:`Recording.load` memory-maps such a file, loads the
-version-less ``.npz`` traces of earlier releases as the heads-only
-recordings they are; :meth:`Recording.validate` checks either kind.
+only replay loop; :class:`RecordingWorkload` replays one from a
+checkpointed batch cursor.  The columns live on the heap or in one
+uncompressed file (format version 1): the magic ``RPTRACE\\0``, a
+little-endian uint64 header length, a JSON header, then the columns at
+64-byte-aligned offsets.  :meth:`Recording.load` memory-maps such a
+file, loads the version-less ``.npz`` traces of earlier releases as the
+heads-only recordings they are; :meth:`Recording.validate` checks
+either kind.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.sampling.events import AccessBatch
+from repro.workloads.spec import Workload
 
 FORMAT_VERSION = 1
 
@@ -171,18 +174,24 @@ class Recording:
     def __len__(self) -> int:
         return int(self.head_batch_ends.size)
 
-    def batches(self) -> Iterator[AccessBatch]:
-        """Replay the stream as zero-copy views of the columns."""
-        labels = [self.labels[code] for code in self.label_codes.tolist()]
+    def batches(self, start: int = 0) -> Iterator[AccessBatch]:
+        """Replay the stream from batch ``start`` as zero-copy views of
+        the columns (``ValueError`` unless ``0 <= start <= len(self)``)."""
+        if not 0 <= start <= len(self):
+            raise ValueError(
+                f"cannot replay from batch {start} of a {len(self)}-batch recording"
+            )
+        labels = [self.labels[code] for code in self.label_codes[start:].tolist()]
         heads, starts, counts = self.head_page_ids, self.run_starts, self.run_counts
-        h = r = 0
+        h = int(self.head_batch_ends[start - 1]) if start else 0
+        r = int(self.run_batch_ends[start - 1]) if start else 0
         for label, h_end, r_end, ops, cpu, bpa in zip(
             labels,
-            self.head_batch_ends.tolist(),
-            self.run_batch_ends.tolist(),
-            self.num_ops.tolist(),
-            self.cpu_ns.tolist(),
-            self.bytes_per_access.tolist(),
+            self.head_batch_ends[start:].tolist(),
+            self.run_batch_ends[start:].tolist(),
+            self.num_ops[start:].tolist(),
+            self.cpu_ns[start:].tolist(),
+            self.bytes_per_access[start:].tolist(),
         ):
             yield AccessBatch(
                 None,
@@ -356,3 +365,31 @@ class Recording:
             not (codes.size and (codes.min() < 0 or codes.max() >= len(self.labels))),
             f"has label_codes outside its {len(self.labels)}-label vocabulary",
         )
+
+
+class RecordingWorkload(Workload):
+    """A workload that replays a :class:`Recording` from a batch cursor.
+
+    Subclasses set ``_recording``.  The cursor is the declared state:
+    :meth:`batches` continues from it, and rewinds it once the recording
+    is exhausted, so the next call replays from the first batch.
+    """
+
+    _state_fields = ("_batch",)
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed=seed)
+        self._recording: Recording | None = None
+        self._batch = 0
+
+    @property
+    def position(self) -> int:
+        return self._batch
+
+    def batches(self) -> Iterator[AccessBatch]:
+        if self._recording is None:
+            raise RuntimeError(f"{type(self).__name__}.batches() before setup()")
+        for batch in self._recording.batches(start=self._batch):
+            self._batch += 1
+            yield batch
+        self._batch = 0

@@ -20,15 +20,17 @@ from repro.state.codec import Stateful
 class Workload(Stateful, abc.ABC):
     """Base class for page-trace generators.
 
-    Mutable generator state (RNGs, cursors, churn) is checkpointed by
-    listing it in ``_state_fields`` (see
-    :class:`~repro.state.codec.Stateful`): after
-    ``w2.load_state(w1.state_dict())`` on an identically constructed
-    workload, both draw identical batches.  Stateless workloads keep
-    the empty default.  Resume does **not** use this today
-    (generator-local state can't be captured); the engine
-    fast-forwards ``batches()`` instead -- this contract exists for
-    the round-trip property tests and external tools.
+    The stream position is workload state: RNGs, cursors and churn are
+    listed in ``_state_fields`` (see
+    :class:`~repro.state.codec.Stateful`), and :meth:`batches` starts
+    wherever that state says and updates it before each ``yield``.  So
+    after ``w2.load_state(w1.state_dict())`` on an identically
+    constructed workload, a fresh ``w2.batches()`` continues exactly
+    where ``w1``'s stream stood.  Engine snapshots and the serving
+    daemon's queue checkpoints carry this state; resume never
+    regenerates the completed prefix.  A finite stream rewinds its
+    position once exhausted, so the next ``batches()`` call starts
+    over.  A workload that declares no state cannot resume mid-stream.
     """
 
     #: Human-readable workload name (appears in benchmark tables).
@@ -51,8 +53,40 @@ class Workload(Stateful, abc.ABC):
 
     @abc.abstractmethod
     def batches(self) -> Iterator[AccessBatch]:
-        """Yield the access stream.  May be finite (GAP/XGBoost trials)
-        or unbounded (cache serving); the engine decides when to stop."""
+        """Yield the access stream from the current position.  May be
+        finite (GAP/XGBoost trials) or unbounded (cache serving); the
+        engine decides when to stop."""
+
+    # -- stream position ---------------------------------------------------
+
+    @property
+    def position(self) -> int | None:
+        """Batches the stream has yielded in its current pass, where the
+        declared state counts them; ``None`` where it does not (a
+        sampler whose RNG is its whole position, or GAP, whose trials
+        vary in length)."""
+        return None
+
+    def load_position(self, state: dict, batches_done: int) -> None:
+        """Continue from a snapshot's ``state``, captured after this
+        stream had yielded ``batches_done`` batches.
+
+        Raises ``ValueError`` rather than restart from the first batch
+        when the workload cannot continue there: it declares no state,
+        or its counted :attr:`position` disagrees with ``batches_done``.
+        """
+        if batches_done and not self._state_fields:
+            raise ValueError(
+                f"workload {self.name!r} declares no stream position, so "
+                f"it cannot resume at batch {batches_done}"
+            )
+        self.load_state(state)
+        position = self.position
+        if position is not None and position != batches_done:
+            raise ValueError(
+                f"workload {self.name!r} is at batch {position} of its stream "
+                f"but the snapshot was taken at batch {batches_done}"
+            )
 
     # -- helpers -----------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
-from repro.workloads.recording import Recording, record
+from repro.workloads.recording import RecordingWorkload, record
 from repro.workloads.spec import Workload
 from repro.workloads.zipfian import ZipfianSampler
 
@@ -68,7 +68,7 @@ class SyntheticZipfWorkload(Workload):
         return self._start_page + self.sampler.top_items(count)
 
 
-class RecordedTrace(Workload):
+class RecordedTrace(RecordingWorkload):
     """Record another workload's stream once, replay it identically.
 
     ``setup`` re-runs the inner workload's setup (regions must be laid
@@ -84,7 +84,6 @@ class RecordedTrace(Workload):
         self.inner = inner
         self.name = f"recorded-{inner.name}"
         self.max_batches = int(max_batches)
-        self._recording: Recording | None = None
 
     @property
     def footprint_pages(self) -> int:
@@ -97,8 +96,3 @@ class RecordedTrace(Workload):
             self._recording = record(
                 self.inner.batches(), self.footprint_pages, self.max_batches
             )
-
-    def batches(self) -> Iterator[AccessBatch]:
-        if self._recording is None:
-            raise RuntimeError("RecordedTrace.batches() before setup()")
-        return self._recording.batches()

@@ -11,12 +11,11 @@ use), memory-mapped on replay.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
-from repro.workloads.recording import Recording, record
-from repro.workloads.spec import Workload
+from repro.workloads.recording import Recording, RecordingWorkload, record
 
 
 def save_trace(
@@ -34,7 +33,7 @@ def save_trace(
     return len(recording)
 
 
-class TraceFileWorkload(Workload):
+class TraceFileWorkload(RecordingWorkload):
     """A workload replayed from a saved trace file, validated on load."""
 
     name = "trace-file"
@@ -57,6 +56,3 @@ class TraceFileWorkload(Workload):
     def setup(self, machine: Machine) -> None:
         machine.allocate(self.footprint_pages, name="trace-replay")
         self._machine = machine
-
-    def batches(self) -> Iterator[AccessBatch]:
-        return self._recording.batches()

@@ -55,7 +55,10 @@ class XGBoostWorkload(Workload):
     """
 
     name = "xgboost"
-    _state_fields = ("_rng", "_column_sampler", "_rowblock_sampler")
+    #: The RNGs plus the stream position: boosting round and tree level.
+    _state_fields = (
+        "_rng", "_column_sampler", "_rowblock_sampler", "_round", "_level",
+    )
 
     def __init__(
         self,
@@ -98,6 +101,8 @@ class XGBoostWorkload(Workload):
         )
         self._matrix_start = 0
         self._hot_start = 0
+        self._round = 0
+        self._level = 0
 
     @property
     def matrix_pages(self) -> int:
@@ -116,12 +121,24 @@ class XGBoostWorkload(Workload):
 
     # -- trace ------------------------------------------------------------
 
+    @property
+    def position(self) -> int:
+        return self._round * self.tree_depth + self._level
+
     def batches(self) -> Iterator[AccessBatch]:
-        """One batch per tree level; ``tree_depth`` batches per round."""
+        """One batch per tree level; ``tree_depth`` batches per round.
+
+        Continues from the current round and level; once the last round
+        is done the position rewinds, so the next call starts over."""
         ops_per_batch = 1.0 / self.tree_depth  # a round is one "op"
-        for round_idx in range(self.num_rounds):
-            for __ in range(self.tree_depth):
-                yield self._level_batch(ops_per_batch, round_idx)
+        while self._round < self.num_rounds:
+            batch = self._level_batch(ops_per_batch, self._round)
+            self._level += 1
+            if self._level == self.tree_depth:
+                self._round += 1
+                self._level = 0
+            yield batch
+        self._round = 0
 
     def _level_batch(self, num_ops: float, round_idx: int) -> AccessBatch:
         # Column scans: Zipf-popular columns, Zipf-popular row blocks

@@ -68,11 +68,13 @@ def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ZipfianSampler(Stateful):
     """Samples item ids with Zipf(alpha) popularity over ``num_items``.
 
-    Checkpoints its RNG and churned rank permutation; the CDF and alias
-    tables are pure functions of ``(num_items, alpha)``.
+    Checkpoints its RNG and, once :meth:`reassign_ranks` has churned it,
+    its rank permutation.  Until then the permutation is a pure function
+    of the seed, like the CDF and alias tables are of ``(num_items,
+    alpha)``, so an unchurned sampler's state is just its RNG.
     """
 
-    _state_fields = ("_rng", "_rank_to_item")
+    _state_fields = ("_rng", "_churned_ranks")
 
     def __init__(
         self,
@@ -87,16 +89,42 @@ class ZipfianSampler(Stateful):
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.num_items = int(num_items)
         self.alpha = float(alpha)
+        self._seed = seed
+        self._permute = bool(permute)
         self._rng = np.random.default_rng(seed)
         ranks = np.arange(1, self.num_items + 1, dtype=np.float64)
-        weights = ranks**-alpha
-        self._cdf = np.cumsum(weights)
+        self._weights = ranks**-alpha
+        self._cdf = np.cumsum(self._weights)
         self._cdf /= self._cdf[-1]
-        self._accept, self._alias = build_alias_table(weights)
-        if permute:
-            self._rank_to_item = self._rng.permutation(self.num_items)
-        else:
-            self._rank_to_item = np.arange(self.num_items)
+        # Built on the first draw: a workload built only for its layout
+        # (the inner workload of a shared-stream replay) never pays for
+        # the O(n) Python loop.
+        self._accept: np.ndarray | None = None
+        self._alias: np.ndarray | None = None
+        self._rank_to_item = self._seeded_ranks(self._rng)
+        #: Whether churn has moved the rank map off its seeded form.
+        self._churned = False
+
+    def _seeded_ranks(self, rng: np.random.Generator) -> np.ndarray:
+        """The rank->item map before any churn (draws from ``rng``)."""
+        if self._permute:
+            return rng.permutation(self.num_items)
+        return np.arange(self.num_items)
+
+    @property
+    def _churned_ranks(self) -> np.ndarray | None:
+        """The rank->item map once churned; ``None`` while it is seeded."""
+        return self._rank_to_item if self._churned else None
+
+    @_churned_ranks.setter
+    def _churned_ranks(self, ranks: np.ndarray | None) -> None:
+        if ranks is not None:
+            self._rank_to_item = ranks
+        elif self._churned:
+            self._rank_to_item = self._seeded_ranks(
+                np.random.default_rng(self._seed)
+            )
+        self._churned = ranks is not None
 
     def sample(self, size: int) -> np.ndarray:
         """Draw ``size`` item ids (int64) from the Zipf law."""
@@ -108,6 +136,8 @@ class ZipfianSampler(Stateful):
             raise ValueError(f"size must be >= 0, got {size}")
         if size == 0:
             return np.zeros(0, dtype=np.int64)
+        if self._accept is None:
+            self._accept, self._alias = build_alias_table(self._weights)
         # Single-uniform alias draw: u * n splits into an integer lane
         # (the floor) and an independent Uniform[0,1) coin (the
         # fraction).  One generator call replaces the separate
@@ -152,6 +182,7 @@ class ZipfianSampler(Stateful):
         """
         if num_swaps <= 0:
             return 0
+        self._churned = True
         a = self._rng.integers(0, self.num_items, size=num_swaps)
         b = self._rng.integers(0, self.num_items, size=num_swaps)
         items = self._rank_to_item

@@ -181,6 +181,25 @@ def test_closure_factory_ineligible():
     assert ParallelExecutor._stream_key(spec) is None
 
 
+def test_checkpointing_cell_ineligible(tmp_path):
+    spec = CellSpec(
+        WORKLOAD, PolicySpec("freqtier", seed=11), CONFIG,
+        checkpoint_dir=str(tmp_path),
+    )
+    assert ParallelExecutor._stream_key(spec) is None
+
+
+def test_shared_workload_has_no_stream_position():
+    handle = publish_stream(WORKLOAD, 5)
+    try:
+        replay = SharedStreamWorkload(WORKLOAD, handle)
+        for name in ("state_dict", "load_state", "load_position", "position"):
+            with pytest.raises(AttributeError, match="no position"):
+                getattr(replay, name)
+    finally:
+        handle.unlink()
+
+
 def test_same_workload_same_key_different_workload_different_key():
     a = CellSpec(WORKLOAD, PolicySpec("freqtier", seed=11), CONFIG)
     b = CellSpec(WORKLOAD, PolicySpec("tpp", seed=3), CONFIG)

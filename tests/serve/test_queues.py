@@ -79,6 +79,26 @@ class TestStateRoundTrip:
         assert fresh.restored_depth == 3
         assert len(fresh) == 0  # entries are never captured
 
+    def test_cursor_follows_front_disposals(self):
+        """The checkpointed cursor is the one of the newest entry taken
+        from the front -- shed or served -- and readmits carry theirs."""
+        queue = TenantQueue("t", capacity=2, backpressure="shed-oldest")
+        assert queue.state_dict()["cursor"] is None
+        for i in range(3):  # the third offer sheds entry 0
+            queue.offer(batch(), 0.0, cursor={"pulled": i})
+        assert queue.state_dict()["cursor"] == {"pulled": 0}
+        queue.served(queue.pop())
+        assert queue.state_dict()["cursor"] == {"pulled": 1}
+        queue.offer(batch(), 0.0, cursor={"pulled": 3})  # fits: no shed
+        assert queue.cursor == {"pulled": 1}
+
+        fresh = TenantQueue("t", capacity=2, backpressure="shed-oldest")
+        fresh.load_state(queue.state_dict())
+        assert fresh.cursor == {"pulled": 1}
+        entry = fresh.readmit(batch(), {"pulled": 2})
+        fresh.served(fresh.pop())
+        assert fresh.cursor == entry.cursor == {"pulled": 2}
+
     def test_readmit_restores_indices_and_enqueue_times(self):
         queue = TenantQueue("t", capacity=4, backpressure="shed-oldest")
         for i in range(6):  # indices 0-1 shed, 2-5 queued

@@ -112,6 +112,18 @@ class TestSnapshot:
         (tmp_path / "snap-00000001.json").write_text(json.dumps(doc))
         assert CheckpointManager(tmp_path).load_latest() is None
 
+    def test_schema_3_document_refused(self, tmp_path):
+        # Schema 3 carried no workload stream position: resuming one
+        # would have to regenerate the completed batches.
+        payload = {"progress": {"batches_done": 10}, "metrics": {}}
+        doc = Snapshot.create(payload).to_json_dict()
+        doc["schema"] = 3
+        doc["digest"] = payload_digest(doc["payload"])
+        with pytest.raises(SnapshotError, match="schema 3 != supported 4"):
+            Snapshot.from_json_dict(doc).verify()
+        (tmp_path / "snap-00000001.json").write_text(json.dumps(doc))
+        assert CheckpointManager(tmp_path).load_latest() is None
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -131,6 +131,27 @@ def _missing_key_raises():
         _Grown().load_state(state)
 
 
+class _Bundle(Stateful):
+    _state_fields = ("parts",)
+
+    def __init__(self):
+        self.parts = {"a": _Leaf(), "b": _Leaf()}
+
+
+def _component_dict_restored_in_place():
+    src = _Bundle()
+    src.parts["b"].count = 4
+    dst = _Bundle()
+    parts = dst.parts
+    dst.load_state(_through_json(src.state_dict()))
+    assert dst.parts is parts and isinstance(parts["b"], _Leaf)
+    assert parts["b"].count == 4
+    state = src.state_dict()
+    del state["parts"]["b"]
+    with pytest.raises(ValueError, match="parts"):
+        _Bundle().load_state(state)
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -142,6 +163,7 @@ def _missing_key_raises():
         _generator_draws_stay_frozen,
         _enum_and_none_round_trip,
         _missing_key_raises,
+        _component_dict_restored_in_place,
     ],
     ids=lambda check: check.__name__.lstrip("_"),
 )

@@ -375,6 +375,34 @@ class TestCheckpointCLI:
         with pytest.raises(SystemExit):
             main(["checkpoint", "inspect", str(tmp_path / "nope")])
 
+    def test_interrupted_compare_resumes_under_other_jobs(
+        self, capsys, tmp_path
+    ):
+        """A checkpointed ``compare --jobs 2`` that crashes mid-run,
+        re-run with ``--jobs 1``, equals the uninterrupted sweep: its
+        cells checkpoint the live generator's position, never a shared
+        stream's, so either path resumes them."""
+        common = [
+            "compare", "--workload", "zipf", "--batches", "30",
+            "--policies", "freqtier,tpp", "--seed", "5", "--json",
+        ]
+        plan = {"migration_fail_prob": 0.05, "seed": 5}
+        reference = json.loads(
+            run_cli(capsys, *common, "--jobs", "2", "--faults", json.dumps(plan))
+        )
+        crashing = [
+            *common,
+            "--checkpoint-dir", str(tmp_path / "ck"),
+            "--checkpoint-every", "5",
+            "--faults", json.dumps({**plan, "crash_after_batches": 18}),
+            "--keep-going", "--ok-on-partial",
+        ]
+        # Every cell crashes after its snapshot at batch 15.
+        assert json.loads(run_cli(capsys, *crashing, "--jobs", "2")) == {}
+        resumed = json.loads(run_cli(capsys, *crashing, "--jobs", "1"))
+        # AllLocal cells never checkpoint, so the crash recurs there.
+        assert resumed == {k: reference[k] for k in ("freqtier", "tpp")}
+
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit, match="checkpoint-dir"):
             main(

@@ -87,3 +87,58 @@ class TestChurnyWorkload:
 
         overlap = len(top_pages(early) & top_pages(late)) / 100
         assert overlap > 0.6
+
+
+class TestCursorSize:
+    """Stream cursors ride in every serving checkpoint: an unchurned
+    sampler's rank map is a pure function of its seed and stays out of
+    the state, so the cursor is just RNG states."""
+
+    @staticmethod
+    def encoded_bytes(state: dict) -> int:
+        import json
+
+        from repro.state import encode_state
+
+        return len(json.dumps(encode_state(state)))
+
+    def test_unchurned_cursors_are_small(self):
+        from repro.workloads.cachelib import CDN_PROFILE
+        from repro.workloads.trace import SyntheticZipfWorkload
+
+        cdn = CacheLibWorkload(CDN_PROFILE, slab_pages=16_384, seed=1)
+        zipf = SyntheticZipfWorkload(4096, accesses_per_batch=100, seed=1)
+        for workload in (cdn, zipf):
+            workload.setup(
+                Machine(
+                    MachineConfig(
+                        local_capacity_pages=1024,
+                        cxl_capacity_pages=workload.footprint_pages,
+                    )
+                )
+            )
+            stream = workload.batches()
+            for _ in range(3):
+                next(stream)
+            assert self.encoded_bytes(workload.state_dict()) < 1024
+
+    def test_churned_sampler_round_trips(self):
+        z = ZipfianSampler(500, 1.1, seed=5)
+        z.reassign_ranks(300)
+        state = z.state_dict()
+        assert state["churned_ranks"] is not None
+        fresh = ZipfianSampler(500, 1.1, seed=5)
+        fresh.load_state(state)
+        assert np.array_equal(fresh._rank_to_item, z._rank_to_item)
+        assert np.array_equal(fresh.sample(50), z.sample(50))
+
+    def test_unchurned_state_restores_the_seeded_map(self):
+        seeded = ZipfianSampler(500, 1.1, seed=5)
+        state = seeded.state_dict()
+        assert state["churned_ranks"] is None
+        churned = ZipfianSampler(500, 1.1, seed=5)
+        churned.reassign_ranks(300)
+        churned.load_state(state)
+        assert np.array_equal(churned._rank_to_item, seeded._rank_to_item)
+        assert churned.state_dict()["churned_ranks"] is None
+        assert np.array_equal(churned.sample(50), seeded.sample(50))

@@ -39,6 +39,18 @@ class TestStructure:
         round0 = [b for b in batches if b.label == "round0"]
         assert sum(b.num_ops for b in round0) == pytest.approx(1.0)
 
+    def test_stream_continues_then_rewinds(self):
+        """A second ``batches()`` call continues from the position; once
+        the last round is done the position rewinds to round 0."""
+        w, __ = setup_workload(seed=0)
+        assert w.position == 0
+        partial = w.batches()
+        next(partial)
+        assert w.position == 1
+        rest = [b.label for b in w.batches()]
+        assert len(rest) == 3 * w.tree_depth - 1
+        assert [b.label for b in w.batches()][:1] == ["round0"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             XGBoostWorkload(num_features=0)
