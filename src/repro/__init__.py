@@ -86,6 +86,7 @@ from repro.state import (
     LoadedCheckpoint,
     Snapshot,
     SnapshotError,
+    SnapshotSchemaError,
     SweepJournal,
 )
 from repro.policies import (
@@ -163,6 +164,7 @@ __all__ = [
     "SimulationEngine",
     "Snapshot",
     "SnapshotError",
+    "SnapshotSchemaError",
     "SOCIAL_PROFILE",
     "StaticNoMigration",
     "SweepJournal",

@@ -42,6 +42,7 @@ from repro.core.runner import compare_policies, run_all_local, run_experiment
 from repro.faults import FAULT_PRESETS, FaultPlan, parse_fault_spec
 from repro.memsim.tier import CXL1_CONFIG, CXL2_CONFIG
 from repro.obs import trace_to
+from repro.state import SnapshotError
 
 
 def _workload_registry(seed: int) -> dict[str, Callable]:
@@ -879,7 +880,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # `sweep`/`compare` reuse the common --local-fraction even when
     # unused; argparse guarantees presence.
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SnapshotError as exc:  # a checkpoint this release cannot resume
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

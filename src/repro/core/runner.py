@@ -112,9 +112,10 @@ def run_experiment(
     see :class:`repro.state.CheckpointManager`).  With ``resume_from``
     pointing at such a directory, the run restores the newest *valid*
     snapshot and continues bit-identically; a missing or fully corrupt
-    directory falls back to a fresh start.  With an ``executor``, set
-    ``CellSpec.checkpoint_dir`` / ``checkpoint_every`` instead (or use
-    the executor's ``checkpoint_root``).
+    directory falls back to a fresh start, and a snapshot of another
+    schema raises :class:`~repro.state.SnapshotSchemaError`.  With an
+    ``executor``, set ``CellSpec.checkpoint_dir`` / ``checkpoint_every``
+    instead (or use the executor's ``checkpoint_root``).
     """
     if executor is not None:
         if tracer is not None:
@@ -169,9 +170,11 @@ def _maybe_resume(
 ) -> None:
     """Restore the newest valid snapshot under ``resume_from``, if any.
 
-    A missing directory or one holding no valid snapshot (all corrupt,
-    or none written yet) means a fresh start -- resume is best-effort
-    by design so crash-retry loops need no existence checks.
+    A missing directory, or one holding no snapshot that verifies (none
+    written yet, or all quarantined as corrupt), means a fresh start, so
+    crash-retry loops need no existence checks.  A snapshot of another
+    schema raises :class:`~repro.state.SnapshotSchemaError` instead: the
+    run fails rather than start over from batch 0.
     """
     if resume_from is None:
         return

@@ -419,7 +419,9 @@ class TieringDaemon:
         policy bug...) is converted into a restart-from-checkpoint via
         :meth:`recover`; ``None`` is returned so callers know the tick
         did not complete.  Past the restart budget the watchdog's
-        :class:`~repro.serve.watchdog.WatchdogGaveUp` propagates.
+        :class:`~repro.serve.watchdog.WatchdogGaveUp` propagates, and so
+        does the :class:`~repro.state.SnapshotSchemaError` of a
+        checkpoint that cannot be restored.
         """
         try:
             return self.tick()
@@ -433,22 +435,26 @@ class TieringDaemon:
         """Rebuild the stack and restore the newest valid checkpoint.
 
         Returns the restored checkpoint generation (-1 when none was
-        found, i.e. a fresh restart from tick zero).  Pending queue
-        entries are dropped -- after rolling the engine back they no
-        longer line up with the restored accounting; the
+        found, i.e. a fresh restart from tick zero).  A checkpoint of
+        another schema raises :class:`~repro.state.SnapshotSchemaError`
+        before anything is rebuilt, so the failed tick stays failed
+        instead of restarting from tick zero.  Pending queue entries
+        are dropped -- after rolling the engine back they no longer
+        line up with the restored accounting; the
         :class:`~repro.serve.driver.VirtualTimeDriver` resumes each
         tenant's stream at its queue's checkpointed cursor and
         regenerates only the backlog.
         """
-        self._build()
-        generation = -1
+        loaded = None
         if self.checkpoint_manager is not None:
             loaded = self.checkpoint_manager.load_latest()
-            if loaded is not None:
-                payload = loaded.payload
-                self.engine.restore_state(payload["engine"])
-                self._load_serve_state(payload["serve"])
-                generation = loaded.generation
+        self._build()
+        generation = -1
+        if loaded is not None:
+            payload = loaded.payload
+            self.engine.restore_state(payload["engine"])
+            self._load_serve_state(payload["serve"])
+            generation = loaded.generation
         if generation < 0:
             # Fresh restart: serving accounting starts over too, and
             # the rebuilt injector's scheduled crash -- which already

@@ -1,16 +1,20 @@
 """Durable checkpoint/restore for crash-survivable experiments.
 
 The state layer turns a live experiment into a versioned, integrity-
-checked document and back:
+checked file and back:
 
-- :mod:`repro.state.codec` -- JSON-safe encoding of numpy arrays, numpy
-  scalars and RNG bit-generator states, and :class:`Stateful`, the one
-  capture/restore rule components declare their state with;
-- :mod:`repro.state.snapshot` -- the :class:`Snapshot` schema (schema
-  version + sha256 payload digest);
+- :mod:`repro.state.codec` -- the payload tree (numpy arrays become
+  column references, numpy scalars Python scalars), RNG bit-generator
+  states, and :class:`Stateful`, the one capture/restore rule
+  components declare their state with;
+- :mod:`repro.state.colfile` -- the column file: a JSON header, then
+  raw 64-byte-aligned columns, memory-mapped on read; trace files use
+  it too (:mod:`repro.workloads.recording`);
+- :mod:`repro.state.snapshot` -- the :class:`Snapshot` file (schema
+  version + sha256 digest over the header and the columns);
 - :mod:`repro.state.checkpoint` -- :class:`CheckpointManager`: atomic
-  rotated generations with corruption quarantine and newest-valid
-  fallback;
+  rotated generations with corruption quarantine, newest-valid
+  fallback and refusal of other schemas;
 - :mod:`repro.state.journal` -- :class:`SweepJournal`: append-only
   completed-cell log so interrupted sweeps skip finished cells.
 
@@ -26,19 +30,13 @@ a resumed run is bit-identical to an uninterrupted one (see DESIGN.md
 """
 
 from repro.state.checkpoint import CheckpointManager, LoadedCheckpoint
-from repro.state.codec import (
-    Stateful,
-    decode_state,
-    encode_state,
-    rng_state,
-    set_rng_state,
-)
+from repro.state.codec import Stateful, rng_state, set_rng_state
 from repro.state.journal import SweepJournal
 from repro.state.snapshot import (
     STATE_SCHEMA_VERSION,
     Snapshot,
     SnapshotError,
-    payload_digest,
+    SnapshotSchemaError,
 )
 
 __all__ = [
@@ -47,11 +45,9 @@ __all__ = [
     "LoadedCheckpoint",
     "Snapshot",
     "SnapshotError",
+    "SnapshotSchemaError",
     "Stateful",
     "SweepJournal",
-    "decode_state",
-    "encode_state",
-    "payload_digest",
     "rng_state",
     "set_rng_state",
 ]

@@ -1,19 +1,21 @@
 """Durable checkpoint generations with corruption fallback.
 
 A :class:`CheckpointManager` owns one directory of rotated snapshot
-generations (``snap-<seq>.json``).  Writes are atomic (temp file +
-``os.replace``, the :meth:`repro.core.cache.ResultCache.put`
-discipline), so a crash mid-save can never leave a half-written
-generation that a resume would read.  Loads walk generations newest
-first, verify schema + digest, and *quarantine* anything invalid
-(renamed ``*.corrupt``, kept for diagnosis) before falling back to the
-next-newest valid generation -- a single corrupted file costs one
-checkpoint interval of progress, never the run.
+generations (``snap-<seq>.ckpt``, see :mod:`repro.state.snapshot`).
+Writes are atomic (temp file + ``os.replace``, the
+:meth:`repro.core.cache.ResultCache.put` discipline), so a crash
+mid-save can never leave a half-written generation that a resume would
+read.  Loads walk generations newest first, verify them, and
+*quarantine* anything unreadable or failing its digest (renamed
+``*.corrupt``, kept for diagnosis) before falling back to the
+next-newest generation -- a single corrupted file costs one checkpoint
+interval of progress, never the run.  An intact generation of another
+schema, such as the ``snap-<seq>.json`` documents of schemas 4 and
+older, is refused instead: it stays in place and the load raises.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import tempfile
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.state.snapshot import Snapshot, SnapshotError
+from repro.state.snapshot import Snapshot, SnapshotError, SnapshotSchemaError
 
-_SNAP_RE = re.compile(r"^snap-(\d{8})\.(?:json|corrupt)$")
+_SNAP_RE = re.compile(r"^snap-(\d{8})\.(?:json|ckpt|corrupt)$")
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,11 @@ class CheckpointManager:
         return int(match.group(1)) if match else None
 
     def generations(self) -> list[Path]:
-        """Valid-named generation files, oldest first (corrupt excluded)."""
+        """Generation files of any schema, oldest first (corrupt excluded)."""
         found = [
             path
-            for path in self.directory.glob("snap-*.json")
-            if self._seq_of(path) is not None
+            for path in self.directory.glob("snap-*")
+            if self._seq_of(path) is not None and path.suffix != ".corrupt"
         ]
         return sorted(found, key=lambda p: self._seq_of(p))
 
@@ -81,15 +83,14 @@ class CheckpointManager:
 
     def save(self, payload: Any) -> Path:
         """Write ``payload`` as the newest generation (atomic), rotate."""
-        snapshot = Snapshot.create(payload)
         seq = self._next_seq()
-        path = self.directory / f"snap-{seq:08d}.json"
+        path = self.directory / f"snap-{seq:08d}.ckpt"
         fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
+            dir=self.directory, prefix=".tmp-", suffix=".ckpt"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(snapshot.to_json_dict(), fh)
+            with os.fdopen(fd, "wb") as fh:
+                Snapshot.write(fh, payload)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -120,25 +121,25 @@ class CheckpointManager:
     def load_latest(self) -> LoadedCheckpoint | None:
         """Newest generation that verifies, or None if none does.
 
-        Invalid generations (unreadable, bad JSON, wrong schema, digest
-        mismatch) are quarantined on the way down, so the next load
-        does not re-verify known-bad files.
+        Unreadable generations and digest mismatches are quarantined on
+        the way down, so the next load does not re-verify known-bad
+        files.  An intact generation of another schema stops the walk:
+        it stays in place and :class:`SnapshotSchemaError`, naming both
+        schemas, is raised rather than fall back to an older
+        generation or a fresh start.
         """
         for path in reversed(self.generations()):
             try:
-                with open(path, encoding="utf-8") as fh:
-                    document = json.load(fh)
-                snapshot = Snapshot.from_json_dict(document)
-                snapshot.verify()
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                    SnapshotError):
+                snapshot = Snapshot.read(path)
+            except SnapshotSchemaError:
+                raise
+            except SnapshotError:
                 self._quarantine(path)
                 continue
-            seq = self._seq_of(path)
             return LoadedCheckpoint(
-                payload=snapshot.decoded(),
+                payload=snapshot.payload,
                 path=path,
-                generation=seq if seq is not None else 0,
+                generation=self._seq_of(path),
             )
         return None
 
@@ -159,12 +160,8 @@ class CheckpointManager:
                 "bytes": path.stat().st_size if path.exists() else 0,
             }
             try:
-                with open(path, encoding="utf-8") as fh:
-                    document = json.load(fh)
-                snapshot = Snapshot.from_json_dict(document)
-                snapshot.verify()
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                    SnapshotError) as exc:
+                snapshot = Snapshot.read(path)
+            except SnapshotError as exc:
                 entry.update(valid=False, error=str(exc))
             else:
                 entry.update(

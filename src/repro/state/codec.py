@@ -6,9 +6,9 @@ scalars (numpy RNG bit-generator states, counters, cursors), but two
 kinds are not:
 
 - **numpy arrays** (page placements, CBF counter stores, per-page
-  timestamps) -- encoded as a marker dict carrying base64 raw bytes,
-  dtype and shape, so the round trip is *bit-exact* (no float
-  stringification, no precision loss);
+  timestamps) -- stored as raw columns of the snapshot file, each
+  replaced in the payload tree by a column reference, so the round
+  trip is *bit-exact* (no float stringification, no precision loss);
 - **numpy scalars** -- collapsed to the equivalent Python scalar.
 
 Tuples become lists (JSON has no tuple); ``state_dict()`` producers
@@ -21,34 +21,34 @@ Most components do not hand-write that pair: they subclass
 
 from __future__ import annotations
 
-import base64
 import enum
+from collections.abc import Sequence
 from typing import Any, ClassVar
 
 import numpy as np
 
-#: Marker key identifying an encoded ndarray.  The key is not a valid
-#: Python identifier on purpose, so no state dict can collide with it.
-NDARRAY_KEY = "__ndarray__"
+#: Key of a column reference, the dict that stands for an ndarray in a
+#: payload tree.  It is not a valid Python identifier on purpose, so no
+#: state dict can collide with it.
+COLUMN_KEY = "__column__"
 
-_NDARRAY_FIELDS = frozenset({NDARRAY_KEY, "dtype", "shape"})
+_REFERENCE_FIELDS = frozenset({COLUMN_KEY, "shape"})
 
 
-def encode_state(obj: Any) -> Any:
-    """Recursively convert ``obj`` into JSON-serializable values.
+def to_tree(obj: Any, arrays: list[np.ndarray]) -> Any:
+    """``obj`` as a JSON-serializable tree: each ndarray is appended to
+    ``arrays`` and replaced by ``{COLUMN_KEY: index, "shape": shape}``.
 
     Raises TypeError for anything that cannot round-trip (sets,
-    arbitrary objects, non-string dict keys): state dicts must be
-    explicit about their representation rather than rely on lossy
-    coercion.
+    arbitrary objects, object arrays, non-string dict keys): state dicts
+    must be explicit about their representation rather than rely on
+    lossy coercion.
     """
     if isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj)
-        return {
-            NDARRAY_KEY: base64.b64encode(data.tobytes()).decode("ascii"),
-            "dtype": str(data.dtype),
-            "shape": list(data.shape),
-        }
+        if obj.dtype.hasobject:
+            raise TypeError("cannot encode an object array into snapshot state")
+        arrays.append(obj)
+        return {COLUMN_KEY: len(arrays) - 1, "shape": list(obj.shape)}
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
@@ -59,27 +59,25 @@ def encode_state(obj: Any) -> Any:
                     f"state dict keys must be str, got {key!r} "
                     f"({type(key).__name__}); serialize as a list of pairs"
                 )
-            out[key] = encode_state(value)
+            out[key] = to_tree(value, arrays)
         return out
     if isinstance(obj, (list, tuple)):
-        return [encode_state(item) for item in obj]
+        return [to_tree(item, arrays) for item in obj]
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(f"cannot encode {type(obj).__name__} into snapshot state")
 
 
-def decode_state(obj: Any) -> Any:
-    """Inverse of :func:`encode_state` (ndarray markers come back as
-    writable arrays)."""
-    if isinstance(obj, dict):
-        if set(obj) == _NDARRAY_FIELDS:
-            raw = base64.b64decode(obj[NDARRAY_KEY])
-            arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-            return arr.reshape(obj["shape"]).copy()
-        return {key: decode_state(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [decode_state(item) for item in obj]
-    return obj
+def from_tree(tree: Any, columns: Sequence[np.ndarray]) -> Any:
+    """Inverse of :func:`to_tree`: each column reference becomes a
+    writable copy of its column, in its shape."""
+    if isinstance(tree, dict):
+        if tree.keys() == _REFERENCE_FIELDS:
+            return columns[tree[COLUMN_KEY]].reshape(tree["shape"]).copy()
+        return {key: from_tree(value, columns) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [from_tree(item, columns) for item in tree]
+    return tree
 
 
 def rng_state(rng: np.random.Generator) -> dict[str, Any]:

@@ -24,10 +24,11 @@ BC only; CC and PR ignore it) and the start pages of the five arrays.
 :meth:`GapWorkload.batches` memoises the most recent completed trial
 under that key, like :func:`~repro.workloads.kronecker.generate_kronecker`
 memoises its graph, so every policy cell, kernel trial and resume that
-repeats it skips the kernel.  The stream position (trial, step and
-source) is declared state: a resume continues mid-trial from the memo,
-or on a cold memo reruns that trial's kernel and skips its emitted
-steps without shuffling them.  The memo holds one entry,
+repeats it skips the kernel.  The stream position (trial, step, source
+and the batches of the earlier trials) is declared state: a resume
+continues mid-trial from the memo, or on a cold memo reruns that
+trial's kernel and skips its emitted steps without shuffling them.
+The memo holds one entry,
 cleared before a new trial is built; a trial cut short commits nothing.
 Steps are stored read-only, as int32 when the page ids fit, and
 identical consecutive steps (every CC and PR step) share one array.  A
@@ -145,9 +146,9 @@ class GapWorkload(Workload):
     """
 
     #: The RNG plus the stream position: the trial, the steps of it
-    #: already emitted and its source (-1 until picked); the graph and
-    #: layout are seed-deterministic.
-    _state_fields = ("_rng", "_trial", "_step", "_source")
+    #: already emitted, its source (-1 until picked) and the batches of
+    #: the trials before it; the graph and layout are seed-deterministic.
+    _state_fields = ("_rng", "_trial", "_step", "_source", "_done")
 
     def __init__(
         self,
@@ -185,6 +186,7 @@ class GapWorkload(Workload):
         self._trial = 0
         self._step = 0
         self._source = -1
+        self._done = 0
         self._degrees = np.diff(self.graph.indptr).astype(np.int64)
         #: Read-only kernel outputs of the most recent trial
         #: (verification hook): bfs -> {"parent"}; cc -> {"comp"};
@@ -212,6 +214,10 @@ class GapWorkload(Workload):
                 return node
         # Fall back to the highest-degree node (always connected).
         return int(np.argmax(self._degrees))
+
+    @property
+    def position(self) -> int:
+        return self._done + self._step
 
     def batches(self) -> Iterator[AccessBatch]:
         """Continue the trials from the current position.
@@ -247,9 +253,10 @@ class GapWorkload(Workload):
             if memo is not None:
                 self.last_kernel_state = dict(memo.state)
             self._trial += 1
+            self._done += self._step
             self._step = 0
             self._source = -1
-        self._trial = 0
+        self._trial = self._done = 0
 
     def _run_trial(self, key: tuple, source: int) -> Iterator[np.ndarray]:
         """Run the kernel, yielding each step's pre-shuffle pages, and

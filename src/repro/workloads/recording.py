@@ -7,18 +7,16 @@ per-batch scalars, with labels as a sorted vocabulary plus codes.
 :func:`record` is the only builder and :meth:`Recording.batches` the
 only replay loop; :class:`RecordingWorkload` replays one from a
 checkpointed batch cursor.  The columns live on the heap or in one
-uncompressed file (format version 1): the magic ``RPTRACE\\0``, a
-little-endian uint64 header length, a JSON header, then the columns at
-64-byte-aligned offsets.  :meth:`Recording.load` memory-maps such a
-file, loads the version-less ``.npz`` traces of earlier releases as the
-heads-only recordings they are; :meth:`Recording.validate` checks
-either kind.
+uncompressed column file (:mod:`repro.state.colfile`, format version
+1) with the magic ``RPTRACE\\0``.  :meth:`Recording.load`
+memory-maps such a file, loads the version-less ``.npz`` traces of
+earlier releases as the heads-only recordings they are;
+:meth:`Recording.validate` checks either kind.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import mmap
 import os
 from collections.abc import Iterable, Iterator, Sequence
@@ -26,12 +24,12 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.sampling.events import AccessBatch
+from repro.state import colfile
 from repro.workloads.spec import Workload
 
 FORMAT_VERSION = 1
 
 _MAGIC = b"RPTRACE\0"
-_ALIGN = 64
 
 #: Every column, in file order.
 _COLUMNS = (
@@ -48,12 +46,6 @@ _DTYPES = {
     **dict.fromkeys(_COLUMNS[5:8], (np.float64,)),
     "label_codes": (np.int32,),
 }
-#: Bytes :meth:`Recording.save` writes (and, moving, frees) at a time.
-_SLICE = 1 << 23
-
-
-def _aligned(n: int) -> int:
-    return -(-n // _ALIGN) * _ALIGN
 
 
 class StreamTooLarge(MemoryError):
@@ -216,39 +208,31 @@ class Recording:
         never holds the stream twice, and the recording then reads its
         columns from the file (a failed save leaves it unusable).
         """
-        layout, offset = {}, 0
-        for name in _COLUMNS:
-            column = getattr(self, name)
-            layout[name] = [column.dtype.str, int(column.size), offset]
-            offset = _aligned(offset + column.nbytes)
-        header = json.dumps(
+        columns = {name: getattr(self, name) for name in _COLUMNS}
+        head = colfile.header(
             {
                 "format_version": FORMAT_VERSION,
                 "footprint_pages": self.footprint_pages,
                 "labels": self.labels,
-                "columns": layout,
-            }
-        ).encode()
-        base = _aligned(len(_MAGIC) + 8 + len(header))
+            },
+            columns,
+        )
+
+        def release(name: str, start: int) -> None:
+            buffer = self._buffers.get(name)
+            if buffer is not None:
+                buffer.madvise(mmap.MADV_DONTNEED, start, colfile.SLICE)
+
         try:
             with open(path, "wb") as fh:
-                fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
-                for name in _COLUMNS:
-                    fh.seek(base + layout[name][2])
-                    column = np.ascontiguousarray(getattr(self, name)).view(np.uint8)
-                    buffer = self._buffers.get(name)
-                    for start in range(0, column.size, _SLICE):
-                        fh.write(column[start : start + _SLICE].data)
-                        if buffer is not None:
-                            buffer.madvise(mmap.MADV_DONTNEED, start, _SLICE)
-                fh.truncate(base + offset)
+                size = colfile.write(fh, _MAGIC, head, columns, release)
         except BaseException:
             if os.path.exists(path):
                 os.unlink(path)
             raise
         if self._buffers:
             vars(self).update(vars(Recording.load(path)))
-        return base + offset
+        return size
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> Recording:
@@ -256,34 +240,18 @@ class Recording:
         ``.npz`` trace.  Only the layout is checked here: call
         :meth:`validate` (which reads every page) on outside input."""
         source = os.fspath(path)
-        with open(source, "rb") as fh:
-            mapped = fh.read(len(_MAGIC)) == _MAGIC
-            header = fh.read(int.from_bytes(fh.read(8), "little")) if mapped else b""
         try:
-            return cls._mapped(source, header) if mapped else cls._npz(source)
-        except Exception as exc:  # numpy, zipfile and json raise many kinds
+            found = colfile.read(source, _MAGIC)
+            if found is None:
+                return cls._npz(source)
+            __, meta, columns = found
+            if meta["format_version"] != FORMAT_VERSION:
+                raise ValueError(f"unsupported format version {meta['format_version']!r}")
+            return cls(
+                labels=meta["labels"], footprint_pages=meta["footprint_pages"], **columns
+            )
+        except Exception as exc:  # OS, numpy, zipfile and json errors
             raise ValueError(f"trace {source!r} is unreadable: {exc}") from exc
-
-    @classmethod
-    def _mapped(cls, source: str, header: bytes) -> Recording:
-        meta = json.loads(header)
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {meta['format_version']!r}")
-        # A plain view: per-batch slices of a memmap subclass cost more.
-        raw = np.asarray(np.memmap(source, dtype=np.uint8, mode="r"))
-        base = _aligned(len(_MAGIC) + 8 + len(header))
-        columns = {}
-        for name in _COLUMNS:
-            dtype, length, offset = meta["columns"][name]
-            dtype = np.dtype(dtype)
-            start = base + int(offset)
-            stop = start + int(length) * dtype.itemsize
-            if stop > raw.size:
-                raise ValueError(f"column {name} runs past the end of the file")
-            columns[name] = raw[start:stop].view(dtype)
-        return cls(
-            labels=meta["labels"], footprint_pages=meta["footprint_pages"], **columns
-        )
 
     @classmethod
     def _npz(cls, source: str) -> Recording:

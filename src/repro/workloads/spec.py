@@ -62,9 +62,7 @@ class Workload(Stateful, abc.ABC):
     @property
     def position(self) -> int | None:
         """Batches the stream has yielded in its current pass, where the
-        declared state counts them; ``None`` where it does not (a
-        sampler whose RNG is its whole position, or GAP, whose trials
-        vary in length)."""
+        declared state counts them; ``None`` where it does not."""
         return None
 
     def load_position(self, state: dict, batches_done: int) -> None:

@@ -25,7 +25,7 @@ class SyntheticZipfWorkload(Workload):
     """Zipf-popular accesses over one flat region of pages."""
 
     name = "synthetic-zipf"
-    _state_fields = ("sampler",)
+    _state_fields = ("sampler", "_batch")
 
     def __init__(
         self,
@@ -44,6 +44,7 @@ class SyntheticZipfWorkload(Workload):
         self.cpu_ns_per_access = float(cpu_ns_per_access)
         self.sampler = ZipfianSampler(num_pages, alpha, seed=seed)
         self._start_page = 0
+        self._batch = 0
 
     @property
     def footprint_pages(self) -> int:
@@ -54,9 +55,14 @@ class SyntheticZipfWorkload(Workload):
         self._start_page = region.start_page
         self._machine = machine
 
+    @property
+    def position(self) -> int:
+        return self._batch
+
     def batches(self) -> Iterator[AccessBatch]:
         while True:
             pages = self._start_page + self.sampler.sample(self.accesses_per_batch)
+            self._batch += 1
             yield AccessBatch(
                 page_ids=pages,
                 num_ops=float(self.accesses_per_batch),

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.metrics import _COLUMNS, MetricsCollector
 from repro.memsim.costmodel import BatchCost
 from repro.serve import ServeConfig, VirtualTimeDriver
-from repro.state import decode_state, encode_state
 
 from tests.serve.conftest import make_daemon
+from tests.state.conftest import snapshot_bytes, snapshot_round_trip
 
 SUBNORMAL = 5e-324
 BIG = 2**53 + 1  # not representable as a float64
@@ -28,13 +26,9 @@ def cost(total: float, overhead: float = 0.0) -> BatchCost:
     )
 
 
-def codec_round_trip(state: dict) -> dict:
-    return decode_state(json.loads(json.dumps(encode_state(state))))
-
-
 def restored(collector: MetricsCollector) -> MetricsCollector:
     fresh = MetricsCollector()
-    fresh.load_state(codec_round_trip(collector.state_dict()))
+    fresh.load_state(snapshot_round_trip(collector.state_dict()))
     return fresh
 
 
@@ -128,9 +122,8 @@ class TestNoAliasing:
 
 
 def metrics_bytes(daemon) -> int:
-    """Size of the encoded ``engine.metrics`` snapshot section."""
-    section = daemon.engine.capture_state()["metrics"]
-    return len(json.dumps(encode_state(section), separators=(",", ":")))
+    """Size of a snapshot file of the ``engine.metrics`` section."""
+    return snapshot_bytes(daemon.engine.capture_state()["metrics"])
 
 
 def test_daemon_snapshot_metrics_grow_at_most_100_bytes_per_record():

@@ -1,11 +1,10 @@
 """Tests for the counter and histogram registries."""
 
-import json
-
 import pytest
 
 from repro.obs.registry import CounterRegistry, HistogramRegistry
-from repro.state import decode_state, encode_state
+
+from tests.state.conftest import snapshot_round_trip
 
 
 class TestCounterRegistry:
@@ -120,9 +119,8 @@ class TestHistogramRegistry:
         for v in (0.0, -3.0, 1.0, 7.5, 7.5, 1e9):
             reg.observe("lat", v)
         reg.observe("depth", 4)
-        encoded = json.loads(json.dumps(encode_state(reg.state_dict())))
         fresh = HistogramRegistry()
-        fresh.load_state(decode_state(encoded))
+        fresh.load_state(snapshot_round_trip(reg.state_dict()))
         assert fresh.as_dict() == reg.as_dict()
         for r in (reg, fresh):
             r.observe("lat", 42.0)

@@ -139,4 +139,4 @@ class TestServeCli:
         assert payload["zipf_served"] == 6
         assert payload["zipf-1_served"] == 6
         assert (tmp_path / "ckpt").is_dir()
-        assert list((tmp_path / "ckpt").glob("snap-*.json"))
+        assert list((tmp_path / "ckpt").glob("snap-*.ckpt"))

@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
-import json
+import pathlib
+import shutil
 
+import numpy as np
 import pytest
 
-from repro.state import CheckpointManager
+from repro.state import CheckpointManager, SnapshotSchemaError
+
+SCHEMA4 = pathlib.Path(__file__).parent / "data" / "schema4" / "snap-00000001.json"
 
 
 def _payload(n: int) -> dict:
-    return {"progress": {"batches_done": n, "now_ns": float(n)}}
+    return {
+        "progress": {"batches_done": n, "now_ns": float(n)},
+        "placement": np.full(256, n, dtype=np.int64),
+    }
+
+
+def _flip(path: pathlib.Path, index: int) -> None:
+    """Flip the low bit of one byte, as bit rot would."""
+    data = bytearray(path.read_bytes())
+    data[index] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 class TestRotation:
@@ -20,9 +34,9 @@ class TestRotation:
             mgr.save(_payload(n))
         names = [p.name for p in mgr.generations()]
         assert names == [
-            "snap-00000003.json",
-            "snap-00000004.json",
-            "snap-00000005.json",
+            "snap-00000003.ckpt",
+            "snap-00000004.ckpt",
+            "snap-00000005.ckpt",
         ]
 
     def test_load_latest_returns_newest(self, tmp_path):
@@ -60,16 +74,23 @@ class TestCorruptionFallback:
         # The bad generation was quarantined, not deleted.
         assert (tmp_path / "snap-00000002.corrupt").exists()
 
-    def test_digest_mismatch_is_treated_as_corrupt(self, tmp_path):
+    @pytest.mark.parametrize("where", ["header", "column"])
+    def test_flipped_byte_is_quarantined(self, tmp_path, where):
         mgr = CheckpointManager(tmp_path)
         mgr.save(_payload(1))
         newest = mgr.save(_payload(2))
-        doc = json.loads(newest.read_text())
-        doc["payload"]["progress"]["batches_done"] = 99  # bit-rot
-        newest.write_text(json.dumps(doc), encoding="utf-8")
+        data = newest.read_bytes()
+        if where == "header":
+            index = data.index(b'"batches_done": 2') + 16  # 2 -> 3
+        else:
+            index = len(data) - 256 * 8 + 1000  # inside the placement column
+        _flip(newest, index)
         loaded = mgr.load_latest()
         assert loaded is not None
         assert loaded.payload["progress"]["batches_done"] == 1
+        assert np.array_equal(loaded.payload["placement"], np.full(256, 1))
+        assert not newest.exists()
+        assert (tmp_path / "snap-00000002.corrupt").exists()
 
     def test_all_corrupt_loads_none(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
@@ -85,7 +106,7 @@ class TestCorruptionFallback:
         path.write_text("garbage")
         assert mgr.load_latest() is None  # quarantines snap-...1
         newest = mgr.save(_payload(2))
-        assert newest.name == "snap-00000002.json"
+        assert newest.name == "snap-00000002.ckpt"
 
 
 class TestInspect:
@@ -110,3 +131,39 @@ class TestInspect:
         [entry] = mgr.inspect()
         assert entry["valid"] is True
         assert entry["progress"]["batches_done"] == 7
+
+
+class TestOlderSchemas:
+    """The ``snap-<seq>.json`` documents of schemas 4 and older stay
+    visible: a load refuses them in place instead of starting over."""
+
+    def test_listed_among_the_generations(self, tmp_path):
+        shutil.copy(SCHEMA4, tmp_path / "snap-00000001.json")
+        newest = CheckpointManager(tmp_path).save(_payload(2))
+        assert [p.name for p in CheckpointManager(tmp_path).generations()] == [
+            "snap-00000001.json",
+            newest.name,
+        ]
+
+    def test_refused_in_place_below_a_corrupt_generation(self, tmp_path):
+        shutil.copy(SCHEMA4, tmp_path / "snap-00000001.json")
+        mgr = CheckpointManager(tmp_path)
+        mgr.save(_payload(2)).write_text("{ torn")
+        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+            mgr.load_latest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snap-00000001.json",
+            "snap-00000002.corrupt",
+        ]
+
+    def test_a_newer_valid_generation_is_loaded(self, tmp_path):
+        shutil.copy(SCHEMA4, tmp_path / "snap-00000001.json")
+        mgr = CheckpointManager(tmp_path)
+        mgr.save(_payload(2))
+        assert mgr.load_latest().payload["progress"]["batches_done"] == 2
+
+    def test_inspect_reports_it_invalid(self, tmp_path):
+        shutil.copy(SCHEMA4, tmp_path / "snap-00000001.json")
+        [entry] = CheckpointManager(tmp_path).inspect()
+        assert entry["valid"] is False
+        assert "schema 4" in entry["error"] and "schema 5" in entry["error"]

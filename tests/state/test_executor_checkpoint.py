@@ -46,7 +46,7 @@ def test_crash_retry_resumes_from_checkpoint(tmp_path):
     # The cell got its own directory under <root>/cells/ with snapshots.
     cells = list((tmp_path / "cells").iterdir())
     assert len(cells) == 1
-    assert list(cells[0].glob("snap-*.json"))
+    assert list(cells[0].glob("snap-*.ckpt"))
 
 
 def test_hard_crash_retry_resumes_after_pool_rebuild(tmp_path):

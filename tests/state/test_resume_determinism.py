@@ -162,7 +162,8 @@ def test_identity_mismatch_is_rejected(tmp_path):
 
 
 def test_snapshots_are_json_documents(tmp_path):
-    """Checkpoint files are plain JSON (inspectable, diffable)."""
+    """Checkpoint files open with a plain JSON header (inspectable,
+    diffable): after the 8-byte magic and its little-endian length."""
     workload, pol = _specs("freqtier", 8)
     ckpt = tmp_path / "ck"
     run_experiment(
@@ -174,6 +175,7 @@ def test_snapshots_are_json_documents(tmp_path):
     )
     paths = CheckpointManager(ckpt).generations()
     assert paths
-    doc = json.loads(paths[-1].read_text())
+    data = paths[-1].read_bytes()
+    doc = json.loads(data[16 : 16 + int.from_bytes(data[8:16], "little")])
     assert doc["schema"] == STATE_SCHEMA_VERSION
     assert doc["payload"]["progress"]["batches_done"] == 10

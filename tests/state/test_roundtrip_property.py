@@ -2,9 +2,9 @@
 
 ``p2.load_state(p1.state_dict())`` on a freshly built, attached
 instance must reproduce ``p1``'s state bit-identically -- including
-through a JSON serialization boundary (the form snapshots take on
-disk).  Parametrized over every registered policy x every workload
-family; workload generators additionally prove their *future draws*
+through a snapshot file (the form checkpoints take on disk), which
+gives a whole captured engine state back exactly.  Parametrized over
+every registered policy x every workload family; workload generators additionally prove their *future draws*
 are frozen by the round trip, and that a fresh ``batches()`` call after
 ``load_state`` continues the stream exactly where it stood -- the stream
 position is part of the state.
@@ -13,7 +13,6 @@ position is part of the state.
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -22,11 +21,12 @@ from repro.core.config import ExperimentConfig
 from repro.core.engine import SimulationEngine
 from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import build_machine
-from repro.state import decode_state, encode_state
 from repro.workloads import gap
 from repro.workloads.cachelib import CDN_PROFILE, CacheLibWorkload, Phase
 from repro.workloads.trace import RecordedTrace
 from repro.workloads.traceio import TraceFileWorkload, save_trace
+
+from tests.state.conftest import assert_same_state, snapshot_round_trip
 
 CONFIG = ExperimentConfig(local_fraction=0.1, ratio_label="1:8", seed=3)
 
@@ -62,22 +62,27 @@ def _engine(policy_name: str, workload_key: str) -> SimulationEngine:
     return SimulationEngine(machine, workload, _policy_spec(policy_name)())
 
 
-def _json_round_trip(state: dict) -> dict:
-    return decode_state(json.loads(json.dumps(encode_state(state))))
-
-
 @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_policy_state_round_trips(policy_name, workload_key):
     engine = _engine(policy_name, workload_key)
     engine.run(max_batches=6)
     state = engine.policy.state_dict()
-    canonical = encode_state(state)
 
     fresh = _engine(policy_name, workload_key)
     fresh.capture_state()  # forces setup: components attached
-    fresh.policy.load_state(_json_round_trip(state))
-    assert encode_state(fresh.policy.state_dict()) == canonical
+    fresh.policy.load_state(snapshot_round_trip(state))
+    assert_same_state(fresh.policy.state_dict(), state)
+
+
+@pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_captured_state_comes_back_from_a_snapshot_file(policy_name, workload_key):
+    """The whole payload: dtypes, shapes and scalar types included."""
+    engine = _engine(policy_name, workload_key)
+    engine.run(max_batches=6)
+    captured = engine.capture_state()
+    assert_same_state(snapshot_round_trip(captured), captured)
 
 
 @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
@@ -96,9 +101,8 @@ def test_workload_state_round_trips_and_freezes_draws(workload_key):
             break
 
     state = w1.state_dict()
-    canonical = encode_state(state)
-    w2.load_state(_json_round_trip(state))
-    assert encode_state(w2.state_dict()) == canonical
+    w2.load_state(snapshot_round_trip(state))
+    assert_same_state(w2.state_dict(), state)
 
     # Identical restored state must produce identical future draws.
     b1 = next(w1.batches(), None)
@@ -157,7 +161,7 @@ def test_fresh_stream_continues_after_load_state(family, tmp_path):
     stream = w1.batches()
     for _ in range(4):
         next(stream)
-    state = _json_round_trip(w1.state_dict())
+    state = snapshot_round_trip(w1.state_dict())
     expected = [_batch_key(b) for b in itertools.islice(stream, 12)]
 
     w2 = _built(factory)
@@ -177,7 +181,7 @@ def test_gap_resumes_mid_trial(kernel, memo):
     labels = []
     while labels.count("trial1") < 2:
         labels.append(next(stream).label)
-    state = _json_round_trip(w1.state_dict())
+    state = snapshot_round_trip(w1.state_dict())
     assert state["trial"] == 1 and state["step"] == 2
     expected = [_batch_key(b) for b in stream]
 

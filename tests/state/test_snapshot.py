@@ -1,8 +1,10 @@
-"""Snapshot codec and integrity envelope."""
+"""Snapshot codec, file form and integrity envelope."""
 
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -12,12 +14,26 @@ from repro.state import (
     CheckpointManager,
     Snapshot,
     SnapshotError,
-    decode_state,
-    encode_state,
-    payload_digest,
+    SnapshotSchemaError,
     rng_state,
     set_rng_state,
 )
+from repro.state import snapshot as snapshot_mod
+from repro.state.codec import COLUMN_KEY, to_tree
+
+from tests.state.conftest import assert_same_state, snapshot_round_trip
+
+SCHEMA4 = pathlib.Path(__file__).parent / "data" / "schema4" / "snap-00000001.json"
+
+
+def _write(path, payload) -> bytes:
+    with open(path, "wb") as fh:
+        Snapshot.write(fh, payload)
+    return path.read_bytes()
+
+
+def _header(data: bytes) -> dict:
+    return json.loads(data[16 : 16 + int.from_bytes(data[8:16], "little")])
 
 
 class TestCodec:
@@ -27,18 +43,21 @@ class TestCodec:
     def test_ndarray_round_trip_is_bit_exact(self, dtype):
         rng = np.random.default_rng(1)
         arr = (rng.random((7, 3)) * 100).astype(dtype)
-        back = decode_state(json.loads(json.dumps(encode_state(arr))))
-        assert back.dtype == arr.dtype
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
+        back = snapshot_round_trip(arr)
+        assert_same_state(back, arr)
         # Restored arrays must be writable (they are restored *into*
-        # live state, not read-only views of the decode buffer).
+        # live state, not read-only views of the file).
         back[0, 0] = back[0, 0]
 
     def test_nan_and_inf_survive(self):
-        arr = np.array([np.nan, np.inf, -np.inf, 0.1])
-        back = decode_state(json.loads(json.dumps(encode_state(arr))))
-        assert np.array_equal(back, arr, equal_nan=True)
+        arr = np.array([np.nan, np.inf, -np.inf, 0.1, -0.0])
+        assert_same_state(snapshot_round_trip(arr), arr)
+
+    def test_non_contiguous_and_empty_arrays(self):
+        payload = {"strided": np.arange(10)[::3], "empty": np.zeros((0, 4))}
+        back = snapshot_round_trip(payload)
+        assert back["strided"].tolist() == [0, 3, 6, 9]
+        assert back["empty"].shape == (0, 4)
 
     def test_nested_structures(self):
         payload = {
@@ -47,97 +66,140 @@ class TestCodec:
             "scalar": np.int64(7),
             "tup": (1, 2),
         }
-        back = decode_state(json.loads(json.dumps(encode_state(payload))))
+        back = snapshot_round_trip(payload)
         assert back["a"] == [1, 2.5, None, True, "x"]
-        assert np.array_equal(back["b"]["inner"], np.arange(4))
-        assert back["scalar"] == 7
+        assert_same_state(back["b"]["inner"], np.arange(4, dtype=np.int32))
+        assert type(back["scalar"]) is int and back["scalar"] == 7
         assert back["tup"] == [1, 2]  # tuples become lists by contract
+
+    def test_arrays_become_column_references(self):
+        arrays: list = []
+        tree = to_tree({"x": np.zeros((2, 3)), "y": [np.ones(1)]}, arrays)
+        assert tree == {
+            "x": {COLUMN_KEY: 0, "shape": [2, 3]},
+            "y": [{COLUMN_KEY: 1, "shape": [1]}],
+        }
+        assert len(arrays) == 2
 
     def test_non_string_keys_rejected(self):
         with pytest.raises(TypeError, match="keys must be str"):
-            encode_state({1: "x"})
+            to_tree({1: "x"}, [])
 
-    def test_unencodable_objects_rejected(self):
+    @pytest.mark.parametrize("bad", [{1, 2}, object(), np.array([None])])
+    def test_unencodable_objects_rejected(self, bad):
         with pytest.raises(TypeError, match="cannot encode"):
-            encode_state({"bad": {1, 2}})
+            to_tree({"bad": bad}, [])
 
     def test_rng_state_round_trip_freezes_draws(self):
         rng1 = np.random.default_rng(9)
         rng1.random(13)  # advance mid-stream
-        state = json.loads(json.dumps(encode_state(rng_state(rng1))))
+        state = snapshot_round_trip(rng_state(rng1))
         rng2 = np.random.default_rng(0)
-        set_rng_state(rng2, decode_state(state))
+        set_rng_state(rng2, state)
         assert np.array_equal(rng1.random(8), rng2.random(8))
 
 
-class TestSnapshot:
-    def test_create_verify_decode(self):
-        payload = {"x": np.arange(5), "n": 3}
-        snap = Snapshot.create(payload)
+class TestSnapshotFile:
+    def test_write_read(self, tmp_path):
+        data = _write(tmp_path / "s.ckpt", {"x": np.arange(5), "n": 3})
+        snap = Snapshot.read(tmp_path / "s.ckpt")
         assert snap.schema == STATE_SCHEMA_VERSION
-        snap.verify()
-        decoded = snap.decoded()
-        assert np.array_equal(decoded["x"], np.arange(5))
-        assert decoded["n"] == 3
+        assert snap.digest == _header(data)["digest"]
+        assert len(snap.digest) == 64
+        assert_same_state(snap.payload, {"x": np.arange(5), "n": 3})
 
-    def test_json_document_round_trip(self):
-        snap = Snapshot.create({"v": [1, 2, 3]})
-        doc = json.loads(json.dumps(snap.to_json_dict()))
-        clone = Snapshot.from_json_dict(doc)
-        clone.verify()
-        assert clone.decoded() == {"v": [1, 2, 3]}
+    def test_header_carries_scalars_and_aligned_columns(self, tmp_path):
+        data = _write(tmp_path / "s.ckpt", {"x": np.arange(5, dtype=np.int16), "n": 3})
+        header = _header(data)
+        assert data[:8] == b"RPSNAP\0\0"
+        assert header["schema"] == STATE_SCHEMA_VERSION
+        assert header["payload"] == {"x": {COLUMN_KEY: 0, "shape": [5]}, "n": 3}
+        assert header["columns"] == {"0": ["<i2", 5, 0]}
+        base = -(-(16 + int.from_bytes(data[8:16], "little")) // 64) * 64
+        assert data[base : base + 10] == np.arange(5, dtype=np.int16).tobytes()
 
-    def test_tampered_payload_fails_digest(self):
-        snap = Snapshot.create({"v": 1})
-        doc = snap.to_json_dict()
-        doc["payload"]["v"] = 2
-        with pytest.raises(SnapshotError, match="digest mismatch"):
-            Snapshot.from_json_dict(doc).verify()
+    def test_same_payload_writes_the_same_bytes(self, tmp_path):
+        payload = {"x": np.linspace(0, 1, 9), "rng": rng_state(np.random.default_rng(2))}
+        assert _write(tmp_path / "a.ckpt", payload) == _write(tmp_path / "b.ckpt", payload)
 
-    def test_wrong_schema_rejected(self):
-        snap = Snapshot.create({"v": 1})
-        doc = snap.to_json_dict()
-        doc["schema"] = STATE_SCHEMA_VERSION + 1
-        with pytest.raises(SnapshotError, match="schema"):
-            Snapshot.from_json_dict(doc).verify()
+    @pytest.mark.parametrize("where", ["header", "column"])
+    def test_flipped_byte_fails_the_digest(self, tmp_path, where):
+        path = tmp_path / "s.ckpt"
+        data = bytearray(_write(path, {"count": 12345, "x": np.arange(64)}))
+        if where == "header":
+            index = data.index(b"12345") + 4  # a payload scalar: 12344
+        else:
+            index = len(data) - 64 * 8 + 100  # inside the column
+        data[index] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="digest mismatch") as info:
+            Snapshot.read(path)
+        assert not isinstance(info.value, SnapshotSchemaError)
 
-    def test_schema_2_document_refused(self, tmp_path):
-        # Schema 2 stored the metric history as one dict per batch.
-        payload = {"engine": {"metrics": {"records": [{"start_ns": 0.0}]}}}
-        doc = Snapshot.create(payload).to_json_dict()
-        doc["schema"] = 2
-        doc["digest"] = payload_digest(doc["payload"])
-        with pytest.raises(SnapshotError, match="schema 2"):
-            Snapshot.from_json_dict(doc).verify()
-        (tmp_path / "snap-00000001.json").write_text(json.dumps(doc))
-        assert CheckpointManager(tmp_path).load_latest() is None
+    def test_flipped_schema_is_corruption_not_another_schema(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        data = _write(path, {"v": 1})
+        old = f'"schema": {STATE_SCHEMA_VERSION}'.encode()
+        path.write_bytes(data.replace(old, f'"schema": {STATE_SCHEMA_VERSION - 1}'.encode(), 1))
+        with pytest.raises(SnapshotError, match="digest mismatch") as info:
+            Snapshot.read(path)
+        assert not isinstance(info.value, SnapshotSchemaError)
 
-    def test_schema_3_document_refused(self, tmp_path):
-        # Schema 3 carried no workload stream position: resuming one
-        # would have to regenerate the completed batches.
-        payload = {"progress": {"batches_done": 10}, "metrics": {}}
-        doc = Snapshot.create(payload).to_json_dict()
-        doc["schema"] = 3
-        doc["digest"] = payload_digest(doc["payload"])
-        with pytest.raises(SnapshotError, match="schema 3 != supported 4"):
-            Snapshot.from_json_dict(doc).verify()
-        (tmp_path / "snap-00000001.json").write_text(json.dumps(doc))
-        assert CheckpointManager(tmp_path).load_latest() is None
+    @pytest.mark.parametrize(
+        "cut", [0, 5, 12, 40, -8], ids=["empty", "magic", "length", "header", "column"]
+    )
+    def test_truncated_file_is_unreadable(self, tmp_path, cut):
+        path = tmp_path / "s.ckpt"
+        data = _write(path, {"x": np.arange(64)})
+        path.write_bytes(data[:cut])
+        with pytest.raises(SnapshotError) as info:
+            Snapshot.read(path)
+        assert not isinstance(info.value, SnapshotSchemaError)
+
+    def test_intact_snapshot_of_a_newer_schema_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.ckpt"
+        monkeypatch.setattr(snapshot_mod, "STATE_SCHEMA_VERSION", STATE_SCHEMA_VERSION + 1)
+        _write(path, {"v": 1})
+        monkeypatch.undo()
+        with pytest.raises(
+            SnapshotSchemaError,
+            match=f"schema {STATE_SCHEMA_VERSION + 1}.*only schema {STATE_SCHEMA_VERSION}",
+        ):
+            Snapshot.read(path)
+
+
+class TestOlderSchemas:
+    """Schemas 4 and older wrote one JSON document per generation."""
+
+    def test_committed_schema_4_document_refused(self):
+        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+            Snapshot.read(SCHEMA4)
+
+    @pytest.mark.parametrize("schema", [2, 3])
+    def test_older_json_documents_refused(self, tmp_path, schema):
+        path = tmp_path / "snap-00000001.json"
+        path.write_text(json.dumps({"schema": schema, "digest": "x", "payload": {}}))
+        with pytest.raises(SnapshotSchemaError, match=f"schema {schema}"):
+            Snapshot.read(path)
 
     @pytest.mark.parametrize(
         "doc",
         [
             "not a dict",
             {},
-            {"schema": 1, "digest": 0, "payload": {}},
             {"schema": "1", "digest": "x", "payload": {}},
+            {"schema": STATE_SCHEMA_VERSION, "payload": {}},
         ],
     )
-    def test_malformed_documents_rejected(self, doc):
-        with pytest.raises(SnapshotError):
-            Snapshot.from_json_dict(doc)
+    def test_malformed_documents_unreadable(self, tmp_path, doc):
+        path = tmp_path / "snap-00000001.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match="unreadable") as info:
+            Snapshot.read(path)
+        assert not isinstance(info.value, SnapshotSchemaError)
 
-    def test_digest_is_key_order_independent(self):
-        assert payload_digest({"a": 1, "b": 2}) == payload_digest(
-            {"b": 2, "a": 1}
-        )
+    def test_load_latest_refuses_and_keeps_the_generation(self, tmp_path):
+        shutil.copy(SCHEMA4, tmp_path / SCHEMA4.name)
+        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+            CheckpointManager(tmp_path).load_latest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [SCHEMA4.name]

@@ -1,16 +1,16 @@
 """Committed snapshots pin the checkpoint layout and still resume.
 
-``data/<policy>/snap-00000001.json`` are schema-4 checkpoints taken at
+``data/<policy>/snap-00000001.ckpt`` are schema-5 checkpoints taken at
 batch 10 of a 12-batch zipf run (1,024 pages, seed 5).  Apart from the
-``workload`` entry (the stream position schema 4 added) their payloads
-equal the schema-3 checkpoints they replace.  Loading one must
-re-encode to the identical payload, and resuming from it must equal the
-uninterrupted run.
+Zipf stream's batch count (the counted position schema 5 added) their
+payloads equal the schema-4 JSON checkpoints they replace, one of which
+is kept as ``data/schema4/snap-00000001.json``.  Loading one and
+capturing the restored engine must write the identical file, and
+resuming from it must equal the uninterrupted run.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 
@@ -20,10 +20,10 @@ from repro.core.config import ExperimentConfig
 from repro.core.engine import SimulationEngine
 from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import build_machine, run_experiment
-from repro.state import Snapshot, encode_state
+from repro.state import Snapshot
 
 DATA = pathlib.Path(__file__).parent / "data"
-SNAPSHOT = "snap-00000001.json"
+SNAPSHOT = "snap-00000001.ckpt"
 
 
 def _cell(policy: str):
@@ -36,16 +36,11 @@ def _cell(policy: str):
     )
 
 
-def _load(policy: str) -> Snapshot:
-    with open(DATA / policy / SNAPSHOT, encoding="utf-8") as fh:
-        snapshot = Snapshot.from_json_dict(json.load(fh))
-    snapshot.verify()
-    return snapshot
-
-
 @pytest.mark.parametrize("policy", ["freqtier", "autonuma"])
-def test_committed_snapshot_reencodes_identically(policy):
-    snapshot = _load(policy)
+def test_committed_snapshot_reencodes_identically(policy, tmp_path):
+    path = DATA / policy / SNAPSHOT
+    snapshot = Snapshot.read(path)
+    assert snapshot.payload["workload"]["batch"] == 10
     workload_spec, policy_spec, config = _cell(policy)
     workload = workload_spec()
     engine = SimulationEngine(
@@ -53,10 +48,10 @@ def test_committed_snapshot_reencodes_identically(policy):
         workload,
         policy_spec(),
     )
-    engine.restore_state(snapshot.decoded())
-    assert json.dumps(encode_state(engine.capture_state())) == json.dumps(
-        snapshot.payload
-    )
+    engine.restore_state(snapshot.payload)
+    with open(tmp_path / SNAPSHOT, "wb") as fh:
+        Snapshot.write(fh, engine.capture_state())
+    assert (tmp_path / SNAPSHOT).read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("policy", ["freqtier", "autonuma"])

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import enum
-import json
 
 import numpy as np
 import pytest
 
-from repro.state import Stateful, decode_state, encode_state
+from repro.state import Stateful
+
+from tests.state.conftest import snapshot_round_trip
 
 
 class _Mode(enum.Enum):
@@ -42,11 +43,6 @@ class _Grown(_Component):
     def __init__(self, seed: int = 0):
         super().__init__(seed)
         self._tail = 7
-
-
-def _through_json(state: dict) -> dict:
-    """A state dict as a snapshot file gives it back."""
-    return decode_state(json.loads(json.dumps(encode_state(state))))
 
 
 def _keys_drop_leading_underscore():
@@ -84,7 +80,7 @@ def _attached_dtype_kept():
     state = _Component().state_dict()
     state["array"] = np.array([1, 2, 3, 4], dtype=np.int64)
     dst = _Component()
-    dst.load_state(_through_json(state))
+    dst.load_state(snapshot_round_trip(state))
     assert dst._array.dtype == np.int16
     assert dst._array.tolist() == [1, 2, 3, 4]
 
@@ -99,7 +95,7 @@ def _shape_mismatch_names_key():
 def _generator_draws_stay_frozen():
     src = _Component(seed=3)
     src._rng.random(5)
-    state = _through_json(src.state_dict())
+    state = snapshot_round_trip(src.state_dict())
     expected = src._rng.random(4)
     src._rng.random(100)  # the captured state must not move with src
     dst = _Component(seed=99)
@@ -113,14 +109,14 @@ def _enum_and_none_round_trip():
     src = _Component()
     src.mode = _Mode.BUSY
     src.ratio = None
-    state = _through_json(src.state_dict())
+    state = snapshot_round_trip(src.state_dict())
     assert state["mode"] == "busy"
     dst = _Component()
     dst.load_state(state)
     assert dst.mode is _Mode.BUSY
     assert dst.ratio is None
     src.ratio = 0.5
-    dst.load_state(_through_json(src.state_dict()))
+    dst.load_state(snapshot_round_trip(src.state_dict()))
     assert dst.ratio == 0.5 and type(dst.ratio) is float
 
 
@@ -143,7 +139,7 @@ def _component_dict_restored_in_place():
     src.parts["b"].count = 4
     dst = _Bundle()
     parts = dst.parts
-    dst.load_state(_through_json(src.state_dict()))
+    dst.load_state(snapshot_round_trip(src.state_dict()))
     assert dst.parts is parts and isinstance(parts["b"], _Leaf)
     assert parts["b"].count == 4
     state = src.state_dict()

@@ -96,11 +96,9 @@ class TestCursorSize:
 
     @staticmethod
     def encoded_bytes(state: dict) -> int:
-        import json
+        from tests.state.conftest import snapshot_bytes
 
-        from repro.state import encode_state
-
-        return len(json.dumps(encode_state(state)))
+        return snapshot_bytes(state)
 
     def test_unchurned_cursors_are_small(self):
         from repro.workloads.cachelib import CDN_PROFILE

@@ -1,10 +1,17 @@
 """Tests for the recorder and the file form of a recording."""
 
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.core.config import ExperimentConfig
+from repro.core.parallel import WorkloadSpec
+from repro.core.runner import build_machine
 from repro.sampling.events import AccessBatch
 from repro.workloads.recording import Recording, record
+from repro.workloads.traceio import TraceFileWorkload, save_trace
 
 
 def _rss_anon_bytes() -> int:
@@ -57,3 +64,31 @@ def test_save_moves_a_recording_into_the_file(tmp_path, monkeypatch):
     # Measured once every column is written, before the reopen.
     assert before - written[0] >= stream_bytes * 3 // 4
     assert [b.page_ids.sum() for b in recording.batches()] == expected
+
+
+#: Six CDN batches (256 slab pages, 40 ops per batch, seed 4) in trace
+#: format version 1, written before trace files shared their column
+#: file code with snapshots.
+FORMAT1 = pathlib.Path(__file__).parent / "data" / "cdn6-format1.trace"
+
+
+def _cdn6():
+    workload = WorkloadSpec("cdn", slab_pages=256, ops_per_batch=40, seed=4)()
+    workload.setup(
+        build_machine(workload.footprint_pages, ExperimentConfig(local_fraction=0.1, seed=4))
+    )
+    return workload
+
+
+def test_committed_format1_trace_still_replays():
+    trace = TraceFileWorkload(FORMAT1)
+    replayed = [b.page_ids.tolist() for b in trace.batches()]
+    live = [b.page_ids.tolist() for b in itertools.islice(_cdn6().batches(), 6)]
+    assert replayed == live
+
+
+def test_record_writes_the_committed_bytes(tmp_path):
+    workload = _cdn6()
+    path = tmp_path / "cdn6.trace"
+    assert save_trace(path, workload.batches(), workload.footprint_pages, 6) == 6
+    assert path.read_bytes() == FORMAT1.read_bytes()
