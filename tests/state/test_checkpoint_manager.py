@@ -74,17 +74,22 @@ class TestCorruptionFallback:
         # The bad generation was quarantined, not deleted.
         assert (tmp_path / "snap-00000002.corrupt").exists()
 
-    @pytest.mark.parametrize("where", ["header", "column"])
-    def test_flipped_byte_is_quarantined(self, tmp_path, where):
+    def test_digest_mismatch_is_treated_as_corrupt(self, tmp_path):
+        # One flipped bit in a header scalar: batches_done 2 -> 3.
+        self._assert_flip_is_quarantined(
+            tmp_path, lambda data: data.index(b'"batches_done": 2') + 16
+        )
+
+    def test_flipped_column_byte_is_quarantined(self, tmp_path):
+        # Inside the placement column.
+        self._assert_flip_is_quarantined(tmp_path, lambda data: len(data) - 256 * 8 + 1000)
+
+    @staticmethod
+    def _assert_flip_is_quarantined(tmp_path, index_of) -> None:
         mgr = CheckpointManager(tmp_path)
         mgr.save(_payload(1))
         newest = mgr.save(_payload(2))
-        data = newest.read_bytes()
-        if where == "header":
-            index = data.index(b'"batches_done": 2') + 16  # 2 -> 3
-        else:
-            index = len(data) - 256 * 8 + 1000  # inside the placement column
-        _flip(newest, index)
+        _flip(newest, index_of(newest.read_bytes()))
         loaded = mgr.load_latest()
         assert loaded is not None
         assert loaded.payload["progress"]["batches_done"] == 1

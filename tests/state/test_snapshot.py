@@ -85,10 +85,10 @@ class TestCodec:
         with pytest.raises(TypeError, match="keys must be str"):
             to_tree({1: "x"}, [])
 
-    @pytest.mark.parametrize("bad", [{1, 2}, object(), np.array([None])])
-    def test_unencodable_objects_rejected(self, bad):
-        with pytest.raises(TypeError, match="cannot encode"):
-            to_tree({"bad": bad}, [])
+    def test_unencodable_objects_rejected(self):
+        for bad in ({1, 2}, object(), np.array([None])):
+            with pytest.raises(TypeError, match="cannot encode"):
+                to_tree({"bad": bad}, [])
 
     def test_rng_state_round_trip_freezes_draws(self):
         rng1 = np.random.default_rng(9)
@@ -99,8 +99,8 @@ class TestCodec:
         assert np.array_equal(rng1.random(8), rng2.random(8))
 
 
-class TestSnapshotFile:
-    def test_write_read(self, tmp_path):
+class TestSnapshot:
+    def test_create_verify_decode(self, tmp_path):
         data = _write(tmp_path / "s.ckpt", {"x": np.arange(5), "n": 3})
         snap = Snapshot.read(tmp_path / "s.ckpt")
         assert snap.schema == STATE_SCHEMA_VERSION
@@ -118,19 +118,31 @@ class TestSnapshotFile:
         base = -(-(16 + int.from_bytes(data[8:16], "little")) // 64) * 64
         assert data[base : base + 10] == np.arange(5, dtype=np.int16).tobytes()
 
+    def test_json_document_round_trip(self, tmp_path):
+        # Read, then written again: the JSON header and the columns come
+        # back byte for byte.
+        payload = {"v": [1, 2, 3], "x": np.arange(6, dtype=np.uint16).reshape(2, 3)}
+        data = _write(tmp_path / "a.ckpt", payload)
+        clone = Snapshot.read(tmp_path / "a.ckpt")
+        assert _write(tmp_path / "b.ckpt", clone.payload) == data
+        assert Snapshot.read(tmp_path / "b.ckpt").digest == clone.digest
+
     def test_same_payload_writes_the_same_bytes(self, tmp_path):
         payload = {"x": np.linspace(0, 1, 9), "rng": rng_state(np.random.default_rng(2))}
         assert _write(tmp_path / "a.ckpt", payload) == _write(tmp_path / "b.ckpt", payload)
 
-    @pytest.mark.parametrize("where", ["header", "column"])
-    def test_flipped_byte_fails_the_digest(self, tmp_path, where):
+    def test_tampered_payload_fails_digest(self, tmp_path):
+        # One flipped bit in a header scalar: 12345 -> 12344.
+        self._assert_flip_fails_digest(tmp_path, lambda data: data.index(b"12345") + 4)
+
+    def test_flipped_column_byte_fails_the_digest(self, tmp_path):
+        self._assert_flip_fails_digest(tmp_path, lambda data: len(data) - 64 * 8 + 100)
+
+    @staticmethod
+    def _assert_flip_fails_digest(tmp_path, index_of) -> None:
         path = tmp_path / "s.ckpt"
         data = bytearray(_write(path, {"count": 12345, "x": np.arange(64)}))
-        if where == "header":
-            index = data.index(b"12345") + 4  # a payload scalar: 12344
-        else:
-            index = len(data) - 64 * 8 + 100  # inside the column
-        data[index] ^= 0x01
+        data[index_of(data)] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError, match="digest mismatch") as info:
             Snapshot.read(path)
@@ -156,7 +168,8 @@ class TestSnapshotFile:
             Snapshot.read(path)
         assert not isinstance(info.value, SnapshotSchemaError)
 
-    def test_intact_snapshot_of_a_newer_schema_refused(self, tmp_path, monkeypatch):
+    def test_wrong_schema_rejected(self, tmp_path, monkeypatch):
+        # An intact snapshot of a newer schema.
         path = tmp_path / "s.ckpt"
         monkeypatch.setattr(snapshot_mod, "STATE_SCHEMA_VERSION", STATE_SCHEMA_VERSION + 1)
         _write(path, {"v": 1})
@@ -167,20 +180,26 @@ class TestSnapshotFile:
         ):
             Snapshot.read(path)
 
+    def test_schema_2_document_refused(self, tmp_path):
+        # Schema 2 stored the metric history as one dict per batch.
+        self._assert_json_document_refused(tmp_path, 2)
 
-class TestOlderSchemas:
-    """Schemas 4 and older wrote one JSON document per generation."""
+    def test_schema_3_document_refused(self, tmp_path):
+        # Schema 3 carried no workload stream position.
+        self._assert_json_document_refused(tmp_path, 3)
 
-    def test_committed_schema_4_document_refused(self):
-        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
-            Snapshot.read(SCHEMA4)
-
-    @pytest.mark.parametrize("schema", [2, 3])
-    def test_older_json_documents_refused(self, tmp_path, schema):
+    @staticmethod
+    def _assert_json_document_refused(tmp_path, schema: int) -> None:
+        """Schemas 4 and older wrote one JSON document per generation;
+        it is refused, and a load leaves it in place."""
         path = tmp_path / "snap-00000001.json"
         path.write_text(json.dumps({"schema": schema, "digest": "x", "payload": {}}))
-        with pytest.raises(SnapshotSchemaError, match=f"schema {schema}"):
+        match = f"schema {schema}.*only schema {STATE_SCHEMA_VERSION}"
+        with pytest.raises(SnapshotSchemaError, match=match):
             Snapshot.read(path)
+        with pytest.raises(SnapshotSchemaError, match=match):
+            CheckpointManager(tmp_path).load_latest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     @pytest.mark.parametrize(
         "doc",
@@ -191,12 +210,20 @@ class TestOlderSchemas:
             {"schema": STATE_SCHEMA_VERSION, "payload": {}},
         ],
     )
-    def test_malformed_documents_unreadable(self, tmp_path, doc):
+    def test_malformed_documents_rejected(self, tmp_path, doc):
         path = tmp_path / "snap-00000001.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotError, match="unreadable") as info:
             Snapshot.read(path)
         assert not isinstance(info.value, SnapshotSchemaError)
+
+
+class TestOlderSchemas:
+    """Schemas 4 and older wrote one JSON document per generation."""
+
+    def test_committed_schema_4_document_refused(self):
+        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+            Snapshot.read(SCHEMA4)
 
     def test_load_latest_refuses_and_keeps_the_generation(self, tmp_path):
         shutil.copy(SCHEMA4, tmp_path / SCHEMA4.name)
