@@ -53,7 +53,6 @@ from repro.core import (
     WorkloadSpec,
     compare_policies,
     run_all_local,
-    run_cells,
     run_experiment,
     sweep,
 )
@@ -87,7 +86,6 @@ from repro.state import (
     Snapshot,
     SnapshotError,
     SnapshotSchemaError,
-    SweepJournal,
 )
 from repro.policies import (
     AllLocal,
@@ -167,7 +165,6 @@ __all__ = [
     "SnapshotSchemaError",
     "SOCIAL_PROFILE",
     "StaticNoMigration",
-    "SweepJournal",
     "SyntheticZipfWorkload",
     "TieredMemoryConfig",
     "TieringDaemon",
@@ -183,7 +180,6 @@ __all__ = [
     "pages_to_sim_gb",
     "parse_fault_spec",
     "run_all_local",
-    "run_cells",
     "run_experiment",
     "sim_gb_to_pages",
     "sweep",

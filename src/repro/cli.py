@@ -261,8 +261,9 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="durable run state under DIR: per-cell rotated snapshots "
-        "(crash/timeout retries resume mid-run) plus a sweep journal "
-        "(re-invoking the same grid skips completed cells)",
+        "(crash/timeout retries resume mid-run) plus finished cells in "
+        "DIR/results when --cache-dir is not given (re-invoking the "
+        "same grid skips completed cells)",
     )
     parser.add_argument(
         "--checkpoint-every",

@@ -25,7 +25,6 @@ from repro.core.parallel import (
     executor_from_env,
     register_policy,
     register_workload,
-    run_cells,
 )
 from repro.core.runner import (
     build_machine,
@@ -56,7 +55,6 @@ __all__ = [
     "register_policy",
     "register_workload",
     "run_all_local",
-    "run_cells",
     "run_experiment",
     "sweep",
 ]

@@ -11,9 +11,9 @@ result schema changes the key and misses cleanly; stale entries are
 never returned, only orphaned.
 
 Layout: one ``<sha256>.json`` file per cell under ``cache_dir``.
-Writes are atomic (temp file + ``os.replace``) so a crashed or
-concurrent run can never leave a half-written entry that a later run
-would read.
+Writes are atomic and durable (temp file, fsync, ``os.replace``) so a
+crashed or concurrent run can never leave a half-written entry that a
+later run would read.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class ResultCache:
             pass
 
     def put(self, fingerprint: str, result: ExperimentResult) -> None:
-        """Store ``result`` under ``fingerprint`` (atomic write)."""
+        """Store ``result`` under ``fingerprint`` (atomic, fsync'd write)."""
         payload = {"schema": SCHEMA_VERSION, "result": result.to_dict()}
         fd, tmp = tempfile.mkstemp(
             dir=self.cache_dir, prefix=".tmp-", suffix=".json"
@@ -129,6 +129,8 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, self.path_for(fingerprint))
         except BaseException:
             try:

@@ -336,10 +336,6 @@ class SimulationEngine:
         self.now_ns += cost.total_ns
         self.accesses_done += batch.num_accesses
         self.batches_done += 1
-        # Generators may keep a reference to the batch they yielded;
-        # dropping any cached expansion here keeps a run's live memory
-        # at the compressed size.
-        batch.release_expanded()
 
         if (
             self.checkpoint_manager is not None

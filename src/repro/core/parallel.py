@@ -329,9 +329,9 @@ def resolve_jobs(jobs: int) -> int:
 class ExecutorStats:
     """Where each submitted cell's result came from, and what it cost."""
 
+    #: Cells served from the result cache (``cache``, or
+    #: ``<checkpoint_root>/results`` without one) instead of executed.
     cache_hits: int = 0
-    #: Cells skipped because the sweep journal already records them.
-    journal_hits: int = 0
     executed: int = 0
     cached_results: int = 0  # results newly written to the cache
     #: Charged failed attempts across all cells (a resubmission after an
@@ -365,7 +365,8 @@ class ParallelExecutor:
         (no pool, works with closure factories), ``N`` = pool of N.
     cache:
         A :class:`~repro.core.cache.ResultCache`, a directory path to
-        open one at, or None to disable caching.
+        open one at, or None to disable caching (unless
+        ``checkpoint_root`` is given).
     cell_timeout:
         Wall-clock seconds one attempt of one cell may run before it
         is failed (and its worker killed).  None = no limit.  Enforced
@@ -386,11 +387,12 @@ class ParallelExecutor:
         an explicit ``checkpoint_dir`` gets its own subdirectory under
         ``<root>/cells/`` (named by its fingerprint when addressable,
         else by label/position), so crash/timeout retries resume from
-        the cell's last checkpoint; a sweep journal at
-        ``<root>/journal.jsonl`` additionally lets an interrupted
-        re-invocation of the same grid skip cells that already
-        completed.  All-local baseline cells (``policy=None``) do not
-        checkpoint (they are cheap and cache-served) but do journal.
+        the cell's last checkpoint.  Without a ``cache``, finished
+        cells are stored in ``ResultCache(<root>/results)``, so an
+        interrupted re-invocation of the same grid skips the cells
+        that already completed.  All-local baseline cells
+        (``policy=None``) do not checkpoint (they are cheap) but are
+        stored like any other.
     checkpoint_every:
         Default snapshot cadence (batches) applied to cells that get a
         checkpoint directory from ``checkpoint_root`` and do not pin
@@ -434,6 +436,8 @@ class ParallelExecutor:
         share_streams: bool = True,
     ):
         self.jobs = resolve_jobs(jobs)
+        if cache is None and checkpoint_root is not None:
+            cache = Path(checkpoint_root) / "results"
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         if cell_timeout is not None and cell_timeout <= 0:
@@ -453,12 +457,6 @@ class ParallelExecutor:
         )
         self.checkpoint_every = int(checkpoint_every)
         self.share_streams = bool(share_streams)
-        self.journal = None
-        if self.checkpoint_root is not None:
-            from repro.state import SweepJournal
-
-            self.checkpoint_root.mkdir(parents=True, exist_ok=True)
-            self.journal = SweepJournal(self.checkpoint_root / "journal.jsonl")
         self.stats = ExecutorStats()
 
     # -- execution -----------------------------------------------------
@@ -466,10 +464,8 @@ class ParallelExecutor:
     def run(self, specs: Sequence[CellSpec]) -> list[ExperimentResult]:
         """Run all cells; results align with ``specs`` by position.
 
-        Journal hits (a previous, interrupted invocation of the same
-        grid already completed the cell) and cache hits never execute;
-        misses run inline (``jobs=1``) or on the pool, then populate
-        the journal and cache.
+        Cache hits never execute; misses run inline (``jobs=1``) or on
+        the pool, then populate the cache.
         """
         specs = [
             self._prepare_spec(spec, i) for i, spec in enumerate(specs)
@@ -479,16 +475,10 @@ class ParallelExecutor:
 
         pending: list[int] = []
         for i, spec in enumerate(specs):
-            if self.cache is not None or self.journal is not None:
+            if self.cache is not None:
                 fingerprints[i] = spec.fingerprint()
             fp = fingerprints[i]
-            if fp is not None and self.journal is not None:
-                prior = self.journal.completed(fp)
-                if prior is not None:
-                    results[i] = prior
-                    self.stats.journal_hits += 1
-                    continue
-            if fp is not None and self.cache is not None:
+            if fp is not None:
                 hit = self.cache.get(fp)
                 if hit is not None:
                     results[i] = hit
@@ -504,12 +494,10 @@ class ParallelExecutor:
                 results[i] = res
                 self.stats.executed += 1
                 if isinstance(res, FailedCell):
-                    continue  # never cache/journal failures
-                if self.cache is not None and fingerprints[i] is not None:
+                    continue  # never cache failures
+                if fingerprints[i] is not None:
                     self.cache.put(fingerprints[i], res)
                     self.stats.cached_results += 1
-                if self.journal is not None and fingerprints[i] is not None:
-                    self.journal.record(fingerprints[i], res)
         return results  # type: ignore[return-value]
 
     _LABEL_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -814,15 +802,6 @@ class ParallelExecutor:
                         "process boundaries. Use WorkloadSpec/PolicySpec "
                         "(or a module-level function), or run with jobs=1."
                     ) from exc
-
-
-def run_cells(
-    specs: Sequence[CellSpec],
-    jobs: int = 0,
-    cache_dir: str | os.PathLike | None = None,
-) -> list[ExperimentResult]:
-    """One-call convenience: build an executor, run, return results."""
-    return ParallelExecutor(jobs=jobs, cache=cache_dir).run(specs)
 
 
 def executor_from_env(

@@ -9,11 +9,14 @@ Every benchmark and example builds on three calls:
   identical machines/workloads plus %all-local columns.
 
 Workloads and policies are passed as zero-argument factories so each
-cell gets fresh, identically-seeded instances.  Factories that are
+cell gets fresh, identically-seeded instances.  :func:`run_experiment`
+and :func:`run_all_local` run one cell inline; they are what
+:func:`~repro.core.parallel.run_cell` calls.  :func:`compare_policies`
+submits its cells to a :class:`~repro.core.parallel.ParallelExecutor`
+-- the one given, else an inline ``jobs=1`` one.  Factories that are
 :class:`~repro.core.parallel.WorkloadSpec` /
-:class:`~repro.core.parallel.PolicySpec` additionally allow the cells
-to fan out across a process pool and to be served from the on-disk
-result cache -- pass an ``executor`` to any of the entry points.
+:class:`~repro.core.parallel.PolicySpec` additionally let the cells
+fan out across a process pool and be served from the result cache.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.core.parallel import CellSpec, ParallelExecutor
 from repro.faults import FaultInjector, FaultPlan
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.tier import TieredMemoryConfig
-from repro.obs import Tracer, trace_to
+from repro.obs import Tracer
 from repro.policies.alllocal import AllLocal
 from repro.policies.base import TieringPolicy
 from repro.workloads.spec import Workload
@@ -86,20 +89,19 @@ def run_experiment(
     workload_factory: WorkloadFactory,
     policy_factory: PolicyFactory,
     config: ExperimentConfig,
-    executor: ParallelExecutor | None = None,
     tracer: Tracer | None = None,
     faults: FaultPlan | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
     checkpoint_every_batches: int = 0,
     resume_from: str | os.PathLike | None = None,
 ) -> ExperimentResult:
-    """Run one experiment cell and reduce its metrics.
+    """Run one experiment cell inline and reduce its metrics.
 
-    With an ``executor`` the cell goes through its result cache (and
-    pool, though a single cell always runs inline).  A ``tracer``
-    applies to the inline path only; to trace cells running under an
-    executor, set ``CellSpec.trace_path`` instead (tracer objects hold
-    open sinks and do not cross process boundaries).
+    To run a cell through a result cache, a process pool or retries,
+    submit a :class:`~repro.core.parallel.CellSpec` to a
+    :class:`~repro.core.parallel.ParallelExecutor` instead (and trace
+    it with ``CellSpec.trace_path``: tracer objects hold open sinks and
+    do not cross process boundaries).
 
     A ``faults`` plan (see :mod:`repro.faults`) injects deterministic
     migration/sampling failures into the run; an inactive plan is
@@ -113,30 +115,10 @@ def run_experiment(
     pointing at such a directory, the run restores the newest *valid*
     snapshot and continues bit-identically; a missing or fully corrupt
     directory falls back to a fresh start, and a snapshot of another
-    schema raises :class:`~repro.state.SnapshotSchemaError`.  With an
-    ``executor``, set ``CellSpec.checkpoint_dir`` / ``checkpoint_every``
+    schema raises :class:`~repro.state.SnapshotSchemaError`.  Under an
+    executor, set ``CellSpec.checkpoint_dir`` / ``checkpoint_every``
     instead (or use the executor's ``checkpoint_root``).
     """
-    if executor is not None:
-        if tracer is not None:
-            raise ValueError(
-                "tracer= only applies to inline runs; with an executor, "
-                "set CellSpec.trace_path on the submitted cells"
-            )
-        return executor.run_one(
-            CellSpec(
-                workload_factory,
-                policy_factory,
-                config,
-                faults=faults,
-                checkpoint_dir=(
-                    os.fspath(checkpoint_dir)
-                    if checkpoint_dir is not None
-                    else None
-                ),
-                checkpoint_every=checkpoint_every_batches,
-            )
-        )
     workload = workload_factory()
     machine = build_machine(workload.footprint_pages, config)
     policy = policy_factory()
@@ -190,20 +172,10 @@ def _maybe_resume(
 def run_all_local(
     workload_factory: WorkloadFactory,
     config: ExperimentConfig,
-    executor: ParallelExecutor | None = None,
     tracer: Tracer | None = None,
     faults: FaultPlan | None = None,
 ) -> ExperimentResult:
     """The all-local upper bound for this workload and CXL device."""
-    if executor is not None:
-        if tracer is not None:
-            raise ValueError(
-                "tracer= only applies to inline runs; with an executor, "
-                "set CellSpec.trace_path on the submitted cells"
-            )
-        return executor.run_one(
-            CellSpec(workload_factory, None, config, faults=faults)
-        )
     workload = workload_factory()
     machine = build_all_local_machine(workload.footprint_pages, config.memory)
     engine = SimulationEngine(
@@ -234,58 +206,35 @@ def compare_policies(
     Returns ``{policy_name: result}``; compute the paper's %all-local
     columns via ``result.relative_to(results["AllLocal"])``.
 
-    With an ``executor``, all cells (baseline included) are submitted
-    at once -- fanned across its process pool and served from its
-    result cache where possible.  Results are identical to the serial
-    path (each cell seeds its own RNGs).
+    All cells (baseline included) are submitted at once to ``executor``
+    -- fanned across its process pool and served from its result cache
+    where possible -- or, without one, to an inline
+    ``ParallelExecutor(jobs=1)``.  Results do not depend on the
+    executor (each cell seeds its own RNGs).
 
     With a ``trace_dir``, each cell writes its own JSONL event trace
     to ``<trace_dir>/<name>.jsonl`` (cache-served cells record a
-    single ``cache_hit`` event) -- works on both the serial and the
-    executor path.
+    single ``cache_hit`` event).
     """
-    def trace_path(name: str) -> str | None:
-        if trace_dir is None:
-            return None
-        return os.path.join(trace_dir, f"{name}.jsonl")
-
-    if executor is not None:
-        specs = []
-        if include_all_local:
-            specs.append(
-                CellSpec(
-                    workload_factory,
-                    None,
-                    config,
-                    label="AllLocal",
-                    trace_path=trace_path("AllLocal"),
-                    faults=faults,
-                )
-            )
-        specs.extend(
-            CellSpec(
-                workload_factory,
-                factory,
-                config,
-                label=name,
-                trace_path=trace_path(name),
-                faults=faults,
-            )
-            for name, factory in policy_factories.items()
+    def cell(name: str, policy: PolicyFactory | None) -> CellSpec:
+        return CellSpec(
+            workload_factory,
+            policy,
+            config,
+            label=name,
+            trace_path=(
+                None
+                if trace_dir is None
+                else os.path.join(trace_dir, f"{name}.jsonl")
+            ),
+            faults=faults,
         )
-        return {
-            spec.label: result
-            for spec, result in zip(specs, executor.run(specs))
-        }
-    results: dict[str, ExperimentResult] = {}
-    if include_all_local:
-        with trace_to(trace_path("AllLocal")) as tracer:
-            results["AllLocal"] = run_all_local(
-                workload_factory, config, tracer=tracer, faults=faults
-            )
-    for name, factory in policy_factories.items():
-        with trace_to(trace_path(name)) as tracer:
-            results[name] = run_experiment(
-                workload_factory, factory, config, tracer=tracer, faults=faults
-            )
-    return results
+
+    specs = [cell("AllLocal", None)] if include_all_local else []
+    specs.extend(cell(name, f) for name, f in policy_factories.items())
+    if executor is None:
+        executor = ParallelExecutor(jobs=1)
+    return {
+        spec.label: result
+        for spec, result in zip(specs, executor.run(specs))
+    }

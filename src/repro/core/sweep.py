@@ -8,7 +8,7 @@ from typing import TypeVar
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ExperimentResult
 from repro.core.parallel import CellSpec, ParallelExecutor
-from repro.core.runner import PolicyFactory, WorkloadFactory, run_experiment
+from repro.core.runner import PolicyFactory, WorkloadFactory
 
 T = TypeVar("T")
 
@@ -26,27 +26,23 @@ def sweep(
     with parameter value ``v`` (e.g. a CBF size or a sample batch
     size); workload and machine are identical across cells.
 
-    With an ``executor`` all points are submitted at once and fan out
-    across its process pool / result cache; for ``jobs>1`` the
+    All points are submitted at once to ``executor`` -- fanned across
+    its process pool and served from its result cache -- or, without
+    one, to an inline ``ParallelExecutor(jobs=1)``.  For ``jobs>1`` the
     factories must be picklable (e.g.
     ``lambda v: PolicySpec("freqtier", cbf_num_counters=v)`` -- the
     *returned* spec is what crosses the process boundary).
     """
     values = list(values)
-    if executor is not None:
-        specs = [
-            CellSpec(
-                workload_factory,
-                policy_factory_for(value),
-                config,
-                label=str(value),
-            )
-            for value in values
-        ]
-        return dict(zip(values, executor.run(specs)))
-    results: dict[T, ExperimentResult] = {}
-    for value in values:
-        results[value] = run_experiment(
-            workload_factory, policy_factory_for(value), config
+    specs = [
+        CellSpec(
+            workload_factory,
+            policy_factory_for(value),
+            config,
+            label=str(value),
         )
-    return results
+        for value in values
+    ]
+    if executor is None:
+        executor = ParallelExecutor(jobs=1)
+    return dict(zip(values, executor.run(specs)))

@@ -37,14 +37,14 @@ class AccessBatch:
 
     Hot-path consumers (the engine's tier accounting, position-based
     sampling via :meth:`pages_at`, hint-fault scans) read the
-    compressed fields directly; :attr:`page_ids` materializes the
-    expanded stream lazily for everyone else.
+    compressed fields directly; :attr:`page_ids` expands the stream
+    on every read for everyone else.
 
     Attributes
     ----------
     page_ids:
         Expanded per-access page ids (the head itself when the batch
-        has no runs; materialized on first read otherwise).
+        has no runs; a fresh expansion on every read otherwise).
     num_ops:
         Application-level operations (cache GETs, graph iterations,
         boosting-round fractions) the batch represents; used for
@@ -69,7 +69,6 @@ class AccessBatch:
         "head_page_ids",
         "run_starts",
         "run_counts",
-        "_page_ids",
         "_num_accesses",
         "_run_offsets",
     )
@@ -109,7 +108,6 @@ class AccessBatch:
                 f"run_starts and run_counts must align: "
                 f"{self.run_starts.shape} vs {self.run_counts.shape}"
             )
-        self._page_ids: np.ndarray | None = None
         self._num_accesses = int(self.head_page_ids.size) + int(
             self.run_counts.sum()
         )
@@ -125,16 +123,14 @@ class AccessBatch:
     @property
     def page_ids(self) -> np.ndarray:
         """The expanded per-access stream (the head when there are no
-        runs; expanded lazily and cached otherwise)."""
+        runs; expanded afresh on every read otherwise)."""
         if not self.run_starts.size:
             return self.head_page_ids
-        if self._page_ids is None:
-            head = self.head_page_ids
-            out = np.empty(self._num_accesses, dtype=np.int64)
-            out[: head.size] = head
-            accel.expand_runs(self.run_starts, self.run_counts, out[head.size :])
-            self._page_ids = out
-        return self._page_ids
+        head = self.head_page_ids
+        out = np.empty(self._num_accesses, dtype=np.int64)
+        out[: head.size] = head
+        accel.expand_runs(self.run_starts, self.run_counts, out[head.size :])
+        return out
 
     @property
     def num_accesses(self) -> int:
@@ -186,16 +182,6 @@ class AccessBatch:
             int(stride),
             self._num_accesses,
         )
-
-    def release_expanded(self) -> None:
-        """Drop the cached ``page_ids`` expansion of a batch with runs.
-
-        The engine calls this after each serviced batch: workload
-        generators keep a reference to the batch they yielded, so a
-        cached expansion would otherwise stay reachable for the rest
-        of the run.  Recomputed (bit-identically) on next touch.
-        """
-        self._page_ids = None
 
 
 @dataclass

@@ -141,6 +141,9 @@ class TieringDaemon:
         self._pending_serve: dict[str, Any] | None = None
         self._pending_policy: dict[str, Any] | None = None
         self._stop_requested = False
+        #: True while the live state differs from the newest checkpoint
+        #: generation (nothing saved yet, or a tick/submit since).
+        self._unsaved = True
         self._build()
 
     # -- construction / recovery -------------------------------------------
@@ -222,6 +225,8 @@ class TieringDaemon:
         """
         queue = self.queues[tenant]
         outcome, shed = queue.offer(batch, self.engine.now_ns, cursor)
+        # Even a rejection moves the queue's counters.
+        self._unsaved = True
         if self.tracer.enabled:
             if shed:
                 self.tracer.emit(
@@ -394,6 +399,7 @@ class TieringDaemon:
                     reason="overload" if demoted else "recovered",
                 )
         self.ticks += 1
+        self._unsaved = True
         self.watchdog.beat()
         if (
             self.checkpoint_manager is not None
@@ -455,6 +461,9 @@ class TieringDaemon:
             self.engine.restore_state(payload["engine"])
             self._load_serve_state(payload["serve"])
             generation = loaded.generation
+        # A restore matches the generation it read; a fresh restart
+        # matches none.
+        self._unsaved = generation < 0
         if generation < 0:
             # Fresh restart: serving accounting starts over too, and
             # the rebuilt injector's scheduled crash -- which already
@@ -536,6 +545,7 @@ class TieringDaemon:
                 "serve": self._serve_state_dict(),
             }
         )
+        self._unsaved = False
         if self.tracer.enabled:
             self.tracer.emit(
                 "checkpoint_saved",
@@ -553,7 +563,9 @@ class TieringDaemon:
         (the asyncio front-end closes it on SIGTERM/SIGINT before
         calling this).  Runs guarded ticks until every queue is empty,
         emits ``drain_complete``, and writes a final checkpoint when a
-        checkpoint directory is configured.
+        checkpoint directory is configured and the state changed since
+        the newest generation (a periodic save on the last tick already
+        holds it).
         """
         served = 0
         while aggregate_depth(self.queues).depth > 0:
@@ -567,7 +579,7 @@ class TieringDaemon:
                 served=served,
                 remaining=aggregate_depth(self.queues).depth,
             )
-        if self.checkpoint_manager is not None:
+        if self.checkpoint_manager is not None and self._unsaved:
             self.save_checkpoint()
         return served
 

@@ -14,9 +14,11 @@ checked file and back:
   version + sha256 digest over the header and the columns);
 - :mod:`repro.state.checkpoint` -- :class:`CheckpointManager`: atomic
   rotated generations with corruption quarantine, newest-valid
-  fallback and refusal of other schemas;
-- :mod:`repro.state.journal` -- :class:`SweepJournal`: append-only
-  completed-cell log so interrupted sweeps skip finished cells.
+  fallback and refusal of other schemas.
+
+Finished grid cells are not state: an executor with a
+``checkpoint_root`` keeps them in its result cache
+(:class:`repro.core.cache.ResultCache` under ``<root>/results``).
 
 Every stateful simulator component exposes ``state_dict()`` /
 ``load_state()``.  Most get both from :class:`Stateful` by naming
@@ -31,7 +33,6 @@ a resumed run is bit-identical to an uninterrupted one (see DESIGN.md
 
 from repro.state.checkpoint import CheckpointManager, LoadedCheckpoint
 from repro.state.codec import Stateful, rng_state, set_rng_state
-from repro.state.journal import SweepJournal
 from repro.state.snapshot import (
     STATE_SCHEMA_VERSION,
     Snapshot,
@@ -47,7 +48,6 @@ __all__ = [
     "SnapshotError",
     "SnapshotSchemaError",
     "Stateful",
-    "SweepJournal",
     "rng_state",
     "set_rng_state",
 ]

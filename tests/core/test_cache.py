@@ -204,6 +204,28 @@ def test_executor_cache_integration(tmp_path):
         assert a.to_dict() == b.to_dict()
 
 
+def test_put_fsyncs_before_replace(tmp_path, monkeypatch):
+    """An entry is durable before it becomes visible under its name."""
+    calls = []
+    real_fsync, real_replace = cache_mod.os.fsync, cache_mod.os.replace
+
+    def fsync(fd):
+        calls.append("fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cache_mod.os, "fsync", fsync)
+    monkeypatch.setattr(cache_mod.os, "replace", replace)
+    cache = ResultCache(tmp_path)
+    fp = _spec().fingerprint()
+    cache.put(fp, run_cell(_spec()))
+    assert calls == ["fsync", "replace"]
+    assert cache.get(fp) is not None
+
+
 def test_cache_len_contains_clear(tmp_path):
     cache = ResultCache(tmp_path)
     result = run_cell(_spec())

@@ -14,9 +14,8 @@ from repro.core.parallel import (
     WorkloadSpec,
     executor_from_env,
     resolve_jobs,
-    run_cells,
 )
-from repro.core.runner import compare_policies, run_experiment
+from repro.core.runner import compare_policies, run_all_local, run_experiment
 from repro.core.sweep import sweep
 
 WORKLOAD = WorkloadSpec("zipf", num_pages=512, alpha=1.1, seed=3)
@@ -84,12 +83,17 @@ def test_parallel_matches_serial_bit_identical():
 
 
 def test_executor_path_matches_legacy_serial_path():
-    legacy = compare_policies(WORKLOAD, POLICIES, CONFIG)
-    routed = compare_policies(
-        WORKLOAD, POLICIES, CONFIG, executor=ParallelExecutor(jobs=1)
+    """compare_policies (the executor path) equals the inline runner
+    called once per cell."""
+    routed = compare_policies(WORKLOAD, POLICIES, CONFIG)
+    inline = {"AllLocal": run_all_local(WORKLOAD, CONFIG)}
+    inline.update(
+        (name, run_experiment(WORKLOAD, factory, CONFIG))
+        for name, factory in POLICIES.items()
     )
-    for name in legacy:
-        assert legacy[name].to_dict() == routed[name].to_dict(), name
+    assert list(routed) == list(inline)
+    for name in inline:
+        assert inline[name].to_dict() == routed[name].to_dict(), name
 
 
 def test_run_cells_positional_alignment():
@@ -98,7 +102,7 @@ def test_run_cells_positional_alignment():
         CellSpec(WORKLOAD, None, CONFIG),
         CellSpec(WORKLOAD, POLICIES["FreqTier"], CONFIG),
     ]
-    results = run_cells(specs, jobs=2)
+    results = ParallelExecutor(jobs=2).run(specs)
     assert [r.policy_name for r in results] == ["TPP", "AllLocal", "FreqTier"]
 
 
@@ -115,8 +119,8 @@ def test_sweep_through_executor_matches_serial():
 
 
 def test_jobs_one_accepts_closures():
-    result = run_experiment(
-        WORKLOAD, POLICIES["TPP"], CONFIG, executor=ParallelExecutor(jobs=1)
+    result = ParallelExecutor(jobs=1).run_one(
+        CellSpec(WORKLOAD, POLICIES["TPP"], CONFIG)
     )
     closure = compare_policies(
         lambda: WORKLOAD(),
@@ -233,15 +237,3 @@ class TestPerCellTraces:
         executor.run_one(spec)
         assert executor.stats.cache_hits == 1
         assert not list(tmp_path.glob("*.jsonl"))
-
-    def test_tracer_with_executor_rejected(self):
-        from repro.obs import Tracer
-
-        with pytest.raises(ValueError, match="trace_path"):
-            run_experiment(
-                WORKLOAD,
-                POLICIES["TPP"],
-                CONFIG,
-                tracer=Tracer(),
-                executor=ParallelExecutor(jobs=1),
-            )

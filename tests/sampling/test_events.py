@@ -85,18 +85,6 @@ class TestCompressedAccessBatch:
             b.pages_at(positions), b.page_ids[positions]
         )
 
-    def test_release_expanded_recomputes_identically(self):
-        b = self._batch([7], [100], [3])
-        first = b.page_ids.copy()
-        b.release_expanded()
-        assert b._page_ids is None
-        np.testing.assert_array_equal(b.page_ids, first)
-
-    def test_release_expanded_noop_on_explicit_batch(self):
-        b = AccessBatch(page_ids=np.array([1, 2]), num_ops=1.0, cpu_ns=0.0)
-        b.release_expanded()
-        np.testing.assert_array_equal(b.page_ids, [1, 2])
-
 
 class TestSampleBatch:
     def test_empty(self):

@@ -13,6 +13,7 @@ from repro.serve import (
     VirtualTimeDriver,
     WatchdogGaveUp,
 )
+from repro.state import CheckpointManager
 
 from tests.serve.conftest import make_daemon, zipf_factory
 
@@ -217,6 +218,50 @@ class TestDrainAndFinalize:
         ):
             assert key in slo
         assert slo["a_served"] == 6
+
+
+class TestFinalCheckpoint:
+    """drain() writes a final generation only when the state moved."""
+
+    @staticmethod
+    def progress(ckpt_dir) -> list[tuple]:
+        return [
+            (entry["progress"]["batches_done"], entry["progress"]["now_ns"])
+            for entry in CheckpointManager(ckpt_dir).inspect()
+        ]
+
+    def test_no_duplicate_final_generation(self, tmp_path):
+        daemon = make_daemon(
+            serve=ServeConfig(max_batches_per_tick=2, checkpoint_every_ticks=3),
+            checkpoint_dir=str(tmp_path),
+        )
+        driver = VirtualTimeDriver(daemon, arrivals=2, max_offers=6)
+        driver.run(3)  # the third tick serves the last batches and saves
+        daemon.drain()
+        progress = self.progress(tmp_path)
+        assert progress and len(set(progress)) == len(progress), progress
+
+    def test_rejected_submit_reaches_final_checkpoint(self, tmp_path):
+        daemon = make_daemon(
+            serve=ServeConfig(
+                queue_capacity=1,
+                backpressure="reject",
+                max_batches_per_tick=1,
+                checkpoint_every_ticks=2,
+            ),
+            checkpoint_dir=str(tmp_path),
+        )
+        stream = daemon.tenants["a"].batches()
+        for _ in range(2):
+            daemon.submit("a", next(stream))
+            daemon.tick()  # the second tick saves a generation
+        daemon.submit("a", next(stream))
+        assert daemon.submit("a", next(stream)) == "rejected"
+        daemon.drain()
+        final = CheckpointManager(tmp_path).load_latest().payload
+        counters = final["serve"]["queues"]["a"]["counters"]
+        assert counters["rejected"] == 1
+        assert counters["served"] == 3
 
 
 class TestWatchdogGiveUp:

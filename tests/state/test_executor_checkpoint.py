@@ -1,8 +1,14 @@
-"""Executor-level durability: crash-retry resume and the sweep journal."""
+"""Executor-level durability: crash-retry resume and the result store.
+
+With a ``checkpoint_root`` and no ``cache``, finished cells live in
+``ResultCache(<root>/results)``: that store is the grid's journal of
+completed cells, and ``stats.cache_hits`` counts the cells it skips.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -14,7 +20,7 @@ from repro.core.parallel import (
     PolicySpec,
     WorkloadSpec,
 )
-from repro.core.runner import run_experiment
+from repro.core.runner import run_all_local, run_experiment
 from repro.faults import FaultPlan
 
 WORKLOAD = WorkloadSpec("zipf", num_pages=2048, alpha=1.2, seed=5)
@@ -66,16 +72,29 @@ def test_hard_crash_retry_resumes_after_pool_rebuild(tmp_path):
 
 
 def test_journal_skips_completed_cells_across_invocations(tmp_path):
-    spec = CellSpec(WORKLOAD, POLICY, CONFIG, label="cell")
+    """A re-invoked grid executes nothing; a ``journal.jsonl`` left in
+    the root by older releases is ignored."""
+    specs = [
+        CellSpec(WORKLOAD, POLICY, CONFIG, label="ft"),
+        CellSpec(WORKLOAD, PolicySpec("tpp", seed=5), CONFIG, label="tpp"),
+        CellSpec(WORKLOAD, None, CONFIG, label="base"),
+    ]
+    stale = {
+        "fingerprint": specs[0].fingerprint(),
+        "result": run_all_local(WORKLOAD, CONFIG).to_dict(),
+    }
+    (tmp_path / "journal.jsonl").write_text(json.dumps(stale) + "\n")
     first = ParallelExecutor(jobs=1, checkpoint_root=tmp_path)
-    res1 = first.run_one(spec)
-    assert first.stats.journal_hits == 0
+    cold = first.run(specs)
+    assert first.stats.cache_hits == 0
+    assert first.stats.executed == len(specs)
+    assert len(list((tmp_path / "results").glob("*.json"))) == len(specs)
 
     second = ParallelExecutor(jobs=1, checkpoint_root=tmp_path)
-    res2 = second.run_one(spec)
-    assert second.stats.journal_hits == 1
+    warm = second.run(specs)
+    assert second.stats.cache_hits == len(specs)
     assert second.stats.executed == 0
-    assert res2.to_dict() == res1.to_dict()
+    assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 
 
 def test_journal_results_match_fresh_computation(tmp_path):
@@ -91,7 +110,7 @@ def test_all_local_cells_journal_but_do_not_checkpoint(tmp_path):
     assert not (tmp_path / "cells").exists()
     again = ParallelExecutor(jobs=1, checkpoint_root=tmp_path)
     again.run_one(CellSpec(WORKLOAD, None, CONFIG, label="base"))
-    assert again.stats.journal_hits == 1
+    assert again.stats.cache_hits == 1
 
 
 def test_checkpoint_every_must_be_positive(tmp_path):
