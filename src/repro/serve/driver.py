@@ -87,8 +87,18 @@ class VirtualTimeDriver:
             for tenant, workload in self.daemon.tenants.items()
         }
         self._pending = {tenant: None for tenant in self._streams}
-        self._pulled = {tenant: 0 for tenant in self._streams}
         self._exhausted = set()
+        self._pulled = {}
+        for tenant in self._streams:
+            self._set_pulled(tenant, 0)
+
+    def _set_pulled(self, tenant: str, count: int) -> None:
+        """Record ``count`` batches pulled from the tenant's stream; the
+        stream is done as soon as the count reaches ``max_offers``, so the
+        round after its last batch is not an idle tick."""
+        self._pulled[tenant] = count
+        if self.max_offers is not None and count >= self.max_offers:
+            self._exhausted.add(tenant)
 
     # -- intake schedule ---------------------------------------------------
 
@@ -102,17 +112,11 @@ class VirtualTimeDriver:
             return held
         if tenant in self._exhausted:
             return None
-        if (
-            self.max_offers is not None
-            and self._pulled[tenant] >= self.max_offers
-        ):
-            self._exhausted.add(tenant)
-            return None
         batch = next(self._streams[tenant], None)
         if batch is None:
             self._exhausted.add(tenant)
             return None
-        self._pulled[tenant] += 1
+        self._set_pulled(tenant, self._pulled[tenant] + 1)
         cursor = None
         if self.daemon.checkpoint_manager is not None:
             cursor = self.daemon.tenants[tenant].state_dict()
@@ -160,7 +164,7 @@ class VirtualTimeDriver:
         for tenant in sorted(self._streams):
             queue = self.daemon.queues[tenant]
             counters = queue.counters
-            self._pulled[tenant] = counters.served + counters.shed
+            self._set_pulled(tenant, counters.served + counters.shed)
             # The backlog that was in-queue at checkpoint time: the
             # next `depth` stream items.  Re-admit them directly (the
             # queue is empty post-recovery, so they always fit); they

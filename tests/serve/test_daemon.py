@@ -1,6 +1,7 @@
 """TieringDaemon behaviour: ticks, overload, deadlines, swaps, drain."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -262,6 +263,44 @@ class TestFinalCheckpoint:
         counters = final["serve"]["queues"]["a"]["counters"]
         assert counters["rejected"] == 1
         assert counters["served"] == 3
+
+
+class TestDrainedRunEnd:
+    """A run ends with the tick that serves its last batches: a stream
+    that has supplied ``max_offers`` batches is exhausted at once, not
+    on the next round's empty pull."""
+
+    def test_no_idle_tick_after_last_batch(self):
+        daemon = make_daemon(serve=ServeConfig(max_batches_per_tick=2))
+        driver = VirtualTimeDriver(daemon, arrivals=2, max_offers=6)
+        assert driver.run_until_drained() == 3
+        assert [r.served for r in driver.reports] == [2, 2, 2]
+
+    def test_cli_chaos_smoke_reports_serving_ticks_only(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serve
+        from repro.cli import main
+
+        drivers = []
+
+        class Recording(VirtualTimeDriver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                drivers.append(self)
+
+        monkeypatch.setattr(repro.serve, "VirtualTimeDriver", Recording)
+        assert main([
+            "serve", "--workload", "zipf,zipf", "--policy", "freqtier",
+            "--offers", "60", "--arrivals", "2", "--queue-capacity", "16",
+            "--tick-budget-ns", "50000", "--faults", "chaos",
+            "--checkpoint-dir", str(tmp_path), "--checkpoint-every", "5",
+            "--json",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["ticks"] == 30
+        assert summary["zipf_served"] + summary["zipf-1_served"] == 120
+        assert drivers[0].reports[-1].served >= 1
 
 
 class TestWatchdogGiveUp:
