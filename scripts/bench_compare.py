@@ -11,7 +11,11 @@ host in the same minutes, so the verdict holds on any host.  For each
 end-to-end metric of each workload the head fails when
 
 * **bound rule:** its median is worse than the base's median by more
-  than the metric's ``bound`` in ``BENCHMARK.json``, or
+  than the metric's ``bound`` in ``BENCHMARK.json``.  Where the
+  interquartile range of either side's runs, as a share of that side's
+  median, is itself wider than the bound, the metric is reported as
+  unresolved and fails this rule only if every head run is worse than
+  every base run; or
 * **pair rule:** the metric is a timing (its unit is one of
   ``TIMING_UNITS``), the head loses at least ``LOSSES_TO_FAIL`` of the
   pairs (ties count for neither side), and its median is worse than the
@@ -67,36 +71,56 @@ def _worse_by(base: float, head: float, better: str) -> float:
     return head - base if better == "lower" else base - head
 
 
+def _relative(delta: float, reference: float) -> float:
+    if reference:
+        return delta / abs(reference)
+    return math.inf if delta > 0 else 0.0
+
+
+def _iqr(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def pairs_lost(base: list[float], head: list[float], better: str) -> int:
     """Pairs in which the head is worse; ties count for neither side."""
     return sum(_worse_by(b, h, better) > 0 for b, h in zip(base, head))
 
 
-def metric_failures(
+def metric_verdict(
     workload: str, spec: dict, base: list[float], head: list[float]
-) -> list[str]:
-    """The rules one end-to-end metric trips; ``base[i]`` and ``head[i]``
-    are pair ``i``'s values."""
-    name, better = spec["name"], spec["better"]
+) -> tuple[str, list[str]]:
+    """One metric's summary line and the rules it trips; ``base[i]`` and
+    ``head[i]`` are pair ``i``'s values."""
+    name, better, bound = spec["name"], spec["better"], spec["bound"]
     base_median, head_median = statistics.median(base), statistics.median(head)
     worse = _worse_by(base_median, head_median, better)
-    relative = worse / abs(base_median) if base_median else (math.inf if worse > 0 else 0.0)
+    relative = _relative(worse, base_median)
+    base_iqr = _iqr(base)
+    # Ten runs of a calm stretch can hide the host's noise, so the
+    # wider of the two sides' spreads decides whether the bound resolves.
+    spread = max(_relative(base_iqr, base_median), _relative(_iqr(head), head_median))
+    losses = pairs_lost(base, head, better)
+    summary = (
+        f"{workload:12} {name:18} base {base_median:12.6g}  head {head_median:12.6g}"
+        f"  {relative:+7.1%}  lost {losses}/{len(base)}"
+    )
+    if spread > bound:
+        summary += f"  unresolved: run IQR {spread:.0%} > {bound:.0%} bound"
+    every_run_worse = all(_worse_by(b, h, better) > 0 for b in base for h in head)
     failures = []
-    if relative > spec["bound"]:
+    if relative > bound and (spread <= bound or every_run_worse):
         failures.append(
             f"{workload} {name}: median {head_median:.6g} against {base_median:.6g}, "
-            f"{relative:.1%} worse, past the {spec['bound']:.0%} bound"
+            f"{relative:.1%} worse, past the {bound:.0%} bound"
         )
-    if spec["unit"] in TIMING_UNITS:
-        losses = pairs_lost(base, head, better)
-        q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
-        if losses >= LOSSES_TO_FAIL and worse > q3 - q1:
-            failures.append(
-                f"{workload} {name}: head lost {losses} of {len(base)} pairs, "
-                f"median {head_median:.6g} against {base_median:.6g} "
-                f"({relative:.1%} worse, base IQR {q3 - q1:.6g})"
-            )
-    return failures
+    if spec["unit"] in TIMING_UNITS and losses >= LOSSES_TO_FAIL and worse > base_iqr:
+        failures.append(
+            f"{workload} {name}: head lost {losses} of {len(base)} pairs, "
+            f"median {head_median:.6g} against {base_median:.6g} "
+            f"({relative:.1%} worse, base IQR {base_iqr:.6g})"
+        )
+    return summary, failures
 
 
 def _failed_share(runs: list[dict]) -> float:
@@ -106,34 +130,38 @@ def _failed_share(runs: list[dict]) -> float:
 
 def verdict(
     workload: str, base: list[dict], head: list[dict], end_to_end: list[dict]
-) -> list[str]:
-    """Why the head fails on ``workload``, given the pairs' records
-    (``base[i]`` and ``head[i]`` ran in pair ``i``); empty if it passes."""
+) -> tuple[list[str], list[str]]:
+    """Summary lines of ``workload``'s metrics and why the head fails on
+    it, given the pairs' records (``base[i]`` and ``head[i]`` ran in
+    pair ``i``); the failures are empty if it passes."""
     failures = [
         f"{workload}: head run {i + 1} incorrect: {r.get('error', 'output checks failed')}"
         for i, r in enumerate(head)
         if not r.get("correct")
     ]
     if failures:
-        return failures
+        return [], failures
     base_share, head_share = _failed_share(base), _failed_share(head)
     if head_share > base_share:
         failures.append(
             f"{workload}: head failed {head_share:.2%} of operations, base {base_share:.2%}"
         )
+    summaries = []
     for spec in end_to_end:
         name = spec["name"]
-        if name not in base[0]["metrics"]:
+        if any(name not in r["metrics"] for r in base):
             continue
         if any(name not in r["metrics"] for r in head):
             failures.append(f"{workload} {name}: not reported by the head")
             continue
-        failures += metric_failures(
+        summary, tripped = metric_verdict(
             workload, spec,
             [r["metrics"][name]["value"] for r in base],
             [r["metrics"][name]["value"] for r in head],
         )
-    return failures
+        summaries.append(summary)
+        failures += tripped
+    return summaries, failures
 
 
 def gate(workloads: list[str], end_to_end: list[dict], run: Runner) -> int:
@@ -155,18 +183,12 @@ def gate(workloads: list[str], end_to_end: list[dict], run: Runner) -> int:
 
     failures = []
     for workload in workloads:
-        base, head = records[workload]["base"], records[workload]["head"]
-        for spec in end_to_end:
-            name = spec["name"]
-            if all(name in r.get("metrics", {}) for r in base + head):
-                b = [r["metrics"][name]["value"] for r in base]
-                h = [r["metrics"][name]["value"] for r in head]
-                print(
-                    f"{workload:12} {name:18} base {statistics.median(b):12.6g}  "
-                    f"head {statistics.median(h):12.6g}  "
-                    f"lost {pairs_lost(b, h, spec['better'])}/{len(b)}"
-                )
-        failures += verdict(workload, base, head, end_to_end)
+        summaries, tripped = verdict(
+            workload, records[workload]["base"], records[workload]["head"], end_to_end
+        )
+        for line in summaries:
+            print(line)
+        failures += tripped
     for failure in failures:
         print(f"FAIL {failure}")
     print("head fails" if failures else "head passes")
@@ -208,9 +230,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # The base tree sits beside the working tree, on the same file
     # system, so both sides write their checkpoints to the same device.
-    scratch = ROOT / ".bench-compare-tmp"
-    scratch.mkdir(exist_ok=True)
-    base_tree = Path(tempfile.mkdtemp(dir=scratch)) / "base"
+    base_tree = Path(tempfile.mkdtemp(dir=ROOT, prefix=".bench-compare-"))
     try:
         added = subprocess.run(
             ["git", "worktree", "add", "--detach", "--quiet", str(base_tree), args.base],
@@ -225,14 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         workloads = [w["name"] for w in benchmark["workloads"]]
         return gate(workloads, benchmark["end_to_end"], runner)
     finally:
-        if base_tree.exists():
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT)
-        shutil.rmtree(base_tree.parent, ignore_errors=True)
-        try:
-            scratch.rmdir()
-        except OSError:
-            pass  # another comparison still uses it
-
+        subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)],
+                       cwd=ROOT, capture_output=True)
+        shutil.rmtree(base_tree, ignore_errors=True)
 
 if __name__ == "__main__":
     sys.exit(main())

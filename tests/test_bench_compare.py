@@ -61,6 +61,21 @@ def runs(**scaled) -> list[dict]:
     return out
 
 
+def failures(gate, workload: str, base: list[dict], head: list[dict]) -> list[str]:
+    return gate.verdict(workload, base, head, END_TO_END)[1]
+
+
+def set_values(records: list[dict], name: str, values: list[float]) -> list[dict]:
+    for r, value in zip(records, values):
+        r["metrics"][name]["value"] = value
+    return records
+
+
+#: Run-to-run factors with an IQR of 37.5% of their median, wider than
+#: the 25% bound of the timing metrics.
+WIDE = [0.7, 1.3, 0.8, 1.2, 0.75, 1.25, 0.9, 1.1, 0.85, 1.15]
+
+
 def losing(factor: float, losses: int) -> list[float]:
     """Factors under which a higher-is-better metric loses ``losses``
     pairs by ``factor`` and wins the rest by as much."""
@@ -73,94 +88,121 @@ def test_mixed_wins_inside_every_bound_pass(gate):
         tick_p50_ms=[1.06, 0.97] * 5,
         hit_ratio=[0.99, 1.01] * 5,
     )
-    assert gate.verdict("w", runs(), head, END_TO_END) == []
+    assert failures(gate, "w", runs(), head) == []
 
 
 def test_median_past_the_bound_fails(gate):
     head = runs(sim_batches_per_s=[0.7] * 10)
-    failures = gate.verdict("cdn_grid", runs(), head, END_TO_END)
-    assert any("cdn_grid sim_batches_per_s" in f and "bound" in f for f in failures)
+    tripped = failures(gate, "cdn_grid", runs(), head)
+    assert any("cdn_grid sim_batches_per_s" in f and "bound" in f for f in tripped)
 
 
 def test_bound_applies_to_lower_is_better_metrics(gate):
     head = runs(peak_rss_mb=[1.3] * 10)
-    failures = gate.verdict("w", runs(), head, END_TO_END)
-    assert any("peak_rss_mb" in f and "bound" in f for f in failures)
+    tripped = failures(gate, "w", runs(), head)
+    assert any("peak_rss_mb" in f and "bound" in f for f in tripped)
 
 
 def test_nine_losses_beyond_the_iqr_fail(gate):
     head = runs(sim_batches_per_s=losing(0.9, 9))
-    failures = gate.verdict("cdn_grid", runs(), head, END_TO_END)
-    assert len(failures) == 1
-    assert "cdn_grid sim_batches_per_s: head lost 9 of 10 pairs" in failures[0]
+    tripped = failures(gate, "cdn_grid", runs(), head)
+    assert len(tripped) == 1
+    assert "cdn_grid sim_batches_per_s: head lost 9 of 10 pairs" in tripped[0]
 
 
 def test_eight_losses_pass(gate):
     head = runs(sim_batches_per_s=losing(0.9, 8))
-    assert gate.verdict("cdn_grid", runs(), head, END_TO_END) == []
+    assert failures(gate, "cdn_grid", runs(), head) == []
 
 
 def test_losses_inside_the_iqr_pass(gate):
     # Ten losses by 0.5% each: the median moves less than the base's IQR.
     head = runs(sim_batches_per_s=[0.995] * 10)
-    assert gate.verdict("w", runs(), head, END_TO_END) == []
+    assert failures(gate, "w", runs(), head) == []
 
 
 def test_ties_count_for_neither_side(gate):
     # Eight losses and two ties: not nine losses, so the pair rule holds.
     base = runs()
     head = runs(tick_p50_ms=[1.1] * 8 + [1.0] * 2)
-    assert gate.verdict("w", base, head, END_TO_END) == []
+    assert failures(gate, "w", base, head) == []
     # Nine losses and one tie trip it.
     head = runs(tick_p50_ms=[1.1] * 9 + [1.0])
-    failures = gate.verdict("w", base, head, END_TO_END)
-    assert len(failures) == 1 and "tick_p50_ms: head lost 9 of 10" in failures[0]
+    tripped = failures(gate, "w", base, head)
+    assert len(tripped) == 1 and "tick_p50_ms: head lost 9 of 10" in tripped[0]
 
 
 def test_ratio_shift_inside_its_bound_passes(gate):
     # Every pair shifted by the same amount: ten losses, far past the
     # base's IQR, but a ratio metric only answers to its bound.
     head = runs(hit_ratio=[0.95] * 10, rel_perf=[0.95] * 10, served_frac=[0.99] * 10)
-    assert gate.verdict("w", runs(), head, END_TO_END) == []
+    assert failures(gate, "w", runs(), head) == []
     # The same shift on a timing metric is a regression.
     head = runs(setup_s=[1.0 / 0.95] * 10)
-    assert gate.verdict("w", runs(), head, END_TO_END)
+    assert failures(gate, "w", runs(), head)
 
 
 def test_memory_shift_inside_its_bound_passes(gate):
     # Peak RSS a few KiB higher in every pair: ten losses past an IQR
     # of almost nothing, but memory only answers to its bound.
-    base = runs()
-    for r in base:
-        r["metrics"]["peak_rss_mb"]["value"] = 55.60
-    head = runs()
-    for r in head:
-        r["metrics"]["peak_rss_mb"]["value"] = 55.62
-    assert gate.verdict("serve_chaos", base, head, END_TO_END) == []
+    base = set_values(runs(), "peak_rss_mb", [55.60] * 10)
+    head = set_values(runs(), "peak_rss_mb", [55.62] * 10)
+    assert failures(gate, "serve_chaos", base, head) == []
 
 
 def test_ratio_past_its_bound_fails(gate):
     head = runs(served_frac=[0.9] * 10)
-    failures = gate.verdict("serve_chaos", runs(), head, END_TO_END)
-    assert any("serve_chaos served_frac" in f for f in failures)
+    tripped = failures(gate, "serve_chaos", runs(), head)
+    assert any("serve_chaos served_frac" in f for f in tripped)
+
+
+def test_wide_base_spread_leaves_the_bound_unresolved(gate):
+    # The head's median is 30% worse, past the 25% bound, but the base's
+    # own runs spread wider than that: unresolved, not a failure.
+    base = set_values(runs(), "restart_s", [0.01 * f for f in WIDE])
+    head = set_values(runs(), "restart_s", [0.013 * f for f in WIDE])
+    summaries, tripped = gate.verdict("serve_chaos", base, head, END_TO_END)
+    assert tripped == []
+    [line] = [s for s in summaries if "restart_s" in s]
+    assert "+30.0%" in line and "unresolved: run IQR" in line and "> 25% bound" in line
+    assert all("unresolved" not in s for s in summaries if "restart_s" not in s)
+
+
+def test_wide_head_spread_leaves_the_bound_unresolved(gate):
+    # Identical code can read a calm stretch on one side and a noisy one
+    # on the other; the noisier side's spread decides.
+    base = set_values(runs(), "tick_p50_ms", [0.5] * 10)
+    head = set_values(runs(), "tick_p50_ms", [0.65 * f for f in WIDE])
+    summaries, tripped = gate.verdict("serve_chaos", base, head, END_TO_END)
+    assert tripped == []
+    [line] = [s for s in summaries if "tick_p50_ms" in s]
+    assert "+30.0%" in line and "unresolved" in line
+
+
+def test_wide_base_spread_fails_when_every_head_run_is_worse(gate):
+    base = set_values(runs(), "restart_s", [0.01 * f for f in WIDE])
+    head = set_values(runs(), "restart_s", [0.0135] * 10)
+    assert failures(gate, "serve_chaos", base, head) == [
+        "serve_chaos restart_s: median 0.0135 against 0.01, 35.0% worse, past the 25% bound"
+    ]
 
 
 def test_incorrect_head_run_fails(gate):
     head = runs()
     head[3]["correct"] = False
-    failures = gate.verdict("gap_graph", runs(), head, END_TO_END)
-    assert failures == ["gap_graph: head run 4 incorrect: output checks failed"]
+    tripped = failures(gate, "gap_graph", runs(), head)
+    assert tripped == ["gap_graph: head run 4 incorrect: output checks failed"]
 
 
 def test_larger_failed_share_fails(gate):
     head = runs()
     head[0]["failed"] = 1
-    failures = gate.verdict("w", runs(), head, END_TO_END)
-    assert failures == ["w: head failed 0.10% of operations, base 0.00%"]
+    tripped = failures(gate, "w", runs(), head)
+    assert tripped == ["w: head failed 0.10% of operations, base 0.00%"]
     # The base's own share is the yardstick.
     base = runs()
     base[5]["failed"] = 1
-    assert gate.verdict("w", base, head, END_TO_END) == []
+    assert failures(gate, "w", base, head) == []
 
 
 class FakeRunner:
@@ -203,7 +245,11 @@ def test_gate_exit_one_names_the_regressed_metric(gate, capsys):
         {"cdn_grid": runs()}, {"cdn_grid": runs(sim_batches_per_s=[0.8] * 10)}
     )
     assert gate.gate(["cdn_grid"], END_TO_END, runner) == 1
-    assert "FAIL cdn_grid sim_batches_per_s" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL cdn_grid sim_batches_per_s" in out
+    # One summary line per reported metric.
+    summaries = [ln for ln in out.splitlines() if ln.startswith("cdn_grid ")]
+    assert len(summaries) == len(BASE)
 
 
 @pytest.mark.parametrize("broken", [
