@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cbf.cbf import CountingBloomFilter
+from repro.state.codec import Stateful
 
 
 @dataclass
-class CoalescingStats:
+class CoalescingStats(Stateful):
     """Raw-vs-coalesced access accounting."""
+
+    _state_fields = ("samples_in", "unique_increments_out")
 
     samples_in: int = 0
     unique_increments_out: int = 0
@@ -35,8 +38,11 @@ class CoalescingStats:
         return self.samples_in / self.unique_increments_out
 
 
-class SampleCoalescer:
+class SampleCoalescer(Stateful):
     """Aggregates a batch of page-access samples before CBF insertion."""
+
+    #: Aggregation counters only -- the CBF checkpoints itself.
+    _state_fields = ("stats",)
 
     def __init__(self, cbf: CountingBloomFilter):
         self.cbf = cbf
@@ -61,17 +67,6 @@ class SampleCoalescer:
         self.stats.samples_in += int(arr.size)
         self.stats.unique_increments_out += int(uniq.size)
         return uniq, freqs
-
-    def state_dict(self) -> dict:
-        """Aggregation counters only -- the CBF checkpoints itself."""
-        return {
-            "samples_in": self.stats.samples_in,
-            "unique_increments_out": self.stats.unique_increments_out,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.stats.samples_in = int(state["samples_in"])
-        self.stats.unique_increments_out = int(state["unique_increments_out"])
 
     def coalesce_only(self, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Aggregate without touching the CBF (for analysis/tests)."""

@@ -127,46 +127,6 @@ class PackedCounterArray(Stateful):
                 vals[sel].astype(np.uint8) << shift
             )
 
-    def maximum(
-        self, indices: np.ndarray, values: np.ndarray, *, check: bool = True
-    ) -> None:
-        """Scatter-max: raise each counter to at least the given value.
-
-        ``store[i] = max(store[i], value)`` per index.  Duplicate
-        indices within one call are handled correctly (the largest
-        value wins), which is what makes this the right primitive for
-        the CBF's conservative update: no sort or per-slot dedup is
-        needed.  Counters never decrease.  ``check=False`` skips
-        bounds validation (see :meth:`get`).
-        """
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        if check:
-            self._check_bounds(idx)
-        vals = np.clip(np.asarray(values, dtype=np.int64).ravel(), 0, self.max_value)
-        if self.bits == 8:
-            np.maximum.at(self._store, idx, vals.astype(np.uint8))
-            return
-        if self.bits == 16:
-            np.maximum.at(self._store, idx, vals.astype(np.uint16))
-            return
-        # Sub-byte widths, one in-byte position per pass: a candidate
-        # byte keeps every other lane's current bits and replaces only
-        # the target lane, so all candidates for one byte differ only
-        # in that lane and the *byte*-wise maximum equals the lane-wise
-        # maximum (ties on the other lanes fall through to the target
-        # lane in the unsigned comparison).
-        positions = idx % self._per_byte
-        mask = np.uint8(self.max_value)
-        for pos in range(self._per_byte):
-            sel = positions == pos
-            if not sel.any():
-                continue
-            byte_idx = idx[sel] // self._per_byte
-            shift = np.uint8(pos * self.bits)
-            keep = self._store[byte_idx] & np.uint8(~(int(mask) << shift) & 0xFF)
-            candidate = keep | (vals[sel].astype(np.uint8) << shift)
-            np.maximum.at(self._store, byte_idx, candidate)
-
     def fused_update(self, indices: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """Fused conservative bulk update + frequency readback.
 
@@ -246,14 +206,6 @@ class PackedCounterArray(Stateful):
         if padding:
             hist[0] -= padding
         return hist
-
-    def fill(self, value: int) -> None:
-        """Set every counter to ``value`` (clamped)."""
-        self.set(
-            np.arange(self.size, dtype=np.int64),
-            np.full(self.size, value, dtype=np.int64),
-            check=False,
-        )
 
     # -- internal -------------------------------------------------------
 

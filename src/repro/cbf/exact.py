@@ -11,10 +11,11 @@ Memory accounting uses the modeled per-entry cost (default HeMem's
 168 bytes/page), not Python's actual overhead, so the paper's
 Section VII-C comparison is reproducible.
 
-The store is a dense counter array indexed by key (keys are page ids
-in every consumer), with a dict spill for keys past the dense cap, so
-bulk updates and lookups are vectorized instead of one dict operation
-per sample.  Only keys with a non-zero count exist as entries; the
+The store is one dense counter array indexed by key (keys are page
+ids in every consumer), so bulk updates and lookups are vectorized
+instead of one dict operation per sample.  There is no spill: keys at
+or above ``2**22`` (32 MB of counters) and negative amounts raise
+ValueError.  Only keys with a non-zero count exist as entries; the
 modeled footprint and :meth:`age` drop semantics are unchanged.
 """
 
@@ -25,9 +26,7 @@ import numpy as np
 #: Per-page metadata HeMem maintains (paper Section VII-C).
 HEMEM_BYTES_PER_PAGE = 168
 
-#: Largest key held in the dense array (32 MB of int64 counters).
-#: Keys at or above this spill to a dict -- correctness is identical,
-#: only the (never-exercised-in-practice) speed differs.
+#: Keys must stay below this (32 MB of int64 counters).
 _DENSE_KEY_LIMIT = 1 << 22
 
 
@@ -45,7 +44,6 @@ class ExactFrequencyTracker:
         max_count: int | None = None,
     ):
         self._dense = np.zeros(0, dtype=np.int64)
-        self._spill: dict[int, int] = {}
         self.bytes_per_entry = int(bytes_per_entry)
         self.max_count = max_count
 
@@ -53,7 +51,7 @@ class ExactFrequencyTracker:
 
     @property
     def num_entries(self) -> int:
-        return int(np.count_nonzero(self._dense)) + len(self._spill)
+        return int(np.count_nonzero(self._dense))
 
     @property
     def nbytes(self) -> int:
@@ -76,18 +74,13 @@ class ExactFrequencyTracker:
         """Exact recorded frequency per key (0 if never seen)."""
         if np.isscalar(keys):
             key = int(keys)
-            if key < self._dense.size:
-                return int(self._dense[key])
-            return self._spill.get(key, 0)
+            return int(self._dense[key]) if key < self._dense.size else 0
         arr = np.asarray(keys, dtype=np.uint64)
         if arr.size and int(arr.max()) < self._dense.size:
             return self._dense[arr]
         out = np.zeros(arr.size, dtype=np.int64)
         in_dense = arr < self._dense.size
         out[in_dense] = self._dense[arr[in_dense]]
-        if self._spill:
-            for i in np.nonzero(arr >= _DENSE_KEY_LIMIT)[0]:
-                out[i] = self._spill.get(int(arr[i]), 0)
         return out
 
     # -- updates -------------------------------------------------------------
@@ -111,24 +104,20 @@ class ExactFrequencyTracker:
         out = np.empty(n, dtype=np.int64)
         if n == 0:
             return out
-        if np.any(amt < 0) or bool(np.any(arr >= _DENSE_KEY_LIMIT)):
-            # Negative deltas make the per-step cap order-sensitive, and
-            # spill keys live in the dict: take the one-at-a-time path.
-            self._increase_loop(arr, amt, out)
-            return out
-        self._grow_dense(int(arr.max()))
-        if n <= (1 << 40):
-            # Keys are < 2**22 on this path, so ``key*n + position``
-            # fits uint64 and is unique per element; quicksorting the
-            # composite reproduces the stable key order several times
-            # cheaper than a stable argsort of the keys.
-            comp = arr * np.uint64(n) + np.arange(n, dtype=np.uint64)
-            comp.sort()
-            order = (comp % np.uint64(n)).astype(np.int64)
-            sk = comp // np.uint64(n)
-        else:
-            order = np.argsort(arr, kind="stable")
-            sk = arr[order]
+        max_key = int(arr.max())
+        if max_key >= _DENSE_KEY_LIMIT:
+            raise ValueError(f"key {max_key} >= {_DENSE_KEY_LIMIT}")
+        if np.any(amt < 0):
+            raise ValueError("amounts must be >= 0")
+        self._grow_dense(max_key)
+        # Keys are < 2**22, so ``key*n + position`` fits uint64 for any
+        # batch that fits in memory and is unique per element;
+        # quicksorting the composite reproduces the stable key order
+        # several times cheaper than a stable argsort of the keys.
+        comp = arr * np.uint64(n) + np.arange(n, dtype=np.uint64)
+        comp.sort()
+        order = (comp % np.uint64(n)).astype(np.int64)
+        sk = comp // np.uint64(n)
         sa = amt[order]
         new_group = np.empty(n, dtype=bool)
         new_group[0] = True
@@ -152,51 +141,22 @@ class ExactFrequencyTracker:
         self._dense[uniq] = running[group_last]
         return out
 
-    def _increase_loop(self, arr: np.ndarray, amt: np.ndarray, out: np.ndarray) -> None:
-        for i, (key, a) in enumerate(zip(arr, amt)):
-            key = int(key)
-            new = self.get(key) + int(a)
-            if self.max_count is not None:
-                new = min(new, self.max_count)
-            if key < _DENSE_KEY_LIMIT:
-                self._grow_dense(key)
-                self._dense[key] = new
-            else:
-                self._spill[key] = new
-            out[i] = new
-
     def age(self) -> None:
         """Halve all counts, dropping entries that reach zero."""
         np.floor_divide(self._dense, 2, out=self._dense)
-        self._spill = {
-            key: half for key, count in self._spill.items() if (half := count // 2)
-        }
 
     def clear(self) -> None:
         self._dense[:] = 0
-        self._spill.clear()
 
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Counts as sorted ``[page, count]`` pairs (JSON has no int keys)."""
-        pages = np.nonzero(self._dense)[0]
-        pairs = [[int(page), int(self._dense[page])] for page in pages]
-        # Spill keys all exceed dense indices, so sorted order is just
-        # the concatenation.
-        pairs.extend([k, v] for k, v in sorted(self._spill.items()))
-        return {"counts": pairs}
+        """The dense counter array (it grows with the largest key, so
+        its shape is not fixed as a declared field's must be)."""
+        return {"counts": self._dense.copy()}
 
     def load_state(self, state: dict) -> None:
-        self._dense[:] = 0
-        self._spill.clear()
-        for page, count in state["counts"]:
-            page, count = int(page), int(count)
-            if page < _DENSE_KEY_LIMIT:
-                self._grow_dense(page)
-                self._dense[page] = count
-            else:
-                self._spill[page] = count
+        self._dense = np.array(state["counts"], dtype=np.int64)
 
     # -- analysis -----------------------------------------------------------------
 
@@ -204,14 +164,10 @@ class ExactFrequencyTracker:
         """Iterate ``(page, count)`` pairs (analysis/tests)."""
         for page in np.nonzero(self._dense)[0]:
             yield int(page), int(self._dense[page])
-        yield from self._spill.items()
 
     def counter_histogram(self, max_value: int = 15) -> np.ndarray:
         """Histogram of counts clamped to ``max_value`` (Fig. 14 analogue)."""
         live = self._dense[self._dense > 0]
-        hist = np.bincount(
+        return np.bincount(
             np.minimum(live, max_value), minlength=max_value + 1
         )[: max_value + 1].astype(np.int64)
-        for count in self._spill.values():
-            hist[min(count, max_value)] += 1
-        return hist

@@ -22,16 +22,17 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ExperimentResult
+from repro.state.checkpoint import quarantine, write_atomically
 
 #: Bump whenever the meaning of a cell spec or the ExperimentResult
-#: schema changes; every old entry then misses.
-SCHEMA_VERSION = 1
+#: schema changes; every old entry then misses.  Schema 2: FreqTier's
+#: demotion scan no longer collects a page twice when a pass laps.
+SCHEMA_VERSION = 2
 
 
 def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
@@ -99,7 +100,7 @@ class ResultCache:
             return None
         except (json.JSONDecodeError, UnicodeDecodeError, OSError):
             self.misses += 1
-            self._quarantine(path)
+            quarantine(path)
             return None
         if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
             self.misses += 1
@@ -108,36 +109,16 @@ class ResultCache:
             return_value = ExperimentResult.from_dict(payload["result"])
         except (KeyError, TypeError, ValueError, AttributeError):
             self.misses += 1
-            self._quarantine(path)
+            quarantine(path)
             return None
         self.hits += 1
         return return_value
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside (best-effort, never raises)."""
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass
-
     def put(self, fingerprint: str, result: ExperimentResult) -> None:
         """Store ``result`` under ``fingerprint`` (atomic, fsync'd write)."""
         payload = {"schema": SCHEMA_VERSION, "result": result.to_dict()}
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path_for(fingerprint))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        data = json.dumps(payload).encode("utf-8")
+        write_atomically(self.path_for(fingerprint), lambda fh: fh.write(data))
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.path_for(fingerprint).exists()

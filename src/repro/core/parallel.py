@@ -627,21 +627,14 @@ class ParallelExecutor:
         the running cell) and ``crash_hard`` plans kill this process --
         both need ``jobs > 1``.
         """
-        attempts = 0
+        charged: list[int] = [0]
+        results: list[Any] = [None]
         while True:
-            attempts += 1
             try:
                 return run_cell(spec)
             except Exception as exc:
-                if attempts <= self.retries:
-                    self.stats.retries += 1
-                    continue
-                self.stats.failures += 1
-                if self.keep_going:
-                    return FailedCell(
-                        label=spec.label, error=repr(exc), attempts=attempts
-                    )
-                raise
+                if self._charge_failure(spec, 0, exc, charged, results):
+                    return results[0]
 
     # -- pool path -----------------------------------------------------
 

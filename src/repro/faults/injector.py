@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_TRACER, Tracer
+from repro.state.codec import Stateful
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -37,7 +38,7 @@ class InjectedCrash(RuntimeError):
     """The fault plan scheduled a daemon crash at this point."""
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Executes a :class:`FaultPlan` against one simulated machine.
 
     Parameters
@@ -51,6 +52,16 @@ class FaultInjector:
         Observability handle (``fault_injected`` events); usually
         installed later by the engine, alongside the machine's.
     """
+
+    #: All mutable injector state (the pinned mask is a pure function
+    #: of the plan seed, so it is not duplicated here).
+    _state_fields = (
+        "_rng",
+        "_enomem_left",
+        "_loss_left",
+        "batch_index",
+        "counters",
+    )
 
     def __init__(
         self,
@@ -75,8 +86,8 @@ class FaultInjector:
         for page in plan.pinned_pages:
             if page < self.total_pages:
                 self._pinned_mask[page] = True
-        #: Remaining ENOMEM-burst calls per target tier id.
-        self._enomem_left: dict[int, int] = {}
+        #: Remaining ENOMEM-burst calls, indexed by target tier id.
+        self._enomem_left = np.zeros(2, dtype=np.int64)
         #: Remaining sample-loss-burst observed batches.
         self._loss_left = 0
         self.batch_index = 0
@@ -166,7 +177,7 @@ class FaultInjector:
 
     def _enomem_active(self, target_tier: int) -> bool:
         """One ENOMEM-burst state step for a move_pages call."""
-        left = self._enomem_left.get(target_tier, 0)
+        left = int(self._enomem_left[target_tier])
         if left > 0:
             self._enomem_left[target_tier] = left - 1
             return True
@@ -227,20 +238,6 @@ class FaultInjector:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """All mutable injector state (the pinned mask is a pure
-        function of the plan seed, so it is not duplicated here)."""
-        return {
-            "rng": self._rng.bit_generator.state,
-            "enomem_left": [
-                [int(tier), int(left)]
-                for tier, left in sorted(self._enomem_left.items())
-            ],
-            "loss_left": self._loss_left,
-            "batch_index": self.batch_index,
-            "counters": dict(self.counters),
-        }
-
     def load_state(self, state: dict) -> None:
         """Restore injector state; disarms any scheduled crash.
 
@@ -249,15 +246,7 @@ class FaultInjector:
         stays bit-identical to an uninterrupted run whose plan never
         scheduled the crash.
         """
-        self._rng.bit_generator.state = state["rng"]
-        self._enomem_left = {
-            int(tier): int(left) for tier, left in state["enomem_left"]
-        }
-        self._loss_left = int(state["loss_left"])
-        self.batch_index = int(state["batch_index"])
-        self.counters = {
-            str(kind): int(count) for kind, count in state["counters"].items()
-        }
+        super().load_state(state)
         self._crash_disarmed = True
 
     # -- tracing -----------------------------------------------------------

@@ -293,6 +293,9 @@ class Machine(Stateful):
         injector is installed it may additionally fail individual
         pages (EBUSY/pinned) or the whole call (target-node ENOMEM
         burst).  Traffic is recorded for the pages moved.
+
+        ``pages`` must be distinct: a repeated id is moved and counted
+        twice by the page table, whose tier counts then drift.
         """
         pages = np.atleast_1d(np.asarray(pages, dtype=np.int64))
         if pages.size == 0:

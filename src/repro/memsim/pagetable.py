@@ -12,21 +12,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.state.codec import Stateful
+
 #: Placement codes.
 UNMAPPED: int = -1
 LOCAL_TIER: int = 0
 CXL_TIER: int = 1
 
 
-class PageTable:
+class PageTable(Stateful):
     """Placement of every page id onto a tier (or unmapped)."""
+
+    _state_fields = (
+        "_placement",
+        "_tier_counts",
+        "pagemap_reads",
+        "pagemap_pages_read",
+    )
 
     def __init__(self, capacity_pages: int):
         if capacity_pages <= 0:
             raise ValueError(f"capacity_pages must be > 0, got {capacity_pages}")
         self.capacity_pages = int(capacity_pages)
         self._placement = np.full(capacity_pages, UNMAPPED, dtype=np.int8)
-        self._tier_counts = {LOCAL_TIER: 0, CXL_TIER: 0}
+        #: Mapped pages per tier, indexed by the tier code.
+        self._tier_counts = [0, 0]
         #: Batched pagemap reads issued (overhead accounting).
         self.pagemap_reads = 0
         self.pagemap_pages_read = 0
@@ -137,29 +147,11 @@ class PageTable:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        return {
-            "placement": self._placement.copy(),
-            "local_count": self._tier_counts[LOCAL_TIER],
-            "cxl_count": self._tier_counts[CXL_TIER],
-            "pagemap_reads": self.pagemap_reads,
-            "pagemap_pages_read": self.pagemap_pages_read,
-        }
-
     def load_state(self, state: dict) -> None:
-        placement = np.asarray(state["placement"], dtype=np.int8)
-        if placement.shape != self._placement.shape:
-            raise ValueError(
-                f"placement shape {placement.shape} != expected "
-                f"{self._placement.shape}"
-            )
-        self._placement = placement.copy()
-        self._tier_counts = {
-            LOCAL_TIER: int(state["local_count"]),
-            CXL_TIER: int(state["cxl_count"]),
-        }
-        self.pagemap_reads = int(state["pagemap_reads"])
-        self.pagemap_pages_read = int(state["pagemap_pages_read"])
+        """Restore the declared fields.  The placement array is
+        replaced, so :attr:`version` moves on: data derived from the
+        old array (the engine's cached tier prefix) is stale."""
+        super().load_state(state)
         self.version += 1
 
     # -- internal -------------------------------------------------------------------

@@ -520,6 +520,11 @@ class FreqTier(TieringPolicy):
             overhead += local_pages.size * cfg.cbf_op_ns
             cold = local_pages[freqs < threshold]
             cold = self._demo_retry.filter_allowed(cold)
+            if scanned > scan_limit and to_demote:
+                # The lap's last chunk runs past where this pass began:
+                # drop the pages already collected, which the move
+                # would otherwise count twice.
+                cold = cold[~np.isin(cold, np.concatenate(to_demote))]
             if cold.size:
                 need = target_free_pages - machine.local_free_pages - collected
                 cold = cold[: max(need, 0)]

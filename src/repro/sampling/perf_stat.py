@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.state.codec import Stateful
+
 
 @dataclass
-class _Window:
+class _Window(Stateful):
+    _state_fields = ("local", "cxl")
+
     local: int = 0
     cxl: int = 0
 
@@ -28,7 +32,7 @@ class _Window:
         return self.local / self.total
 
 
-class PerfStatCounter:
+class PerfStatCounter(Stateful):
     """Windowed local/CXL access counters with stability detection.
 
     The paper declares the hit ratio *stable* when consecutive
@@ -36,6 +40,8 @@ class PerfStatCounter:
     is exposed here via :meth:`is_stable`, parameterized by
     ``stability_epsilon``.
     """
+
+    _state_fields = ("_current", "_closed", "total_local", "total_cxl")
 
     def __init__(self, stability_epsilon: float = 0.005, history: int = 16):
         if stability_epsilon <= 0:
@@ -108,22 +114,3 @@ class PerfStatCounter:
         if last is None:
             return False
         return abs(last - reference) > self.stability_epsilon
-
-    # -- checkpointing ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "current_local": self._current.local,
-            "current_cxl": self._current.cxl,
-            "closed": list(self._closed),
-            "total_local": self.total_local,
-            "total_cxl": self.total_cxl,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._current = _Window(
-            local=int(state["current_local"]), cxl=int(state["current_cxl"])
-        )
-        self._closed = [float(ratio) for ratio in state["closed"]]
-        self.total_local = int(state["total_local"])
-        self.total_cxl = int(state["total_cxl"])

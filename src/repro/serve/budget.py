@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.serve.config import DEGRADATION_MODES, ServeConfig
+from repro.state.codec import Stateful
 
 
 class TickBudget:
@@ -48,7 +49,7 @@ class TickBudget:
         self.spent_ns = 0.0
 
 
-class DegradationLadder:
+class DegradationLadder(Stateful):
     """Hysteresis-gated walk over the degradation modes.
 
     :meth:`observe_tick` is called once per tick with that tick's
@@ -60,6 +61,8 @@ class DegradationLadder:
     ticks.  Ticks that are neither (fill between the watermarks) reset
     both streaks -- ambiguous pressure holds the current rung.
     """
+
+    _state_fields = ("mode", "overloaded_streak", "calm_streak")
 
     def __init__(self, config: ServeConfig):
         self.config = config
@@ -119,13 +122,6 @@ class DegradationLadder:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "overloaded_streak": self.overloaded_streak,
-            "calm_streak": self.calm_streak,
-        }
-
     def load_state(self, state: dict[str, Any]) -> None:
         mode = state["mode"]
         if mode not in DEGRADATION_MODES:
@@ -133,6 +129,4 @@ class DegradationLadder:
                 f"unknown degradation mode {mode!r}; "
                 f"known: {DEGRADATION_MODES}"
             )
-        self.mode = mode
-        self.overloaded_streak = int(state["overloaded_streak"])
-        self.calm_streak = int(state["calm_streak"])
+        super().load_state(state)

@@ -38,7 +38,7 @@ from repro.obs import NULL_TRACER, Tracer
 from repro.obs.registry import HistogramRegistry
 from repro.policies.base import TieringPolicy
 from repro.sampling.events import AccessBatch
-from repro.state import CheckpointManager
+from repro.state import CheckpointManager, Stateful
 from repro.workloads.spec import Workload
 
 from repro.serve.budget import DegradationLadder, TickBudget
@@ -101,7 +101,7 @@ class TickReport:
     elapsed_ns: float
 
 
-class TieringDaemon:
+class TieringDaemon(Stateful):
     """Long-lived tiering service over one engine and N tenant queues.
 
     Parameters mirror :func:`~repro.core.runner.run_experiment` where
@@ -109,6 +109,20 @@ class TieringDaemon:
     daemon owns its checkpoint manager (payloads bundle engine *and*
     serving state) -- do not also give the engine one.
     """
+
+    #: Serving state; :meth:`state_dict` adds the ``ServeConfig``.
+    _state_fields = (
+        "ticks",
+        "ladder",
+        "watchdog",
+        "queues",
+        "slo",
+        "deadline_ticks",
+        "degradations",
+        "promotions",
+        "config_swaps",
+        "migration_stall_ns",
+    )
 
     def __init__(
         self,
@@ -285,15 +299,9 @@ class TieringDaemon:
             return
         changed: list[str] = []
         if self._pending_serve:
-            new_serve = self.serve.replace(**self._pending_serve)
+            self.serve = self.serve.replace(**self._pending_serve)
             changed.extend(f"serve.{key}" for key in self._pending_serve)
-            self.serve = new_serve
-            self.ladder.config = new_serve
-            self.watchdog.max_restarts = new_serve.max_restarts
-            self.watchdog.stall_timeout_s = new_serve.watchdog_stall_s
-            for queue in self.queues.values():
-                queue.capacity = new_serve.queue_capacity
-                queue.backpressure = new_serve.backpressure
+            self._apply_serve_config()
         if self._pending_policy:
             applied = self.engine.policy.reconfigure(self._pending_policy)
             changed.extend(f"policy.{key}" for key in applied)
@@ -306,6 +314,16 @@ class TieringDaemon:
                 t_ns=self.engine.now_ns,
                 changed=sorted(changed),
             )
+
+    def _apply_serve_config(self) -> None:
+        """Push :attr:`serve` into the components that copy its knobs."""
+        serve = self.serve
+        self.ladder.config = serve
+        self.watchdog.max_restarts = serve.max_restarts
+        self.watchdog.stall_timeout_s = serve.watchdog_stall_s
+        for queue in self.queues.values():
+            queue.capacity = serve.queue_capacity
+            queue.backpressure = serve.backpressure
 
     # -- the tick ----------------------------------------------------------
 
@@ -459,7 +477,7 @@ class TieringDaemon:
         if loaded is not None:
             payload = loaded.payload
             self.engine.restore_state(payload["engine"])
-            self._load_serve_state(payload["serve"])
+            self.load_state(payload["serve"])
             generation = loaded.generation
         # A restore matches the generation it read; a fresh restart
         # matches none.
@@ -484,56 +502,20 @@ class TieringDaemon:
 
     # -- checkpointing -----------------------------------------------------
 
-    def _serve_state_dict(self) -> dict[str, Any]:
-        return {
-            "ticks": self.ticks,
-            "ladder": self.ladder.state_dict(),
-            "watchdog": self.watchdog.state_dict(),
-            "queues": {
-                name: queue.state_dict()
-                for name, queue in self.queues.items()
-            },
-            "config": self.serve.to_dict(),
-            "slo": self.slo.state_dict(),
-            "counters": {
-                "deadline_ticks": self.deadline_ticks,
-                "degradations": self.degradations,
-                "promotions": self.promotions,
-                "config_swaps": self.config_swaps,
-                "migration_stall_ns": self.migration_stall_ns,
-            },
-        }
+    def state_dict(self) -> dict[str, Any]:
+        return {**super().state_dict(), "config": self.serve.to_dict()}
 
-    def _load_serve_state(self, state: dict[str, Any]) -> None:
+    def load_state(self, state: dict[str, Any]) -> None:
         self.serve = ServeConfig.from_dict(state["config"])
-        self.ladder = DegradationLadder(self.serve)
-        self.ladder.load_state(state["ladder"])
         # The checkpoint predates the failure that triggered this
         # restore, so its restart count is stale -- keeping the live
         # (higher) count is what bounds a crash loop.  The checkpointed
         # count still matters across *process* deaths, where the live
         # count starts at zero.
         live_restarts = self.watchdog.restarts
-        self.watchdog.load_state(state["watchdog"])
+        super().load_state(state)
         self.watchdog.restarts = max(self.watchdog.restarts, live_restarts)
-        self.watchdog.max_restarts = self.serve.max_restarts
-        self.watchdog.stall_timeout_s = self.serve.watchdog_stall_s
-        for name, queue in self.queues.items():
-            if name in state["queues"]:
-                queue.load_state(state["queues"][name])
-            queue.capacity = self.serve.queue_capacity
-            queue.backpressure = self.serve.backpressure
-        self.ticks = int(state["ticks"])
-        self.slo = HistogramRegistry()
-        self.slo.load_state(state["slo"])
-        counters = state.get("counters", {})
-        self.deadline_ticks = int(counters.get("deadline_ticks", 0))
-        self.degradations = int(counters.get("degradations", 0))
-        self.promotions = int(counters.get("promotions", 0))
-        self.config_swaps = int(counters.get("config_swaps", 0))
-        self.migration_stall_ns = float(
-            counters.get("migration_stall_ns", 0.0)
-        )
+        self._apply_serve_config()
 
     def save_checkpoint(self) -> None:
         """Write one durable generation: engine state + serve state."""
@@ -542,7 +524,7 @@ class TieringDaemon:
         path = self.checkpoint_manager.save(
             {
                 "engine": self.engine.capture_state(),
-                "serve": self._serve_state_dict(),
+                "serve": self.state_dict(),
             }
         )
         self._unsaved = False

@@ -2,10 +2,9 @@
 
 A :class:`CheckpointManager` owns one directory of rotated snapshot
 generations (``snap-<seq>.ckpt``, see :mod:`repro.state.snapshot`).
-Writes are atomic (temp file + ``os.replace``, the
-:meth:`repro.core.cache.ResultCache.put` discipline), so a crash
-mid-save can never leave a half-written generation that a resume would
-read.  Loads walk generations newest first, verify them, and
+Writes are atomic and durable (:func:`write_atomically`, which
+:meth:`repro.core.cache.ResultCache.put` uses too), so a crash mid-save
+can never leave a half-written generation that a resume would read.  Loads walk generations newest first, verify them, and
 *quarantine* anything unreadable or failing its digest (renamed
 ``*.corrupt``, kept for diagnosis) before falling back to the
 next-newest generation -- a single corrupted file costs one checkpoint
@@ -19,13 +18,45 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.state.snapshot import Snapshot, SnapshotError, SnapshotSchemaError
 
 _SNAP_RE = re.compile(r"^snap-(\d{8})\.(?:json|ckpt|corrupt)$")
+
+
+def write_atomically(path: Path, write: Callable[[BinaryIO], Any]) -> None:
+    """Create ``path`` from ``write(fh)`` atomically and durably.
+
+    ``write`` fills a temp file (``.tmp-*``) in the same directory,
+    which is fsync'd and then renamed over ``path``; on any failure the
+    temp file is removed and ``path`` is untouched.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def quarantine(path: Path) -> None:
+    """Move an invalid file aside as ``*.corrupt`` (best-effort, never
+    raises): it is never read again but stays for diagnosis."""
+    try:
+        os.replace(path, path.with_suffix(".corrupt"))
+    except OSError:
+        pass
 
 
 @dataclass(frozen=True)
@@ -85,21 +116,7 @@ class CheckpointManager:
         """Write ``payload`` as the newest generation (atomic), rotate."""
         seq = self._next_seq()
         path = self.directory / f"snap-{seq:08d}.ckpt"
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".ckpt"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                Snapshot.write(fh, payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        write_atomically(path, lambda fh: Snapshot.write(fh, payload))
         self.saves += 1
         self._rotate()
         return path
@@ -110,13 +127,6 @@ class CheckpointManager:
             stale.unlink(missing_ok=True)
 
     # -- load -------------------------------------------------------------
-
-    def _quarantine(self, path: Path) -> None:
-        """Move an invalid generation aside (best-effort, never raises)."""
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass
 
     def load_latest(self) -> LoadedCheckpoint | None:
         """Newest generation that verifies, or None if none does.
@@ -134,7 +144,7 @@ class CheckpointManager:
             except SnapshotSchemaError:
                 raise
             except SnapshotError:
-                self._quarantine(path)
+                quarantine(path)
                 continue
             return LoadedCheckpoint(
                 payload=snapshot.payload,

@@ -28,9 +28,11 @@ from repro.state.codec import from_tree, to_tree
 
 #: Bump whenever the snapshot payload layout changes incompatibly;
 #: every older generation is then refused (see :class:`SnapshotSchemaError`).
-#: Schema 5 moved the arrays into raw columns and gave Zipf and GAP
-#: streams a counted position; schemas 4 and older were JSON documents.
-STATE_SCHEMA_VERSION = 5
+#: Schema 6 moved seven more components onto declared state fields
+#: (new keys and encodings); schema 5 moved the arrays into raw columns
+#: and gave Zipf and GAP streams a counted position; schemas 4 and
+#: older were JSON documents.
+STATE_SCHEMA_VERSION = 6
 
 _MAGIC = b"RPSNAP\0\0"
 #: The digest's placeholder while the digest is computed.

@@ -172,7 +172,7 @@ def _reference_fused_update(counters, idx, totals):
     return counters.get(idx).min(axis=1).astype(np.int64)
 
 
-@pytest.mark.parametrize("bits", [2, 4, 8, 16])
+@pytest.mark.parametrize("bits", [1, 2, 4, 8, 16])
 def test_cbf_fused_update_matches_sequential_reference(bits):
     rng = np.random.default_rng(bits)
     size = 512

@@ -36,6 +36,25 @@ class TestCounting:
         t.increase(np.array([1], dtype=np.uint64), 100)
         assert t.get(1) == 15
 
+    def test_key_past_the_dense_array_raises(self, tracker):
+        with pytest.raises(ValueError, match="key 4194304"):
+            tracker.increment(np.array([3, 1 << 22], dtype=np.uint64))
+        assert tracker.num_entries == 0
+
+    def test_negative_amount_raises(self, tracker):
+        with pytest.raises(ValueError, match="amounts"):
+            tracker.increase(np.array([1, 2], dtype=np.uint64), np.array([3, -1]))
+        assert tracker.num_entries == 0
+
+
+class TestCheckpoint:
+    def test_round_trip_keeps_counts_and_growth(self, tracker):
+        tracker.increase(np.array([5, 900], dtype=np.uint64), np.array([3, 7]))
+        restored = ExactFrequencyTracker()
+        restored.load_state(tracker.state_dict())
+        assert dict(restored.items()) == {5: 3, 900: 7}
+        assert restored._dense.size == tracker._dense.size
+
 
 class TestAging:
     def test_halves_counts(self, tracker):

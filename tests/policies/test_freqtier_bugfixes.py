@@ -12,13 +12,21 @@ Three bugs shipped with the original FreqTier port:
    interval, so sample batches larger than ``aging_interval_samples``
    silently stretched the aging cadence.
 
+A later one sat in the demotion scan: a pass that lapped the address
+space re-read the start of the pass in its last chunk and collected
+those pages twice, so the page table counted their move twice and
+local DRAM overfilled.
+
 These tests drive the full policy and pin the fixed behaviour.
 """
 
 import numpy as np
 
+from repro import ExperimentConfig, PolicySpec, WorkloadSpec
+from repro.core.engine import SimulationEngine
+from repro.core.runner import build_machine
 from repro.memsim.machine import Machine, MachineConfig
-from repro.memsim.pagetable import LOCAL_TIER
+from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
 from repro.obs import ListSink, Tracer
 from repro.policies.freqtier import FreqTier, FreqTierConfig
 from repro.policies.freqtier.intensity import TieringState
@@ -150,3 +158,22 @@ class TestStablePromotionOrder:
             return machine.placement_of(np.arange(0, 1024))
 
         np.testing.assert_array_equal(run(), run())
+
+
+def test_lapping_demotion_scan_keeps_tier_counts_exact():
+    """A GAP CC cell whose fourth batch laps the demotion scan: the
+    tracked tier counts must equal the placement after every batch,
+    and local DRAM must never hold more than its capacity."""
+    workload = WorkloadSpec("gap", kernel="cc", scale=18, num_trials=2, seed=1001)()
+    config = ExperimentConfig(local_fraction=0.05, ratio_label="1:32", seed=1001)
+    machine = build_machine(workload.footprint_pages, config)
+    engine = SimulationEngine(machine, workload, PolicySpec("freqtier", seed=1001)())
+    engine.setup()
+    table = machine.page_table
+    for batch in workload.batches():
+        engine.step(batch)
+        placement = table.placement_view()
+        for tier in (LOCAL_TIER, CXL_TIER):
+            assert table.count_in_tier(tier) == np.count_nonzero(placement == tier)
+        assert table.count_in_tier(LOCAL_TIER) <= machine.config.local_capacity_pages
+    assert engine.batches_done >= 4

@@ -8,9 +8,15 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.state import CheckpointManager, SnapshotSchemaError
+from repro.state import (
+    STATE_SCHEMA_VERSION,
+    CheckpointManager,
+    SnapshotSchemaError,
+)
 
 SCHEMA4 = pathlib.Path(__file__).parent / "data" / "schema4" / "snap-00000001.json"
+#: How a schema-4 generation is refused.
+REFUSED = f"schema 4.*only schema {STATE_SCHEMA_VERSION}"
 
 
 def _payload(n: int) -> dict:
@@ -154,7 +160,7 @@ class TestOlderSchemas:
         shutil.copy(SCHEMA4, tmp_path / "snap-00000001.json")
         mgr = CheckpointManager(tmp_path)
         mgr.save(_payload(2)).write_text("{ torn")
-        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+        with pytest.raises(SnapshotSchemaError, match=REFUSED):
             mgr.load_latest()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "snap-00000001.json",
@@ -171,4 +177,4 @@ class TestOlderSchemas:
         shutil.copy(SCHEMA4, tmp_path / "snap-00000001.json")
         [entry] = CheckpointManager(tmp_path).inspect()
         assert entry["valid"] is False
-        assert "schema 4" in entry["error"] and "schema 5" in entry["error"]
+        assert "schema 4" in entry["error"] and f"schema {STATE_SCHEMA_VERSION}" in entry["error"]

@@ -1,7 +1,7 @@
 """A resume never silently starts over from batch 0.
 
 A generation of another schema -- here the committed schema-4 JSON
-checkpoint -- stays in place and fails the run, the cell or the tick
+checkpoint, or the schema-5 FreqTier one -- stays in place and fails the run, the cell or the tick
 with a message naming both schemas.  A stream cursor that disagrees
 with the snapshot's ``batches_done`` raises rather than replay from the
 wrong place.
@@ -21,11 +21,18 @@ from repro.core.parallel import CellSpec, FailedCell, ParallelExecutor, PolicySp
 from repro.core.runner import build_machine, run_experiment
 from repro.faults import FaultPlan
 from repro.serve import ServeConfig, VirtualTimeDriver
-from repro.state import CheckpointManager, SnapshotSchemaError
+from repro.state import (
+    STATE_SCHEMA_VERSION,
+    CheckpointManager,
+    SnapshotSchemaError,
+)
 
 from tests.serve.conftest import make_daemon
 
 SCHEMA4 = pathlib.Path(__file__).parent / "data" / "schema4" / "snap-00000001.json"
+SCHEMA5 = pathlib.Path(__file__).parent / "data" / "schema5" / "snap-00000001.ckpt"
+#: How a schema-4 generation is refused.
+REFUSED = f"schema 4.*only schema {STATE_SCHEMA_VERSION}"
 ZIPF = WorkloadSpec("zipf", num_pages=1024, alpha=1.2, seed=5)
 CONFIG = ExperimentConfig(local_fraction=0.1, ratio_label="1:8", max_batches=12, seed=5)
 
@@ -49,7 +56,7 @@ def test_older_schema_fails_the_run_before_any_batch(old_generation, monkeypatch
     monkeypatch.setattr(
         SimulationEngine, "step", lambda self, *a, **k: steps.append(1) or step(self, *a, **k)
     )
-    with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+    with pytest.raises(SnapshotSchemaError, match=REFUSED):
         run_experiment(
             ZIPF, PolicySpec("freqtier", seed=5), CONFIG,
             checkpoint_dir=old_generation, checkpoint_every_batches=1,
@@ -66,7 +73,7 @@ def test_cli_run_resume_exits_with_one_line(old_generation):
             "--checkpoint-dir", str(old_generation), "--resume",
         ])
     message = str(info.value.code)
-    assert "schema 4" in message and "schema 5" in message
+    assert "schema 4" in message and f"schema {STATE_SCHEMA_VERSION}" in message
     assert "\n" not in message
     assert _left_in_place(old_generation)
 
@@ -78,7 +85,7 @@ def test_executor_cell_fails_with_the_message(old_generation):
     )
     [result] = ParallelExecutor(jobs=1, retries=1, keep_going=True).run([cell])
     assert isinstance(result, FailedCell)
-    assert "schema 4" in result.error and "schema 5" in result.error
+    assert "schema 4" in result.error and f"schema {STATE_SCHEMA_VERSION}" in result.error
     assert _left_in_place(old_generation)
 
 
@@ -89,12 +96,25 @@ def test_daemon_tick_fails_instead_of_restarting_at_tick_zero(old_generation):
         checkpoint_dir=str(old_generation),
     )
     driver = VirtualTimeDriver(daemon, arrivals=1, max_offers=20)
-    with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+    with pytest.raises(SnapshotSchemaError, match=REFUSED):
         driver.run(20)
     # The crashed stack was not rebuilt from scratch.
     assert daemon.ticks > 0 and daemon.engine.batches_done > 0
     assert driver.restarts_seen == 0
     assert _left_in_place(old_generation)
+
+
+def test_schema_5_freqtier_checkpoint_refused_in_place(tmp_path):
+    """Schema 6 renamed keys inside the FreqTier state: restoring a
+    schema-5 generation must name both schemas, not fail on a key."""
+    shutil.copy(SCHEMA5, tmp_path / SCHEMA5.name)
+    with pytest.raises(
+        SnapshotSchemaError, match=f"schema 5.*only schema {STATE_SCHEMA_VERSION}"
+    ):
+        run_experiment(
+            ZIPF, PolicySpec("freqtier", seed=5), CONFIG, resume_from=tmp_path
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [SCHEMA5.name]
 
 
 def _engine(spec: WorkloadSpec, directory=None, every: int = 0) -> SimulationEngine:

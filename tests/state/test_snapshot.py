@@ -24,6 +24,8 @@ from repro.state.codec import COLUMN_KEY, to_tree
 from tests.state.conftest import assert_same_state, snapshot_round_trip
 
 SCHEMA4 = pathlib.Path(__file__).parent / "data" / "schema4" / "snap-00000001.json"
+#: How a schema-4 generation is refused.
+REFUSED = f"schema 4.*only schema {STATE_SCHEMA_VERSION}"
 
 
 def _write(path, payload) -> bytes:
@@ -222,11 +224,11 @@ class TestOlderSchemas:
     """Schemas 4 and older wrote one JSON document per generation."""
 
     def test_committed_schema_4_document_refused(self):
-        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+        with pytest.raises(SnapshotSchemaError, match=REFUSED):
             Snapshot.read(SCHEMA4)
 
     def test_load_latest_refuses_and_keeps_the_generation(self, tmp_path):
         shutil.copy(SCHEMA4, tmp_path / SCHEMA4.name)
-        with pytest.raises(SnapshotSchemaError, match="schema 4.*only schema 5"):
+        with pytest.raises(SnapshotSchemaError, match=REFUSED):
             CheckpointManager(tmp_path).load_latest()
         assert sorted(p.name for p in tmp_path.iterdir()) == [SCHEMA4.name]

@@ -1,10 +1,12 @@
 """Committed snapshots pin the checkpoint layout and still resume.
 
-``data/<policy>/snap-00000001.ckpt`` are schema-5 checkpoints taken at
-batch 10 of a 12-batch zipf run (1,024 pages, seed 5).  Apart from the
-Zipf stream's batch count (the counted position schema 5 added) their
-payloads equal the schema-4 JSON checkpoints they replace, one of which
-is kept as ``data/schema4/snap-00000001.json``.  Loading one and
+``data/<policy>/snap-00000001.ckpt`` are schema-6 checkpoints taken at
+batch 10 of a 12-batch zipf run (1,024 pages, seed 5).  Their payloads
+equal the schema-5 ones they replace except in the page table, the
+CBF coalescer and the perf-stat counter, whose state schema 6 encodes
+by declared fields; the schema-5 FreqTier file is kept as
+``data/schema5/snap-00000001.ckpt`` and the oldest, a schema-4 JSON
+document, as ``data/schema4/snap-00000001.json``.  Loading one and
 capturing the restored engine must write the identical file, and
 resuming from it must equal the uninterrupted run.
 """

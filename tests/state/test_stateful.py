@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import enum
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro.state import Stateful
 
 from tests.state.conftest import snapshot_round_trip
@@ -165,3 +169,34 @@ def _component_dict_restored_in_place():
 )
 def test_stateful_rule(check):
     check()
+
+
+#: Classes that write ``state_dict``/``load_state`` by hand, each with
+#: why its state is not a list of declared fields.
+HAND_WRITTEN = {
+    "repro.core.metrics.MetricsCollector": "growable columns plus a label vocabulary",
+    "repro.obs.registry.HistogramRegistry": "int-keyed buckets",
+    "repro.policies.base.MigrationRetryQueue": "int-keyed entries and a set",
+    "repro.serve.queues.TenantQueue": "its entries are deliberately not captured",
+    "repro.cbf.exact.ExactFrequencyTracker": "its array grows with the largest key",
+    "repro.serve.daemon.TieringDaemon": "adds its ServeConfig to the declared fields",
+}
+
+
+def _classes_defining_state_dict() -> set[str]:
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if (
+                inspect.isclass(cls)
+                and cls.__module__ == info.name
+                and cls is not Stateful
+                and "state_dict" in vars(cls)
+            ):
+                found.add(f"{cls.__module__}.{cls.__qualname__}")
+    return found
+
+
+def test_only_the_allow_listed_formats_are_hand_written():
+    assert _classes_defining_state_dict() == set(HAND_WRITTEN)
