@@ -239,39 +239,55 @@ def hint_faults(
     restore), so a page faults at most once per batch.  Bit-identical
     (order included) to first-occurrence detection on the expanded
     stream; out-of-range pages are skipped, matching the scanner's
-    in-range filter.  Cost is O(runs log U + faults) with U the
-    currently-unmapped set, not O(accesses).
+    in-range filter.  Cost is O(heads + span + runs + candidates), with
+    span the pages between the lowest run start and the highest run
+    end and candidates the unmapped accesses found; no sort, no pass
+    over the whole address space, not O(accesses).
     """
     total = unmap_time.size
     parts: list[np.ndarray] = []
-    mask = unmap_time >= 0.0
     if head.size:
-        h = head[(head >= 0) & (head < total)]
-        if h.size:
-            h = h[mask[h]]
-            if h.size:
-                parts.append(h.astype(np.int64, copy=False))
+        if int(head.min()) < 0 or int(head.max()) >= total:
+            head = head[(head >= 0) & (head < total)]
+        # flatnonzero plus a gather, not a boolean compress: with about
+        # half the heads unmapped (GAP's repeated scans) the compress
+        # mispredicts a branch per element and costs several times more.
+        hit = np.flatnonzero(unmap_time[head] >= 0.0)
+        if hit.size:
+            parts.append(head[hit].astype(np.int64, copy=False))
     if starts.size:
         # Candidate pages are the currently-unmapped ones each run
-        # covers.  A prefix sum of the unmapped mask gives each page's
-        # rank in the sorted unmapped set, so both run boundaries
-        # become O(1) gathers (uprefix[p] = #unmapped pages below p);
-        # expanding the resulting rank runs is then O(hits).  Clipping
-        # run ends to [0, total] drops out-of-range pages, exactly as
-        # a binary search against the unmapped set would.
-        uprefix = np.empty(total + 1, dtype=np.int64)
-        uprefix[0] = 0
-        np.cumsum(mask, dtype=np.int64, out=uprefix[1:])
-        if uprefix[total]:
-            lo = uprefix[np.clip(starts, 0, total)]
-            hi = uprefix[np.clip(starts + counts, 0, total)]
-            seg_counts = hi - lo
-            m = int(seg_counts.sum())
-            if m:
-                unmapped = np.nonzero(mask)[0]
-                idx = np.empty(m, dtype=np.int64)
-                expand_runs(lo, seg_counts, idx)
-                parts.append(unmapped[idx])
+        # covers.  A prefix sum of the unmapped mask over the runs'
+        # span [lo, hi) gives each page's rank among the span's
+        # unmapped pages (uprefix[p - lo] = #unmapped pages in [lo, p)),
+        # so both run boundaries become O(1) gathers; expanding the
+        # resulting rank runs is then O(candidates).  Clipping run
+        # bounds to the span drops out-of-range pages, exactly as a
+        # binary search against the unmapped set would.
+        ends = starts + counts
+        lo, hi = int(starts.min()), int(ends.max())
+        clip = lo < 0 or hi > total
+        if clip:
+            lo, hi = max(lo, 0), min(hi, total)
+        if hi > lo:
+            mask = unmap_time[lo:hi] >= 0.0
+            uprefix = np.empty(hi - lo + 1, dtype=np.int64)
+            uprefix[0] = 0
+            np.cumsum(mask, dtype=np.int64, out=uprefix[1:])
+            if uprefix[-1]:
+                lo_at, hi_at = starts - lo, ends - lo
+                if clip:
+                    np.clip(lo_at, 0, hi - lo, out=lo_at)
+                    np.clip(hi_at, 0, hi - lo, out=hi_at)
+                first = uprefix[lo_at]
+                seg_counts = uprefix[hi_at] - first
+                m = int(seg_counts.sum())
+                if m:
+                    unmapped = np.flatnonzero(mask)
+                    unmapped += lo
+                    idx = np.empty(m, dtype=np.int64)
+                    expand_runs(first, seg_counts, idx)
+                    parts.append(unmapped[idx])
     if not parts:
         return (
             np.empty(0, dtype=np.int64),
@@ -279,10 +295,15 @@ def hint_faults(
         )
     cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
     # First occurrence of each page in program order (head precedes the
-    # runs; within a run ascending page order is program order).
-    first_idx = np.unique(cand, return_index=True)[1]
-    faulted = cand[np.sort(first_idx)]
-    times = unmap_time[faulted].copy()
+    # runs; within a run ascending page order is program order): stamp
+    # every candidate page with the least position it occurs at.  Only
+    # the stamp slots of candidate pages are ever written or read.
+    order = np.arange(cand.size, dtype=np.int64)
+    stamp = np.empty(total, dtype=np.int64)
+    stamp[cand] = cand.size
+    np.minimum.at(stamp, cand, order)
+    faulted = cand[stamp[cand] == order]
+    times = unmap_time[faulted]
     unmap_time[faulted] = -1.0  # PTE restored by the fault
     return faulted, times
 

@@ -122,8 +122,9 @@ class AutoNUMA(TieringPolicy):
         # accessed bits for *all* resident pages, not just faulting
         # ones.  Model it as a strided subsample of the pages touched
         # this batch (an accessed bit records "touched since last
-        # walk", so subsampling loses little).
-        touched = np.unique(batch.strided_pages(self.mglru_sample_stride))
+        # walk", so subsampling loses little).  Both scatters write a
+        # constant, so repeated pages need no dedupe.
+        touched = batch.strided_pages(self.mglru_sample_stride)
         if touched.size:
             self._last_seen_ns[touched] = now_ns
             self._seen_this_window[touched] = True

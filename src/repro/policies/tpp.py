@@ -115,7 +115,8 @@ class TPP(TieringPolicy):
             overhead += self._promote_active(faults.page_ids[active])
 
         # Reference-bit LRU sampling (coarser than AutoNUMA's MGLRU).
-        touched = np.unique(batch.strided_pages(self.lru_sample_stride))
+        # The scatter writes a constant: repeated pages need no dedupe.
+        touched = batch.strided_pages(self.lru_sample_stride)
         if touched.size:
             self._last_ref_ns[touched] = now_ns
             overhead += 2_000.0

@@ -111,8 +111,9 @@ class HintFaultScanner(Stateful):
 
         The batch is scanned without expansion via the ``hint_faults``
         kernel -- the faults of first-occurrence detection on the
-        expanded stream, in the same program order, at O(runs log U)
-        cost.  Out-of-range pages never fault.
+        expanded stream, in the same program order, at O(heads + run
+        span + runs + candidates) cost, with no sort.  Out-of-range
+        pages never fault.
         """
         if batch.num_accesses == 0:
             return HintFault.empty()

@@ -387,21 +387,119 @@ def _heads_only_int32(rng, n_pages):
     return head, empty, empty, empty, head
 
 
-@pytest.mark.parametrize("case", [0, 1, 2, 3, "heads-int32"])
-def test_hint_faults_match_expanded_first_occurrence(case):
-    n_pages = 4096
-    if case == "heads-int32":
-        rng = np.random.default_rng(4)
-        head, starts, counts, _, expanded = _heads_only_int32(rng, n_pages)
-    else:
-        rng = np.random.default_rng(case)
-        head, starts, counts, _, expanded = _compressed(rng, n_pages)
-    unmap = np.where(
-        rng.random(n_pages) < 0.3, rng.random(n_pages) * 1e6, -1.0
+HINT_PAGES = 4096
+
+
+def _unmapped_at_random(rng, p=0.4):
+    return np.where(
+        rng.random(HINT_PAGES) < p, rng.random(HINT_PAGES) * 1e6, -1.0
     )
+
+
+def _runs_below_zero(rng):
+    starts = rng.integers(-60, HINT_PAGES - 60, size=300, dtype=np.int64)
+    starts[:20] = rng.integers(-60, 0, size=20)  # straddle or miss page 0
+    counts = rng.integers(0, 50, size=300, dtype=np.int64)
+    return _unmapped_at_random(rng), np.empty(0, np.int64), starts, counts
+
+
+def _runs_past_total(rng):
+    starts = rng.integers(0, HINT_PAGES, size=300, dtype=np.int64)
+    starts[:20] = rng.integers(HINT_PAGES - 30, HINT_PAGES, size=20)
+    counts = rng.integers(0, 60, size=300, dtype=np.int64)
+    return _unmapped_at_random(rng), np.empty(0, np.int64), starts, counts
+
+
+def _runs_wholly_outside(rng):
+    head = rng.integers(0, HINT_PAGES, size=50, dtype=np.int64)
+    starts = np.array([-90, -12, 50, HINT_PAGES, HINT_PAGES + 77], np.int64)
+    counts = np.array([40, 12, 30, 9, 100], np.int64)
+    return _unmapped_at_random(rng), head, starts, counts
+
+
+def _runs_all_outside(rng):
+    head = rng.integers(0, HINT_PAGES, size=50, dtype=np.int64)
+    starts = np.array([-90, HINT_PAGES + 3, -5], np.int64)
+    counts = np.array([40, 9, 5], np.int64)  # the last ends at page 0
+    return _unmapped_at_random(rng), head, starts, counts
+
+
+def _zero_count_runs_at_span_edges(rng):
+    starts = np.array([100, 130, 120, 3000, 2000, 0, HINT_PAGES], np.int64)
+    counts = np.array([0, 25, 8, 0, 40, 0, 0], np.int64)
+    unmap = _unmapped_at_random(rng, p=0.6)
+    unmap[[0, 100, 2999, 3000, HINT_PAGES - 1]] = 7.0
+    return unmap, np.empty(0, np.int64), starts, counts
+
+
+def _narrow_span_far_from_zero(rng):
+    # Runs reach only pages [3000, 3040); every unmapped page lies
+    # outside that span, so only the heads can fault.
+    starts = rng.integers(3000, 3030, size=40, dtype=np.int64)
+    counts = rng.integers(0, 11, size=40, dtype=np.int64)
+    unmap = np.full(HINT_PAGES, -1.0)
+    unmap[:2990] = rng.random(2990) * 1e6
+    unmap[3050:] = rng.random(HINT_PAGES - 3050) * 1e6
+    head = rng.integers(2900, 3100, size=80, dtype=np.int64)
+    return unmap, head, starts, counts
+
+
+def _narrow_span_unmapped_at_its_edges(rng):
+    starts = np.array([3000, 3010, 3020], np.int64)
+    counts = np.array([10, 10, 20], np.int64)  # span [3000, 3040)
+    unmap = np.full(HINT_PAGES, -1.0)
+    unmap[[2999, 3000, 3039, 3040]] = [1.0, 2.0, 3.0, 4.0]
+    return unmap, np.empty(0, np.int64), starts, counts
+
+
+def _head_and_runs_overlap(rng):
+    starts = rng.integers(500, 700, size=60, dtype=np.int64)
+    counts = rng.integers(1, 40, size=60, dtype=np.int64)
+    head = np.concatenate(
+        [rng.integers(480, 760, size=200), starts[:10] + 3, starts[:10] + 3]
+    ).astype(np.int64)
+    return _unmapped_at_random(rng, p=0.7), head, starts, counts
+
+
+def _int32_heads_out_of_range_with_runs(rng):
+    head = rng.integers(-64, HINT_PAGES + 64, size=3_000).astype(np.int32)
+    starts, counts = _random_runs(rng, HINT_PAGES, n_runs=200, max_count=37)
+    return _unmapped_at_random(rng), head, starts, counts
+
+
+HINT_CASES = {
+    "runs-below-zero": _runs_below_zero,
+    "runs-past-total": _runs_past_total,
+    "runs-wholly-outside": _runs_wholly_outside,
+    "runs-all-outside": _runs_all_outside,
+    "zero-count-runs-at-span-edges": _zero_count_runs_at_span_edges,
+    "narrow-span-far-from-zero": _narrow_span_far_from_zero,
+    "narrow-span-unmapped-at-edges": _narrow_span_unmapped_at_its_edges,
+    "head-and-runs-overlap": _head_and_runs_overlap,
+    "int32-heads-out-of-range": _int32_heads_out_of_range_with_runs,
+}
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "heads-int32", *HINT_CASES])
+def test_hint_faults_match_expanded_first_occurrence(case):
+    """Random batches, plus named cases that reach the clip and span
+    paths in-range random runs never do."""
+    if case in HINT_CASES:
+        rng = np.random.default_rng(5)
+        unmap, head, starts, counts = HINT_CASES[case](rng)
+        expanded = np.concatenate([head.astype(np.int64), _expand(starts, counts)])
+    else:
+        if case == "heads-int32":
+            rng = np.random.default_rng(4)
+            head, starts, counts, _, expanded = _heads_only_int32(rng, HINT_PAGES)
+        else:
+            rng = np.random.default_rng(case)
+            head, starts, counts, _, expanded = _compressed(rng, HINT_PAGES)
+        unmap = _unmapped_at_random(rng, p=0.3)
     ref_unmap = unmap.copy()
     pages, times = accel.hint_faults(unmap, head, starts, counts)
     exp_pages, exp_times = _reference_hint_faults(ref_unmap, expanded)
+    assert pages.dtype == np.int64 and times.dtype == np.float64
     np.testing.assert_array_equal(pages, exp_pages)  # order included
     np.testing.assert_array_equal(times, exp_times)
     np.testing.assert_array_equal(unmap, ref_unmap)  # same PTE restores
