@@ -24,24 +24,31 @@ BC only; CC and PR ignore it) and the start pages of the five arrays.
 :meth:`GapWorkload.batches` memoises the most recent completed trial
 under that key, like :func:`~repro.workloads.kronecker.generate_kronecker`
 memoises its graph, so every policy cell, kernel trial and resume that
-repeats it skips the kernel.  The stream position (trial, step, source
+repeats it skips the kernel.  The same entry holds the shuffled batches
+emitted from the trial, keyed by the step and the RNG state just before
+its shuffle: a cell that replays the same seeded stream (every policy
+cell of a row, every probe and resume) gets the stored batch back and
+the RNG set to the state the shuffle left, so it skips the shuffle too.
+The key is the RNG state, not the position, because a second pass over
+the trials (the position rewinds, the RNG is not reseeded) shuffles
+the same steps differently.  The stream position (trial, step, source
 and the batches of the earlier trials) is declared state: a resume
 continues mid-trial from the memo, or on a cold memo reruns that
 trial's kernel and skips its emitted steps without shuffling them.
-The memo holds one entry,
-cleared before a new trial is built; a trial cut short commits nothing.
+The memo holds one entry.  It is cleared before a new trial's kernel
+runs and before a workload on another graph builds its graph; a trial
+cut short commits nothing, neither its steps nor its new batches.
 Steps are stored read-only, as int32 when the page ids fit, and
-identical consecutive steps (every CC and PR step) share one array.  A
-trial larger than :func:`repro.workloads.recording._memory_budget` is
-not memoised.  The RNG draws are the same on a hit: the source is still
-picked and every emitted batch is a fresh shuffled int64 copy.
+identical consecutive steps (every CC and PR step) share one array;
+emitted batches are read-only int64 arrays, the memo's own.  A trial
+whose steps, kernel state and emitted batches together exceed
+:func:`repro.workloads.recording._memory_budget` commits nothing.  The
+stream is the same on a hit and on a miss, RNG state included.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,15 +96,35 @@ def _lines_of_ranges(
     return np.repeat(first, counts) + offsets
 
 
-class _Trial(NamedTuple):
-    """One completed trial: read-only pre-shuffle steps and kernel state."""
+class _Trial:
+    """One trial: its read-only pre-shuffle steps and kernel state, the
+    shuffled batches emitted from it, ``{(step, RNG state before the
+    shuffle): (batch, RNG state after)}``, and the bytes all of them hold."""
 
-    steps: tuple[np.ndarray, ...]
-    state: dict[str, np.ndarray]
+    __slots__ = ("steps", "state", "emitted", "nbytes")
+
+    def __init__(self, steps=(), state=None, emitted=None, nbytes=0):
+        self.steps: list[np.ndarray] = list(steps)
+        self.state: dict[str, np.ndarray] = dict(state or {})
+        self.emitted: dict[tuple, tuple[np.ndarray, dict]] = dict(emitted or {})
+        self.nbytes = nbytes
+
+    def hold(self, array: np.ndarray) -> None:
+        """Make ``array`` read-only and count its bytes."""
+        array.flags.writeable = False
+        self.nbytes += array.nbytes
 
 
 #: The one memoised trial: ``{(graph key, kernel, source, start pages): trial}``.
 _TRIALS: dict[tuple, _Trial] = {}
+
+
+def _frozen(state: dict) -> tuple:
+    """A hashable copy of a bit generator's state dict."""
+    return tuple(
+        (name, _frozen(value) if isinstance(value, dict) else value)
+        for name, value in state.items()
+    )
 
 
 class _Array:
@@ -166,8 +193,10 @@ class GapWorkload(Workload):
         self.kernel = kernel
         self.name = f"gap-{kernel}"
         self.num_trials = int(num_trials)
-        self.graph: CSRGraph = generate_kronecker(scale, avg_degree, seed=seed)
         self._graph_key = (int(scale), int(avg_degree), int(seed))
+        if any(key[0] != self._graph_key for key in _TRIALS):
+            _TRIALS.clear()  # free the old graph's trial before building this one
+        self.graph: CSRGraph = generate_kronecker(scale, avg_degree, seed=seed)
         n = self.graph.num_nodes
         self._indptr_arr = _Array(8, n + 1)
         self._indices_arr = _Array(4, self.graph.num_directed_edges)
@@ -225,7 +254,8 @@ class GapWorkload(Workload):
         Mid-trial, the trial's first ``step`` steps come from the memo
         or a rerun of its kernel and are skipped unshuffled: the RNG
         already holds their shuffles.  Once the last trial is done the
-        position rewinds, so the next call starts over.
+        position rewinds without reseeding, so the next call starts
+        over with new shuffles.
         """
         while self._trial < self.num_trials:
             if self._source < 0:
@@ -237,65 +267,94 @@ class GapWorkload(Workload):
                 tuple(arr.start_page for arr in self._arrays),
             )
             memo = _TRIALS.get(key)
-            steps = iter(
-                self._run_trial(key, self._source) if memo is None else memo.steps
-            )
-            skipped = sum(1 for __ in islice(steps, self._step))
-            if skipped < self._step:
+            if memo is None:
+                _TRIALS.clear()  # free the old entry before the kernel runs
+                steps, draft = self._run_kernel(self._source), _Trial()
+            else:
+                steps = iter(memo.steps)
+                draft = _Trial(memo.steps, memo.state, memo.emitted, memo.nbytes)
+            # ``draft`` is what this trial commits once it completes within
+            # the budget: the memo plus its new batches, or a cold trial.
+            budget = recording._memory_budget()
+            count = 0
+            for pages in steps:
+                count += 1
+                if memo is None and draft is not None:
+                    if not draft.steps or pages is not draft.steps[-1]:
+                        draft.hold(pages)
+                    draft.steps.append(pages)
+                if count > self._step:
+                    batch = self._emit(pages, memo, draft)
+                    if draft is not None and draft.nbytes > budget:
+                        draft = None
+                    self._step += 1
+                    yield batch
+            if count < self._step:
                 raise ValueError(
                     f"{self.name}: trial {self._trial} has fewer than "
                     f"{self._step} steps, so its position cannot be resumed"
                 )
-            for pages in steps:
-                batch = self._emit(pages, self._trial)
-                self._step += 1
-                yield batch
             if memo is not None:
                 self.last_kernel_state = dict(memo.state)
+            elif draft is not None:
+                draft.state = dict(self.last_kernel_state)
+                for array in draft.state.values():
+                    draft.hold(array)
+            else:
+                for array in self.last_kernel_state.values():
+                    array.flags.writeable = False
+            if (
+                draft is not None
+                and draft.nbytes <= budget
+                and (memo is None or len(draft.emitted) > len(memo.emitted))
+            ):
+                # Another workload may have committed while this trial ran.
+                _TRIALS.clear()
+                _TRIALS[key] = draft
             self._trial += 1
             self._done += self._step
             self._step = 0
             self._source = -1
         self._trial = self._done = 0
 
-    def _run_trial(self, key: tuple, source: int) -> Iterator[np.ndarray]:
-        """Run the kernel, yielding each step's pre-shuffle pages, and
-        memoise the trial once it completes within the memory budget."""
-        _TRIALS.clear()
+    def _run_kernel(self, source: int) -> Iterator[np.ndarray]:
+        """Run the kernel, yielding each step's pre-shuffle pages; a step
+        equal to the one before it is that same array."""
         page_limit = max(arr.start_page + arr.num_pages for arr in self._arrays)
         dtype = np.int32 if page_limit <= np.iinfo(np.int32).max else np.int64
-        budget = recording._memory_budget()
-        steps: list[np.ndarray] | None = []
-        held = 0
+        last = None
         for pages in getattr(self, f"_{self.kernel}_steps")(source):
             step = np.concatenate(pages, dtype=dtype)
-            if steps and np.array_equal(step, steps[-1]):
-                step = steps[-1]  # every CC and PR step scans the same lines
-            elif steps is not None:
-                step.flags.writeable = False
-                held += step.nbytes
-                if held > budget:
-                    steps = None
-            if steps is not None:
-                steps.append(step)
+            if last is not None and np.array_equal(step, last):
+                step = last  # every CC and PR step scans the same lines
+            last = step
             yield step
-        state = self.last_kernel_state
-        for array in state.values():
-            array.flags.writeable = False
-            held += array.nbytes
-        if steps is not None and held <= budget:
-            # Another workload may have committed while this trial ran.
-            _TRIALS.clear()
-            _TRIALS[key] = _Trial(tuple(steps), dict(state))
 
-    def _emit(self, pages: np.ndarray, trial: int) -> AccessBatch:
-        all_pages = pages.astype(np.int64)
-        self._rng.shuffle(all_pages)
+    def _emit(
+        self, pages: np.ndarray, memo: _Trial | None, draft: _Trial | None
+    ) -> AccessBatch:
+        """The current step's batch: ``pages`` shuffled by the RNG, read
+        from ``memo`` when it holds this step at this RNG state (the RNG
+        then skips to the state the shuffle left), else shuffled afresh
+        and added to ``draft``."""
+        where = (self._step, _frozen(self._rng.bit_generator.state))
+        known = None if memo is None else memo.emitted.get(where)
+        if known is None:
+            all_pages = pages.astype(np.int64)
+            self._rng.shuffle(all_pages)
+            if draft is None:
+                all_pages.flags.writeable = False
+            else:
+                draft.hold(all_pages)
+                draft.emitted[where] = (all_pages, self._rng.bit_generator.state)
+        else:
+            all_pages, after = known
+            self._rng.bit_generator.state = after
         return AccessBatch(
             page_ids=all_pages,
             num_ops=0.0,
             cpu_ns=all_pages.size * CPU_NS_PER_ACCESS,
-            label=f"trial{trial}",
+            label=f"trial{self._trial}",
         )
 
     def _gather_neighbors(
@@ -324,9 +383,9 @@ class GapWorkload(Workload):
     def _edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-edge source and destination ids in CSR scan order."""
         edge_src = np.repeat(
-            np.arange(self.graph.num_nodes, dtype=np.int64), self._degrees
+            np.arange(self.graph.num_nodes, dtype=np.int32), self._degrees
         )
-        return edge_src, self.graph.indices.astype(np.int64)
+        return edge_src, self.graph.indices
 
     # -- BFS (direction-optimizing omitted; top-down level-synchronous) ----------
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.parallel import PolicySpec, WorkloadSpec
-from repro.core.runner import run_experiment
+from repro.core.runner import run_all_local, run_experiment
 from repro.memsim.machine import Machine, MachineConfig
 from repro.workloads import gap
 from repro.workloads.gap import KERNELS, GapWorkload, _lines_of_ranges
@@ -158,6 +158,17 @@ def _stream(batches):
     return [(b.label, b.cpu_ns, b.page_ids.tolist()) for b in batches]
 
 
+def _run_with_states(kernel: str, trials: int, seed: int, passes: int = 1):
+    """Run ``passes`` passes of one workload: ``[(batch, state_dict after it)]``."""
+    w = GapWorkload(kernel, scale=10, num_trials=trials, seed=seed)
+    w.setup(Machine(MachineConfig(local_capacity_pages=w.footprint_pages,
+                                  cxl_capacity_pages=64)))
+    out = []
+    for __ in range(passes):
+        out.extend((batch, w.state_dict()) for batch in w.batches())
+    return w, out
+
+
 def _counting(monkeypatch, method: str) -> list[int]:
     """Count calls of one kernel's step generator (one call per cold trial)."""
     calls: list[int] = []
@@ -180,18 +191,26 @@ class TestTrialMemo:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_warm_memo_replays_the_cold_stream(self, kernel, monkeypatch):
-        cold_w, cold = run_workload(kernel, trials=1, seed=3)
+        cold_w, cold = _run_with_states(kernel, trials=1, seed=3)
         assert len(gap._TRIALS) == 1
         calls = _counting(monkeypatch, f"_{kernel}_steps")
-        warm_w, warm = run_workload(kernel, trials=1, seed=3)
+        warm_w, warm = _run_with_states(kernel, trials=1, seed=3)
         assert calls == []
-        assert _stream(warm) == _stream(cold)
+        assert _stream(b for b, __ in warm) == _stream(b for b, __ in cold)
+        # The RNG and the position match after every batch, not only at the end.
+        assert [s for __, s in warm] == [s for __, s in cold]
         assert cold_w.last_kernel_state.keys() == warm_w.last_kernel_state.keys()
         for name, array in cold_w.last_kernel_state.items():
             assert np.array_equal(warm_w.last_kernel_state[name], array)
-        # Every batch is a fresh int64 array the consumer may modify.
-        assert all(b.page_ids.dtype == np.int64 for b in warm)
-        assert all(b.page_ids.flags.writeable for b in warm)
+        # Every batch is read-only int64, like a replayed recording's, and
+        # the warm run hands out the memo's own arrays, not copies.
+        (trial,) = gap._TRIALS.values()
+        held = {id(batch) for batch, __ in trial.emitted.values()}
+        assert len(held) == len(warm)
+        for batch, __ in warm:
+            assert batch.page_ids.dtype == np.int64
+            assert not batch.page_ids.flags.writeable
+            assert id(batch.page_ids) in held
 
     @pytest.mark.parametrize("kernel", ["cc", "pr"])
     def test_source_free_kernels_run_once_per_graph(self, kernel, monkeypatch):
@@ -255,17 +274,98 @@ class TestTrialMemo:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_over_budget_trial_is_not_memoised(self, kernel, monkeypatch):
-        __, memoised = run_workload(kernel, trials=2, seed=4)
+        __, memoised = _run_with_states(kernel, trials=2, seed=4)
         gap._TRIALS.clear()
         monkeypatch.setattr("repro.workloads.recording._memory_budget", lambda: 4096)
-        __, unmemoised = run_workload(kernel, trials=2, seed=4)
+        __, unmemoised = _run_with_states(kernel, trials=2, seed=4)
+        # Neither the steps nor a single emitted batch is held.
         assert gap._TRIALS == {}
-        assert _stream(unmemoised) == _stream(memoised)
+        assert _stream(b for b, __ in unmemoised) == _stream(b for b, __ in memoised)
+        assert [s for __, s in unmemoised] == [s for __, s in memoised]
+
+    def test_new_batches_over_budget_leave_the_entry_as_it_was(self, monkeypatch):
+        __, reference = _run_with_states("cc", trials=2, seed=4)
+        gap._TRIALS.clear()
+        _run_with_states("cc", trials=1, seed=4)
+        (trial,) = gap._TRIALS.values()
+        emitted = dict(trial.emitted)
+        # The memo is full: trial 1 hits its steps, but its new shuffles
+        # would take the entry over the budget.
+        monkeypatch.setattr(
+            "repro.workloads.recording._memory_budget", lambda: trial.nbytes
+        )
+        __, over = _run_with_states("cc", trials=2, seed=4)
+        assert list(gap._TRIALS.values()) == [trial]
+        assert trial.emitted.keys() == emitted.keys()
+        assert _stream(b for b, __ in over) == _stream(b for b, __ in reference)
+
+    @pytest.mark.parametrize("kernel", ["cc", "pr"])
+    def test_a_rewind_shuffles_anew_on_a_warm_memo(self, kernel, monkeypatch):
+        """A second pass reaches the same steps at other RNG states, so a
+        memo keyed on the position would replay the first pass's order."""
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.workloads.recording._memory_budget", lambda: 0)
+            __, cold = _run_with_states(kernel, trials=1, seed=2, passes=2)
+        assert gap._TRIALS == {}
+        _run_with_states(kernel, trials=1, seed=2, passes=2)
+        (trial,) = gap._TRIALS.values()
+        __, warm = _run_with_states(kernel, trials=1, seed=2, passes=2)
+        assert len(trial.emitted) == len(warm)  # both passes are memoised
+        assert _stream(b for b, __ in warm) == _stream(b for b, __ in cold)
+        assert [s for __, s in warm] == [s for __, s in cold]
+        half = len(cold) // 2
+        assert _stream(b for b, __ in cold[:half]) != _stream(
+            b for b, __ in cold[half:]
+        )
+
+    def test_another_graph_drops_the_memo_before_building(self, monkeypatch):
+        run_workload("cc", trials=1, seed=1)
+        assert len(gap._TRIALS) == 1
+        built = []
+        original = gap.generate_kronecker
+
+        def build(*args, **kwargs):
+            built.append(dict(gap._TRIALS))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gap, "generate_kronecker", build)
+        GapWorkload("cc", scale=10, num_trials=1, seed=2)
+        assert built == [{}]
+        assert gap._TRIALS == {}
+        # The same graph keeps its entry, whatever the kernel.
+        run_workload("cc", trials=1, seed=2)
+        GapWorkload("bfs", scale=10, num_trials=1, seed=2)
+        assert len(gap._TRIALS) == 1
+
+    @pytest.mark.parametrize("kernel", ["cc", "bfs"])
+    def test_row_cells_match_with_the_memo_warm_or_cleared(self, kernel):
+        """A row's cells share one warm memo in one process; each cell on
+        a cleared memo computes the same results."""
+        workload = WorkloadSpec("gap", kernel=kernel, scale=13, num_trials=2, seed=1)
+        config = ExperimentConfig(local_fraction=0.05, seed=1)
+        policies = [None] + [
+            PolicySpec(name, seed=1) for name in ("freqtier", "autonuma", "tpp", "hemem")
+        ]
+
+        def cell(policy):
+            if policy is None:
+                return run_all_local(workload, config).to_dict()
+            return run_experiment(workload, policy, config).to_dict()
+
+        warm = [cell(policy) for policy in policies]
+        assert gap._TRIALS
+        cold = []
+        for policy in policies:
+            gap._TRIALS.clear()
+            cold.append(cell(policy))
+        assert warm == cold
 
     def test_memoised_arrays_are_read_only(self):
         w, __ = run_workload("bc", trials=1, seed=6)
         (trial,) = gap._TRIALS.values()
+        assert trial.emitted
         for array in (*trial.steps, *trial.state.values(),
+                      *(batch for batch, __ in trial.emitted.values()),
                       *w.last_kernel_state.values()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
