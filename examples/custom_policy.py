@@ -80,9 +80,8 @@ class SampledLFU(TieringPolicy):
         # Demote whatever occupies local but is outside the top-k.
         local_pages = machine.page_table.pages_in_tier(LOCAL_TIER)
         stale = np.setdiff1d(local_pages, want_local, assume_unique=False)
-        demoted = machine.demote(stale[: len(to_promote) + 8])
-        promoted = machine.promote(to_promote)
-        self._record_migrations(promoted, demoted)
+        self._demote_pages(stale[: len(to_promote) + 8])
+        self._promote_pages(to_promote)
         return 10_000.0  # two syscalls + ranking pass
 
 

@@ -25,17 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsim.machine import Machine
-from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
-from repro.policies.base import TieringPolicy
+from repro.memsim.pagetable import CXL_TIER
+from repro.policies.base import HintFaultPolicy
 from repro.sampling.events import AccessBatch
-from repro.sampling.recency import HintFaultScanner
 
 
-class AutoNUMA(TieringPolicy):
+class AutoNUMA(HintFaultPolicy):
     """Hint-fault latency promotion + MGLRU-recency demotion."""
 
     name = "AutoNUMA"
-    _state_fields = TieringPolicy._state_fields + (
+    _state_fields = HintFaultPolicy._state_fields + (
         "hot_threshold_ns",
         "scanner",
         "_last_seen_ns",
@@ -56,19 +55,11 @@ class AutoNUMA(TieringPolicy):
         mglru_sample_stride: int = 16,
         seed: int = 0,
     ):
-        super().__init__()
-        if not 0.0 < window_fraction <= 1.0:
-            raise ValueError(
-                f"window_fraction must be in (0, 1], got {window_fraction}"
-            )
-        self.scan_period_accesses = int(scan_period_accesses)
-        self.window_fraction = float(window_fraction)
+        super().__init__(scan_period_accesses, window_fraction, seed)
         self.hot_threshold_ns = float(initial_hot_threshold_ns)
         self.rate_limit_pages = int(rate_limit_pages_per_window)
         self.rate_window_accesses = int(rate_window_accesses)
         self.mglru_sample_stride = max(1, int(mglru_sample_stride))
-        self.seed = int(seed)
-        self.scanner: HintFaultScanner | None = None
         self._last_seen_ns: np.ndarray | None = None
         # MGLRU generations: pages referenced across several recent
         # aging windows climb to older ("younger" in kernel terms =
@@ -76,22 +67,18 @@ class AutoNUMA(TieringPolicy):
         # recency.  Demotion evicts generation 0 first.
         self._generation: np.ndarray | None = None
         self._seen_this_window: np.ndarray | None = None
-        self._accesses_since_scan = 0
         self._accesses_in_rate_window = 0
         self._promoted_in_rate_window = 0
 
     #: Number of MGLRU generations (the kernel uses 4).
     MAX_GENERATION = 3
+    DEMOTE_PAGE_NS = 50.0  # LRU bookkeeping per demoted page
 
     # -- lifecycle --------------------------------------------------------
 
     def attach(self, machine: Machine) -> None:
         super().attach(machine)
         total = machine.config.total_capacity_pages
-        window_pages = max(16, int(self.window_fraction * total))
-        self.scanner = HintFaultScanner(
-            total_pages=total, window_pages=window_pages, seed=self.seed
-        )
         # Fault-derived recency; 0 = never observed (coldest).
         self._last_seen_ns = np.zeros(total, dtype=np.float64)
         self._generation = np.zeros(total, dtype=np.int8)
@@ -130,13 +117,8 @@ class AutoNUMA(TieringPolicy):
             self._seen_this_window[touched] = True
             overhead += 2_000.0  # one generation-walk slice
 
-        # Periodic address-space scan (unmap the next window) at the
-        # end of the quantum.
-        self._accesses_since_scan += batch.num_accesses
-        while self._accesses_since_scan >= self.scan_period_accesses:
-            self.scanner.scan_tick(now_ns)
-            self._accesses_since_scan -= self.scan_period_accesses
-            overhead += 10_000.0  # one scan pass over the window PTEs
+        # Periodic address-space scan (unmap the next window).
+        overhead += self._scan_ticks(batch, now_ns)
 
         # Promotion-rate-limit controller (kernel hot-threshold tuning).
         self._accesses_in_rate_window += batch.num_accesses
@@ -151,29 +133,17 @@ class AutoNUMA(TieringPolicy):
     def _maybe_promote(
         self, faulted: np.ndarray, latencies_ns: np.ndarray
     ) -> float:
-        machine = self.machine
         hot = faulted[latencies_ns < self.hot_threshold_ns]
         if hot.size == 0:
             return 0.0
-        placement = machine.placement_of(hot)
-        candidates = hot[placement == CXL_TIER]
+        candidates = hot[self.machine.placement_of(hot) == CXL_TIER]
         # Hard rate limit: the kernel drops promotions beyond the
         # per-window migration budget regardless of the threshold.
         budget = self.rate_limit_pages - self._promoted_in_rate_window
         if budget <= 0:
             return 0.0
-        candidates = candidates[:budget]
-        if candidates.size == 0:
-            return 0.0
-        overhead = 0.0
-        if machine.below_promo_wmark() or machine.local_free_pages < candidates.size:
-            overhead += self._demote_cold(
-                max(machine.demotion_deficit_pages(), int(candidates.size))
-            )
-        promoted = self._promote_pages(candidates).num_moved
-        if promoted:
-            overhead += 5_000.0  # move_pages syscall
-            self._promoted_in_rate_window += promoted
+        overhead, promoted = self._promote_making_room(candidates[:budget])
+        self._promoted_in_rate_window += promoted
         return overhead
 
     def _adjust_threshold(self) -> None:
@@ -199,21 +169,12 @@ class AutoNUMA(TieringPolicy):
 
     # -- demotion (MGLRU-recency) ----------------------------------------------------
 
-    def _demote_cold(self, num_pages: int) -> float:
+    def _coldest(self, local_pages: np.ndarray, k: int) -> np.ndarray:
         assert self._last_seen_ns is not None and self._generation is not None
-        machine = self.machine
-        local_pages = machine.page_table.pages_in_tier(LOCAL_TIER)
-        if local_pages.size == 0 or num_pages <= 0:
-            return 0.0
-        num_pages = min(num_pages, int(local_pages.size))
         # Rank by generation first (coarse frequency), recency second.
         # Generations dominate any plausible timestamp (ns ~ 1e12).
         rank = (
             self._generation[local_pages].astype(np.float64) * 1e15
             + self._last_seen_ns[local_pages]
         )
-        coldest_idx = np.argpartition(rank, num_pages - 1)[:num_pages]
-        demoted = self._demote_pages(local_pages[coldest_idx]).num_moved
-        if demoted:
-            return 5_000.0 + demoted * 50.0  # syscall + LRU bookkeeping
-        return 0.0
+        return np.argpartition(rank, k - 1)[:k]

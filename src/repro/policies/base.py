@@ -26,8 +26,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.memsim.machine import Machine, MoveOutcome
+from repro.memsim.pagetable import LOCAL_TIER
 from repro.obs import NULL_TRACER, Tracer
 from repro.sampling.events import AccessBatch
+from repro.sampling.recency import HintFaultScanner
 from repro.state.codec import Stateful
 
 if TYPE_CHECKING:
@@ -387,6 +389,87 @@ class TieringPolicy(Stateful, abc.ABC):
         self._count_extra("demotions_failed", outcome.num_failed)
         return outcome
 
+    # -- the kernel's watermark protocol (paper Fig. 6) ---------------------
+
+    #: Modeled cost of one :meth:`_demote_coldest_k` round: a metadata
+    #: walk of ``DEMOTE_RANK_NS`` per ranked local page, plus, when
+    #: anything moved, one ``move_pages`` syscall and
+    #: ``DEMOTE_PAGE_NS`` of bookkeeping per moved page.
+    DEMOTE_RANK_NS = 0.0
+    DEMOTE_PAGE_NS = 0.0
+
+    def _promote_making_room(self, candidates: np.ndarray) -> tuple[float, int]:
+        """Promote CXL-resident ``candidates``, making room first.
+
+        Below the promotion watermark, or with fewer free local pages
+        than candidates, the coldest ``max(deficit to the demotion
+        watermark, len(candidates))`` local pages are demoted first.
+        Returns ``(overhead_ns, pages promoted)``.
+        """
+        if candidates.size == 0:
+            return 0.0, 0
+        machine = self.machine
+        overhead = 0.0
+        if machine.below_promo_wmark() or machine.local_free_pages < candidates.size:
+            overhead += self._demote_coldest_k(
+                max(machine.demotion_deficit_pages(), int(candidates.size))
+            )
+        moved = self._promote_pages(candidates).num_moved
+        if moved:
+            overhead += 5_000.0  # move_pages syscall
+        return overhead, moved
+
+    def _demote_coldest_k(self, num_pages: int) -> float:
+        """Demote up to ``num_pages`` local pages in :meth:`_coldest`
+        order; returns the modeled overhead in ns."""
+        local_pages = self.machine.page_table.pages_in_tier(LOCAL_TIER)
+        if local_pages.size == 0 or num_pages <= 0:
+            return 0.0
+        coldest = self._coldest(local_pages, min(num_pages, int(local_pages.size)))
+        moved = self._demote_pages(local_pages[coldest]).num_moved
+        overhead = local_pages.size * self.DEMOTE_RANK_NS
+        if moved:
+            overhead += 5_000.0 + moved * self.DEMOTE_PAGE_NS
+        return overhead
+
+    def _coldest(self, local_pages: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the ``k`` coldest of ``local_pages`` (``1 <= k <=
+        len(local_pages)``), in the order they are demoted."""
+        raise NotImplementedError(f"policy {self.name!r} ranks no pages")
+
     def describe(self) -> dict[str, object]:
         """Metadata for benchmark reports."""
         return {"name": self.name}
+
+
+class HintFaultPolicy(TieringPolicy):
+    """A policy that profiles through NUMA hint faults (AutoNUMA, TPP)."""
+
+    def __init__(self, scan_period_accesses: int, window_fraction: float, seed: int):
+        super().__init__()
+        if not 0.0 < window_fraction <= 1.0:
+            raise ValueError(
+                f"window_fraction must be in (0, 1], got {window_fraction}"
+            )
+        self.scan_period_accesses = int(scan_period_accesses)
+        self.window_fraction = float(window_fraction)
+        self.seed = int(seed)
+        self.scanner: HintFaultScanner | None = None
+        self._accesses_since_scan = 0
+
+    def attach(self, machine: Machine) -> None:
+        super().attach(machine)
+        total = machine.config.total_capacity_pages
+        self.scanner = HintFaultScanner(
+            total, max(16, int(self.window_fraction * total))
+        )
+
+    def _scan_ticks(self, batch: AccessBatch, now_ns: float) -> float:
+        """Unmap the next window once per full scan period; 10 us each."""
+        overhead = 0.0
+        self._accesses_since_scan += batch.num_accesses
+        while self._accesses_since_scan >= self.scan_period_accesses:
+            self.scanner.scan_tick(now_ns)
+            self._accesses_since_scan -= self.scan_period_accesses
+            overhead += 10_000.0
+        return overhead

@@ -23,7 +23,7 @@ import numpy as np
 from repro._units import PAGE_SIZE
 from repro.cbf.exact import ExactFrequencyTracker, HEMEM_BYTES_PER_PAGE
 from repro.memsim.machine import Machine
-from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
+from repro.memsim.pagetable import CXL_TIER
 from repro.policies.base import TieringPolicy
 from repro.sampling.events import AccessBatch
 from repro.sampling.pebs import PEBSSampler, SamplingLevel
@@ -33,6 +33,7 @@ class HeMem(TieringPolicy):
     """Exact per-page frequency tiering with heavyweight metadata."""
 
     name = "HeMem"
+    DEMOTE_RANK_NS = 10.0  # metadata walk to rank each local page
     _state_fields = TieringPolicy._state_fields + (
         "tracker",
         "pebs",
@@ -141,38 +142,13 @@ class HeMem(TieringPolicy):
             # tier in one round.
             order = np.argsort(self.tracker.get(hot))[::-1]
             hot = hot[order][: max(self.machine.config.local_capacity_pages // 2, 1)]
-            placement = self.machine.placement_of(hot)
-            candidates = hot[placement == CXL_TIER]
-            if candidates.size:
-                overhead += self._promote(candidates)
+            candidates = hot[self.machine.placement_of(hot) == CXL_TIER]
+            overhead += self._promote_making_room(candidates)[0]
         return overhead
 
-    def _promote(self, candidates: np.ndarray) -> float:
-        machine = self.machine
-        overhead = 0.0
-        if machine.below_promo_wmark() or machine.local_free_pages < candidates.size:
-            overhead += self._demote_coldest(
-                max(machine.demotion_deficit_pages(), int(candidates.size))
-            )
-        promoted = self._promote_pages(candidates).num_moved
-        if promoted:
-            overhead += 5_000.0
-        return overhead
-
-    def _demote_coldest(self, num_pages: int) -> float:
-        """Demote the local pages with the lowest exact frequency."""
-        machine = self.machine
-        local_pages = machine.page_table.pages_in_tier(LOCAL_TIER)
-        if local_pages.size == 0 or num_pages <= 0:
-            return 0.0
-        num_pages = min(num_pages, int(local_pages.size))
-        freqs = self.tracker.get(local_pages)
-        coldest_idx = np.argpartition(freqs, num_pages - 1)[:num_pages]
-        demoted = self._demote_pages(local_pages[coldest_idx]).num_moved
-        overhead = local_pages.size * 10.0  # metadata walk to rank pages
-        if demoted:
-            overhead += 5_000.0
-        return overhead
+    def _coldest(self, local_pages: np.ndarray, k: int) -> np.ndarray:
+        """The local pages with the lowest exact frequency."""
+        return np.argpartition(self.tracker.get(local_pages), k - 1)[:k]
 
     def describe(self) -> dict[str, object]:
         base = super().describe()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsim.machine import Machine
-from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
+from repro.memsim.pagetable import CXL_TIER
 from repro.policies.base import TieringPolicy
 from repro.sampling.events import AccessBatch
 from repro.sampling.pebs import PEBSSampler, SamplingLevel
@@ -91,10 +91,8 @@ class MultiClock(TieringPolicy):
         multi = pages[new_state >= 2]
         multi = multi[: max(self.machine.config.local_capacity_pages // 2, 1)]
         if multi.size:
-            placement = self.machine.placement_of(multi)
-            candidates = multi[placement == CXL_TIER]
-            if candidates.size:
-                overhead += self._promote(candidates)
+            candidates = multi[self.machine.placement_of(multi) == CXL_TIER]
+            overhead += self._promote_making_room(candidates)[0]
 
         self._samples_since_sweep += samples.num_samples
         if self._samples_since_sweep >= self.sweep_interval_samples:
@@ -103,29 +101,7 @@ class MultiClock(TieringPolicy):
             self._samples_since_sweep = 0
         return overhead
 
-    def _promote(self, candidates: np.ndarray) -> float:
-        machine = self.machine
-        overhead = 0.0
-        if machine.below_promo_wmark() or machine.local_free_pages < candidates.size:
-            overhead += self._demote_singletons(
-                max(machine.demotion_deficit_pages(), int(candidates.size))
-            )
-        promoted = self._promote_pages(candidates).num_moved
-        if promoted:
-            overhead += 5_000.0
-        return overhead
-
-    def _demote_singletons(self, num_pages: int) -> float:
-        """Demote local pages seen at most once this sweep."""
+    def _coldest(self, local_pages: np.ndarray, k: int) -> np.ndarray:
+        """Unseen local pages first, then those seen once this sweep."""
         assert self._seen is not None
-        machine = self.machine
-        local_pages = machine.page_table.pages_in_tier(LOCAL_TIER)
-        if local_pages.size == 0 or num_pages <= 0:
-            return 0.0
-        seen = self._seen[local_pages]
-        # Coldest first: unseen (0), then seen-once (1).
-        order = np.argsort(seen, kind="stable")[: min(num_pages, local_pages.size)]
-        demoted = self._demote_pages(local_pages[order]).num_moved
-        if demoted:
-            return 5_000.0
-        return 0.0
+        return np.argsort(self._seen[local_pages], kind="stable")[:k]

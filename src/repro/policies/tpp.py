@@ -20,17 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsim.machine import Machine
-from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
-from repro.policies.base import TieringPolicy
+from repro.memsim.pagetable import CXL_TIER
+from repro.policies.base import HintFaultPolicy
 from repro.sampling.events import AccessBatch
-from repro.sampling.recency import HintFaultScanner
 
 
-class TPP(TieringPolicy):
+class TPP(HintFaultPolicy):
     """Hint faults + active-LRU promotion, plain-LRU demotion."""
 
     name = "TPP"
-    _state_fields = TieringPolicy._state_fields + (
+    DEMOTE_PAGE_NS = 50.0  # LRU bookkeeping per demoted page
+    _state_fields = HintFaultPolicy._state_fields + (
         "scanner",
         "_last_fault_ns",
         "_last_ref_ns",
@@ -49,9 +49,7 @@ class TPP(TieringPolicy):
         headroom_fraction: float = 0.10,
         seed: int = 0,
     ):
-        super().__init__()
-        self.scan_period_accesses = int(scan_period_accesses)
-        self.window_fraction = float(window_fraction)
+        super().__init__(scan_period_accesses, window_fraction, seed)
         self.active_window_ns = float(active_window_ns)
         self.lru_sample_stride = max(1, int(lru_sample_stride))
         self.lru_snapshot_interval_accesses = int(lru_snapshot_interval_accesses)
@@ -60,21 +58,14 @@ class TPP(TieringPolicy):
                 f"headroom_fraction must be in [0, 1), got {headroom_fraction}"
             )
         self.headroom_fraction = float(headroom_fraction)
-        self.seed = int(seed)
-        self.scanner: HintFaultScanner | None = None
         self._last_fault_ns: np.ndarray | None = None
         self._last_ref_ns: np.ndarray | None = None
         self._lru_snapshot: np.ndarray | None = None
-        self._accesses_since_scan = 0
         self._accesses_since_snapshot = 0
 
     def attach(self, machine: Machine) -> None:
         super().attach(machine)
         total = machine.config.total_capacity_pages
-        window_pages = max(16, int(self.window_fraction * total))
-        self.scanner = HintFaultScanner(
-            total_pages=total, window_pages=window_pages, seed=self.seed
-        )
         self._last_fault_ns = np.full(total, -np.inf, dtype=np.float64)
         # Plain (non-MGLRU) LRU recency from page reference bits: a
         # sparser, staler sample than AutoNUMA's generation walks.
@@ -110,9 +101,11 @@ class TPP(TieringPolicy):
                 self._last_fault_ns[faults.page_ids],
                 self._last_ref_ns[faults.page_ids],
             )
-            active = (now_ns - previous) < self.active_window_ns
+            active = faults.page_ids[(now_ns - previous) < self.active_window_ns]
             self._last_fault_ns[faults.page_ids] = now_ns
-            overhead += self._promote_active(faults.page_ids[active])
+            # No rate limit: TPP makes room for every active faulted page.
+            candidates = active[self.machine.placement_of(active) == CXL_TIER]
+            overhead += self._promote_making_room(candidates)[0]
 
         # Reference-bit LRU sampling (coarser than AutoNUMA's MGLRU).
         # The scatter writes a constant: repeated pages need no dedupe.
@@ -126,11 +119,7 @@ class TPP(TieringPolicy):
             self._accesses_since_snapshot = 0
             overhead += 20_000.0  # LRU list rebalancing pass
 
-        self._accesses_since_scan += batch.num_accesses
-        while self._accesses_since_scan >= self.scan_period_accesses:
-            self.scanner.scan_tick(now_ns)
-            self._accesses_since_scan -= self.scan_period_accesses
-            overhead += 10_000.0
+        overhead += self._scan_ticks(batch, now_ns)
 
         # TPP's signature: keep an allocation headroom free on the top
         # tier by demoting proactively, not just on promotion pressure.
@@ -139,44 +128,13 @@ class TPP(TieringPolicy):
         )
         deficit = headroom - self.machine.local_free_pages
         if deficit > 0:
-            overhead += self._demote_lru(deficit)
+            overhead += self._demote_coldest_k(deficit)
 
         self.stats.overhead_ns += overhead
         return overhead
 
-    # -- promotion ------------------------------------------------------------
+    # -- demotion (plain LRU on the snapshot) --------------------------------------
 
-    def _promote_active(self, active_pages: np.ndarray) -> float:
-        machine = self.machine
-        if active_pages.size == 0:
-            return 0.0
-        placement = machine.placement_of(active_pages)
-        candidates = active_pages[placement == CXL_TIER]
-        if candidates.size == 0:
-            return 0.0
-        overhead = 0.0
-        # No rate limit: TPP makes room for every active faulted page.
-        if machine.below_promo_wmark() or machine.local_free_pages < candidates.size:
-            overhead += self._demote_lru(
-                max(machine.demotion_deficit_pages(), int(candidates.size))
-            )
-        promoted = self._promote_pages(candidates).num_moved
-        if promoted:
-            overhead += 5_000.0
-        return overhead
-
-    # -- demotion (plain LRU on fault recency) -------------------------------------
-
-    def _demote_lru(self, num_pages: int) -> float:
+    def _coldest(self, local_pages: np.ndarray, k: int) -> np.ndarray:
         assert self._lru_snapshot is not None
-        machine = self.machine
-        local_pages = machine.page_table.pages_in_tier(LOCAL_TIER)
-        if local_pages.size == 0 or num_pages <= 0:
-            return 0.0
-        num_pages = min(num_pages, int(local_pages.size))
-        recency = self._lru_snapshot[local_pages]
-        coldest_idx = np.argpartition(recency, num_pages - 1)[:num_pages]
-        demoted = self._demote_pages(local_pages[coldest_idx]).num_moved
-        if demoted:
-            return 5_000.0 + demoted * 50.0
-        return 0.0
+        return np.argpartition(self._lru_snapshot[local_pages], k - 1)[:k]

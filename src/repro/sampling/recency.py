@@ -60,13 +60,11 @@ class HintFaultScanner(Stateful):
     window_pages:
         Pages unmapped per scan tick (the paper's 256 MB scan window,
         scaled).
-    seed:
-        Unused today; reserved for randomized scan starts.
     """
 
     _state_fields = ("_cursor", "_unmap_time", "faults_taken", "windows_scanned")
 
-    def __init__(self, total_pages: int, window_pages: int, seed: int = 0):
+    def __init__(self, total_pages: int, window_pages: int):
         if total_pages <= 0:
             raise ValueError(f"total_pages must be > 0, got {total_pages}")
         if window_pages <= 0:

@@ -62,6 +62,13 @@ class TestDemotion:
         with pytest.raises(ValueError):
             TPP(headroom_fraction=1.0)
 
+    @pytest.mark.parametrize("window_fraction", [0.0, -0.1, 1.5])
+    def test_window_fraction_validated(self, window_fraction):
+        # Same (0, 1] range as AutoNUMA: both size one hint-fault
+        # scanner the same way.
+        with pytest.raises(ValueError, match="window_fraction"):
+            TPP(window_fraction=window_fraction)
+
     def test_demotion_uses_stale_snapshot(self):
         machine, policy = make_setup(
             local=64,
