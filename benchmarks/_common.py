@@ -1,9 +1,11 @@
-"""Shared infrastructure for the paper-reproduction benchmarks.
+"""Table renderers and %all-local helpers for the paper benchmarks.
 
 Every benchmark regenerates one table or figure of the paper at the
 simulator's scale (see DESIGN.md "Scaling convention"): capacity
 *ratios*, policy parameters and workload shapes match the paper; page
-counts are ~1000x smaller.  Output is printed in the paper's layout so
+counts are ~1000x smaller.  The cells themselves -- workload presets,
+%local per ratio, the line-up and the grids -- come from
+:mod:`repro.paper`.  Output is printed in the paper's layout so
 rows can be compared side by side with the published numbers, and each
 bench asserts the *shape* results the paper's text highlights.
 
@@ -14,115 +16,9 @@ reproduction output.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro import ExperimentConfig, PolicySpec, WorkloadSpec
 from repro.analysis.tables import format_rows
 from repro.core.metrics import ExperimentResult
-from repro.core.parallel import CellSpec, ParallelExecutor, executor_from_env
-from repro.memsim.tier import TieredMemoryConfig, CXL1_CONFIG
-
-#: Bench-scale CacheLib slab: 64 sim-GB of items (the paper's 256 GB
-#: at a further 4x reduction; all ratios preserved).
-CACHELIB_SLAB_PAGES = 16_384
-CACHELIB_OPS_PER_BATCH = 10_000
-CACHELIB_BATCHES = 400
-
-#: GAP graph scale (2^18 nodes, avg degree 4) and trials.
-GAP_SCALE = 18
-GAP_TRIALS = 6
-
-#: XGBoost boosting rounds per run.
-XGB_ROUNDS = 80
-
-#: The paper's %local per workload family (its %local column).
-CACHELIB_RATIOS = [("1:32", 0.06), ("1:16", 0.12), ("1:8", 0.24)]
-GAP_RATIOS = [("1:32", 0.05), ("1:16", 0.10), ("1:8", 0.19)]
-XGB_RATIOS = [("1:32", 0.065), ("1:16", 0.13), ("1:8", 0.26)]
-
-#: Paper-order policy line-up for every table.
-POLICY_NAMES = ("FreqTier", "AutoNUMA", "TPP", "HeMem")
-
-
-def standard_policies(seed: int = 0) -> dict[str, Callable]:
-    """The paper line-up as picklable, cache-addressable specs."""
-    return {
-        "FreqTier": PolicySpec("freqtier", seed=seed),
-        "AutoNUMA": PolicySpec("autonuma", seed=seed),
-        "TPP": PolicySpec("tpp", seed=seed),
-        "HeMem": PolicySpec("hemem", seed=seed),
-    }
-
-
-def cdn_workload(seed: int = 1) -> Callable:
-    return WorkloadSpec(
-        "cdn",
-        slab_pages=CACHELIB_SLAB_PAGES,
-        ops_per_batch=CACHELIB_OPS_PER_BATCH,
-        seed=seed,
-    )
-
-
-def social_workload(seed: int = 1) -> Callable:
-    return WorkloadSpec(
-        "social",
-        slab_pages=CACHELIB_SLAB_PAGES,
-        ops_per_batch=CACHELIB_OPS_PER_BATCH,
-        seed=seed,
-    )
-
-
-def gap_workload(kernel: str, seed: int = 2) -> Callable:
-    return WorkloadSpec(
-        "gap", kernel=kernel, scale=GAP_SCALE, num_trials=GAP_TRIALS, seed=seed
-    )
-
-
-def xgb_workload(seed: int = 3) -> Callable:
-    return WorkloadSpec("xgboost", num_rounds=XGB_ROUNDS, seed=seed)
-
-
-def run_grid(
-    workload_factory: Callable,
-    ratios: list[tuple[str, float]],
-    memory: TieredMemoryConfig = CXL1_CONFIG,
-    max_batches: int | None = CACHELIB_BATCHES,
-    seed: int = 1,
-    executor: ParallelExecutor | None = None,
-) -> dict[str, dict[str, ExperimentResult]]:
-    """Run the standard policy line-up at every capacity ratio.
-
-    Returns ``{ratio_label: {policy: result}}`` (incl. ``AllLocal``).
-
-    All ratios x policies are submitted as one batch of cells, so an
-    executor with ``jobs>1`` parallelizes the whole grid at once.  The
-    default executor honours ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
-    (serial, uncached when unset), so the benchmark suite can be
-    parallelized/cached without touching any benchmark file.
-    """
-    if executor is None:
-        executor = executor_from_env()
-    cells: list[CellSpec] = []
-    keys: list[tuple[str, str]] = []
-    for label, frac in ratios:
-        config = ExperimentConfig(
-            local_fraction=frac,
-            ratio_label=label,
-            memory=memory,
-            max_batches=max_batches,
-            seed=seed,
-        )
-        for name, factory in (
-            [("AllLocal", None)] + list(standard_policies(seed=seed).items())
-        ):
-            cells.append(
-                CellSpec(workload_factory, factory, config, label=name)
-            )
-            keys.append((label, name))
-    grid: dict[str, dict[str, ExperimentResult]] = {}
-    for (label, name), result in zip(keys, executor.run(cells)):
-        grid.setdefault(label, {})[name] = result
-    return grid
+from repro.paper import LINEUP
 
 
 def cachelib_table(
@@ -131,14 +27,14 @@ def cachelib_table(
 ) -> str:
     """Render a Table II/III style block: P50 and throughput rows."""
     headers = ["Config", "%local"] + [
-        f"{n} (p50/thr %all-local)" for n in POLICY_NAMES
+        f"{n} (p50/thr %all-local)" for n in LINEUP
     ]
     rows = []
     for label, frac in ratios:
         results = grid[label]
         base = results["AllLocal"]
         row = [label, f"{frac:.0%}"]
-        for name in POLICY_NAMES:
+        for name in LINEUP:
             rel = results[name].relative_to(base)
             row.append(
                 f"{rel['p50_latency']:.1%} / {rel['throughput']:.1%}"
@@ -153,14 +49,14 @@ def labeled_time_table(
 ) -> str:
     """Render a Table IV/V style block: per-trial time %all-local."""
     headers = ["Config", "%local"] + [
-        f"{n} (time %all-local)" for n in POLICY_NAMES
+        f"{n} (time %all-local)" for n in LINEUP
     ]
     rows = []
     for label, frac in ratios:
         results = grid[label]
         base = results["AllLocal"]
         row = [label, f"{frac:.0%}"]
-        for name in POLICY_NAMES:
+        for name in LINEUP:
             rel = results[name].relative_to(base)["label_time"]
             row.append(f"{rel:.1%}" if rel else "-")
         rows.append(row)

@@ -10,19 +10,18 @@ of hot-page classification against an exact oracle.
 import numpy as np
 import pytest
 
-from benchmarks._common import cdn_workload
+from repro import paper
 from repro.cbf.blocked import BlockedCountingBloomFilter
 from repro.cbf.cbf import CountingBloomFilter
 from repro.cbf.exact import ExactFrequencyTracker
 from repro.core.runner import build_machine
-from repro import ExperimentConfig
 from repro.sampling.pebs import PEBSSampler
 
 
 @pytest.fixture(scope="module")
 def samples() -> np.ndarray:
-    workload = cdn_workload(6)()
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32", seed=6)
+    workload = paper.workloads(6)["cdn"]()
+    config = paper.config("cachelib", seed=6)
     machine = build_machine(workload.footprint_pages, config)
     workload.setup(machine)
     sampler = PEBSSampler(base_period=16, seed=6)

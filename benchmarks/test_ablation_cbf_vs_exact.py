@@ -10,8 +10,7 @@ trackers and compares hot/cold classifications and memory.
 import numpy as np
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig
+from repro import paper
 from repro.cbf.cbf import CountingBloomFilter
 from repro.cbf.exact import ExactFrequencyTracker
 from repro.cbf.sizing import counters_for_fpr
@@ -21,8 +20,8 @@ from repro.sampling.pebs import PEBSSampler
 
 @pytest.fixture(scope="module")
 def stream() -> list[np.ndarray]:
-    workload = cdn_workload(8)()
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32", seed=8)
+    workload = paper.workloads(8)["cdn"]()
+    config = paper.config("cachelib", seed=8)
     machine = build_machine(workload.footprint_pages, config)
     workload.setup(machine)
     sampler = PEBSSampler(base_period=16, seed=8)

@@ -12,18 +12,17 @@ estimates.
 import numpy as np
 import pytest
 
-from benchmarks._common import cdn_workload
+from repro import paper
 from repro.cbf.cbf import CountingBloomFilter
 from repro.cbf.coalescing import SampleCoalescer
 from repro.core.runner import build_machine
-from repro import ExperimentConfig
 from repro.sampling.pebs import PEBSSampler
 
 
 def sampled_stream(num_batches: int = 60) -> list[np.ndarray]:
     """PEBS-sampled CDN access stream, batched as FreqTier sees it."""
-    workload = cdn_workload(5)()
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32", seed=5)
+    workload = paper.workloads(5)["cdn"]()
+    config = paper.config("cachelib", seed=5)
     machine = build_machine(workload.footprint_pages, config)
     workload.setup(machine)
     sampler = PEBSSampler(base_period=16, seed=5)

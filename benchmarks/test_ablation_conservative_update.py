@@ -12,8 +12,7 @@ aggressive load factor and compares classification quality.
 import numpy as np
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig
+from repro import paper
 from repro.cbf.cbf import CountingBloomFilter
 from repro.cbf.cms import CountMinSketch
 from repro.cbf.exact import ExactFrequencyTracker
@@ -23,8 +22,8 @@ from repro.sampling.pebs import PEBSSampler
 
 @pytest.fixture(scope="module")
 def stream() -> list[np.ndarray]:
-    workload = cdn_workload(12)()
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32", seed=12)
+    workload = paper.workloads(12)["cdn"]()
+    config = paper.config("cachelib", seed=12)
     machine = build_machine(workload.footprint_pages, config)
     workload.setup(machine)
     sampler = PEBSSampler(base_period=16, seed=12)

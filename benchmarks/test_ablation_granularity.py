@@ -13,15 +13,12 @@ promoted unit drags cold pages into scarce local DRAM.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, FreqTierConfig, run_all_local, sweep
+from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
 from repro.analysis.tables import format_rows
 
 GRANULARITIES = [1, 4, 16, 64]
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 def factory_for(granularity: int):
@@ -35,7 +32,7 @@ def factory_for(granularity: int):
 
 @pytest.fixture(scope="module")
 def results():
-    wf = cdn_workload()
+    wf = paper.workloads(1)["cdn"]
     base = run_all_local(wf, CONFIG)
     return base, sweep(wf, factory_for, GRANULARITIES, CONFIG)
 

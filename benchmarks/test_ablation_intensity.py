@@ -10,15 +10,12 @@ avoid.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, run_all_local, run_experiment
+from repro import FreqTier, run_all_local, run_experiment, paper
 from repro.analysis.tables import format_rows
 from repro.policies.freqtier.intensity import IntensityController, TieringState
 from repro.sampling.pebs import SamplingLevel
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=500, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=500, seed=1)
 
 
 class _FixedHighController(IntensityController):
@@ -43,7 +40,7 @@ class FixedRateFreqTier(FreqTier):
 
 @pytest.fixture(scope="module")
 def results():
-    wf = cdn_workload()
+    wf = paper.workloads(1)["cdn"]
     base = run_all_local(wf, CONFIG)
     adaptive = run_experiment(wf, lambda: FreqTier(seed=1), CONFIG)
     fixed = run_experiment(wf, lambda: FixedRateFreqTier(seed=1), CONFIG)

@@ -11,18 +11,15 @@ advantage is modest.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, FreqTierConfig, run_all_local, run_experiment
+from repro import FreqTier, FreqTierConfig, run_all_local, run_experiment, paper
 from repro.analysis.tables import format_rows
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 @pytest.fixture(scope="module")
 def results():
-    wf = cdn_workload()
+    wf = paper.workloads(1)["cdn"]
     base = run_all_local(wf, CONFIG)
     userspace = run_experiment(
         wf,

@@ -9,13 +9,10 @@ the best static choice without hand-tuning.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, FreqTierConfig, run_all_local, run_experiment
+from repro import FreqTier, FreqTierConfig, run_all_local, run_experiment, paper
 from repro.analysis.tables import format_rows
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 def fixed_threshold_policy(threshold: int):
@@ -38,7 +35,7 @@ def dynamic_policy():
 
 @pytest.fixture(scope="module")
 def results():
-    wf = cdn_workload()
+    wf = paper.workloads(1)["cdn"]
     base = run_all_local(wf, CONFIG)
     out = {"dynamic": run_experiment(wf, dynamic_policy, CONFIG)}
     for threshold in (1, 5, 14):

@@ -10,28 +10,20 @@ than going stale.
 
 import pytest
 
-from repro import AutoNUMA, CacheLibWorkload, CDN_PROFILE, ExperimentConfig, FreqTier, compare_policies
+from repro import AutoNUMA, FreqTier, compare_policies, paper
 from repro.analysis.tables import format_rows
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=450, seed=6
-)
+CONFIG = paper.config("cachelib", max_batches=450, seed=6)
 
 
-def churny_workload():
-    return CacheLibWorkload(
-        CDN_PROFILE,
-        slab_pages=16_384,
-        ops_per_batch=10_000,
-        churn_swaps_per_batch=25,  # ~0.6% of items swap rank per batch
-        seed=6,
-    )
+# ~0.6% of items swap rank per batch.
+CHURNY = paper.workloads(6)["cdn"].with_params(churn_swaps_per_batch=25)
 
 
 @pytest.fixture(scope="module")
 def results():
     return compare_policies(
-        churny_workload,
+        CHURNY,
         {
             "FreqTier": lambda: FreqTier(seed=6),
             "AutoNUMA": lambda: AutoNUMA(seed=6),

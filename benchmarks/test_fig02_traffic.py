@@ -12,18 +12,18 @@ the 16 GB-equivalent and 32 GB-equivalent local sizes.
 
 import pytest
 
-from benchmarks._common import cdn_workload, social_workload, run_grid
+from repro import paper
 from repro.analysis.tables import format_rows
 
-RATIOS = [("1:32", 0.06), ("1:16", 0.12)]  # 16 GB / 32 GB equivalents
+RATIOS = paper.ratios("cachelib")[:2]  # 16 GB / 32 GB equivalents
 SYSTEMS = ("FreqTier", "AutoNUMA", "TPP")
 
 
 @pytest.fixture(scope="module")
 def grids():
     return {
-        "cdn": run_grid(cdn_workload(), RATIOS, seed=1),
-        "social": run_grid(social_workload(), RATIOS, seed=1),
+        name: paper.run_grid(paper.workloads(1)[name], RATIOS, seed=1)
+        for name in ("cdn", "social")
     }
 
 

@@ -8,25 +8,20 @@ grows to 64 GB.
 
 import pytest
 
-from benchmarks._common import (
-    cdn_workload,
-    POLICY_NAMES,
-    run_grid,
-    social_workload,
-)
+from repro import paper
 from repro.analysis.tables import format_rows
 
 # 16 / 32 / 64 GB against the 267 GB footprint = 6% / 12% / 24%
 # (capacity ratios 1:32 / 1:16 / 1:8).
-SIZES = [("1:32", 0.06), ("1:16", 0.12), ("1:8", 0.24)]
+SIZES = paper.ratios("cachelib")
 SIZE_NAMES = {"1:32": "16GB", "1:16": "32GB", "1:8": "64GB"}
 
 
 @pytest.fixture(scope="module")
 def grids():
     return {
-        "cdn": run_grid(cdn_workload(), SIZES, seed=1),
-        "social": run_grid(social_workload(), SIZES, seed=1),
+        name: paper.run_grid(paper.workloads(1)[name], SIZES, seed=1)
+        for name in ("cdn", "social")
     }
 
 
@@ -37,11 +32,11 @@ def test_fig09_hit_ratio(benchmark, grids):
     for workload, grid in grids.items():
         for label, __ in SIZES:
             row = [workload, SIZE_NAMES[label]]
-            for name in POLICY_NAMES:
+            for name in paper.LINEUP:
                 row.append(f"{grid[label][name].steady_hit_ratio:.1%}")
             rows.append(row)
     print("\n=== Fig. 9: local DRAM hit ratio ===")
-    print(format_rows(["workload", "local size"] + list(POLICY_NAMES), rows))
+    print(format_rows(["workload", "local size"] + list(paper.LINEUP), rows))
 
     for workload, grid in grids.items():
         # FreqTier tops every cell; at the largest local size the

@@ -13,15 +13,7 @@ transition is logged) and recovers to a high hit ratio.
 
 import pytest
 
-from repro import (
-    AutoNUMA,
-    CacheLibWorkload,
-    CDN_PROFILE,
-    ExperimentConfig,
-    FreqTier,
-    ListSink,
-    Tracer,
-)
+from repro import AutoNUMA, FreqTier, ListSink, Tracer, paper
 from repro.core.engine import SimulationEngine
 from repro.core.runner import build_machine
 from repro.workloads.cachelib import Phase
@@ -30,22 +22,17 @@ SHIFT_BATCH = 200
 TOTAL_BATCHES = 800
 
 
-def shifted_workload():
-    return CacheLibWorkload(
-        CDN_PROFILE,
-        slab_pages=16_384,
-        ops_per_batch=10_000,
-        phase_plan=(
-            Phase(0.0, 0.5, num_batches=SHIFT_BATCH),
-            Phase(0.5, 1.0, None),
-        ),
-        seed=9,
+SHIFTED = paper.workloads(9)["cdn"].with_params(
+    phase_plan=(
+        Phase(0.0, 0.5, num_batches=SHIFT_BATCH),
+        Phase(0.5, 1.0, None),
     )
+)
 
 
 def run_policy(policy):
-    workload = shifted_workload()
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32", seed=9)
+    workload = SHIFTED()
+    config = paper.config("cachelib", seed=9)
     machine = build_machine(workload.footprint_pages, config)
     sink = ListSink()
     engine = SimulationEngine(machine, workload, policy, tracer=Tracer(sinks=[sink]))

@@ -12,16 +12,13 @@ performance rises with CBF size, then flattens.
 
 import pytest
 
-from benchmarks._common import cdn_workload, social_workload
-from repro import ExperimentConfig, FreqTier, FreqTierConfig, run_all_local, sweep
+from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
 from repro.analysis.tables import format_rows
 
 #: Counter-array sizes from starved to saturated.
 CBF_SIZES = [256, 1024, 4096, 16_384, 65_536]
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 def factory_for(num_counters: int):
@@ -36,7 +33,7 @@ def factory_for(num_counters: int):
 @pytest.fixture(scope="module")
 def sweeps():
     out = {}
-    for name, wf in (("cdn", cdn_workload()), ("social", social_workload())):
+    for name, wf in (("cdn", paper.workloads(1)["cdn"]), ("social", paper.workloads(1)["social"])):
         base = run_all_local(wf, CONFIG)
         results = sweep(wf, factory_for, CBF_SIZES, CONFIG)
         out[name] = (base, results)

@@ -12,16 +12,13 @@ buffer memory grows linearly.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, FreqTierConfig, run_all_local, sweep
+from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
 from repro.analysis.tables import format_rows
 from repro.sampling.pebs import SAMPLE_RECORD_BYTES
 
 BATCH_SIZES = [50, 200, 1_000, 5_000, 20_000]
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 def factory_for(batch_size: int):
@@ -35,7 +32,7 @@ def factory_for(batch_size: int):
 
 @pytest.fixture(scope="module")
 def results():
-    wf = cdn_workload()
+    wf = paper.workloads(1)["cdn"]
     base = run_all_local(wf, CONFIG)
     return base, sweep(wf, factory_for, BATCH_SIZES, CONFIG)
 

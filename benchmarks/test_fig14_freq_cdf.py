@@ -9,8 +9,7 @@ frequency 15, so 4-bit counters suffice (Section VII-E3).
 import numpy as np
 import pytest
 
-from benchmarks._common import cdn_workload, gap_workload, social_workload
-from repro import ExperimentConfig, FreqTier
+from repro import FreqTier, paper
 from repro.analysis.distributions import frequency_cdf, saturated_fraction
 from repro.analysis.tables import format_rows
 from repro.core.engine import SimulationEngine
@@ -21,20 +20,18 @@ from repro.core.runner import build_machine
 # sparser sampling period there to restore the paper's samples-per-page
 # density.
 WORKLOADS = {
-    "cdn": (cdn_workload(4), 0.06, 350, 64),
-    "social": (social_workload(4), 0.06, 350, 64),
-    "gap-bfs": (gap_workload("bfs", 4), 0.05, None, 512),
-    "gap-cc": (gap_workload("cc", 4), 0.05, None, 512),
+    "cdn": ("cachelib", 350, 64),
+    "social": ("cachelib", 350, 64),
+    "gap-bfs": ("gap", None, 512),
+    "gap-cc": ("gap", None, 512),
 }
 
 
-def capture(workload_factory, local_fraction, max_batches, period):
+def capture(name, family, max_batches, period):
     from repro import FreqTierConfig
 
-    workload = workload_factory()
-    config = ExperimentConfig(
-        local_fraction=local_fraction, ratio_label="1:32", seed=4
-    )
+    workload = paper.workloads(4)[name]()
+    config = paper.config(family, seed=4)
     machine = build_machine(workload.footprint_pages, config)
     policy = FreqTier(
         config=FreqTierConfig(pebs_base_period=period), seed=4
@@ -47,8 +44,8 @@ def capture(workload_factory, local_fraction, max_batches, period):
 @pytest.fixture(scope="module")
 def cbfs():
     return {
-        name: capture(wf, frac, mb, period)
-        for name, (wf, frac, mb, period) in WORKLOADS.items()
+        name: capture(name, family, mb, period)
+        for name, (family, mb, period) in WORKLOADS.items()
     }
 
 

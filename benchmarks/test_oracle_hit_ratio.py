@@ -12,20 +12,17 @@ placement efficiency against it.
 
 import pytest
 
-from benchmarks._common import cdn_workload, standard_policies
-from repro import ExperimentConfig, compare_policies
+from repro import compare_policies, paper
 from repro.analysis.oracle import oracle_hit_ratio, placement_efficiency
 from repro.analysis.tables import format_rows
 from repro.core.runner import build_machine
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 @pytest.fixture(scope="module")
 def oracle():
-    workload = cdn_workload()()
+    workload = paper.workloads(1)["cdn"]()
     machine = build_machine(workload.footprint_pages, CONFIG)
     workload.setup(machine)
     gen = iter(workload.batches())
@@ -39,7 +36,7 @@ def oracle():
 
 @pytest.fixture(scope="module")
 def results():
-    return compare_policies(cdn_workload(), standard_policies(seed=1), CONFIG)
+    return compare_policies(paper.workloads(1)["cdn"], paper.policies(1), CONFIG)
 
 
 def test_oracle_hit_ratio(benchmark, oracle, results):

@@ -10,8 +10,7 @@ policies' modeled metadata from a real run.
 """
 
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, HeMem, run_experiment
+from repro import FreqTier, HeMem, run_experiment, paper
 from repro._units import GiB, MiB, PAGE_SIZE
 from repro.analysis.tables import format_rows
 from repro.cbf.exact import HEMEM_BYTES_PER_PAGE
@@ -66,11 +65,10 @@ def test_overhead_memory(benchmark):
     assert 50 < ratio < 300
 
     # Simulated policies report consistent modeled metadata.
-    config = ExperimentConfig(
-        local_fraction=0.06, ratio_label="1:32", max_batches=60, seed=1
-    )
-    ft = run_experiment(cdn_workload(), lambda: FreqTier(seed=1), config)
-    hm = run_experiment(cdn_workload(), lambda: HeMem(seed=1), config)
+    config = paper.config("cachelib", max_batches=60, seed=1)
+    cdn = paper.workloads(1)["cdn"]
+    ft = run_experiment(cdn, lambda: FreqTier(seed=1), config)
+    hm = run_experiment(cdn, lambda: HeMem(seed=1), config)
     print(
         f"  simulated run metadata: FreqTier "
         f"{ft.policy_stats['metadata_bytes'] / 1024:.0f} KB, HeMem "

@@ -18,20 +18,17 @@ information beats both coarser signals.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, MultiClock, compare_policies
+from repro import FreqTier, MultiClock, compare_policies, paper
 from repro.analysis.tables import format_rows
 from repro.policies.damon import DAMONRegion
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 @pytest.fixture(scope="module")
 def results():
     return compare_policies(
-        cdn_workload(),
+        paper.workloads(1)["cdn"],
         {
             "FreqTier": lambda: FreqTier(seed=1),
             "MULTI-CLOCK": lambda: MultiClock(seed=1),

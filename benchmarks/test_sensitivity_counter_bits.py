@@ -9,15 +9,12 @@ and checks: 4 bits performs like 8 bits, and the filter's memory halves.
 
 import pytest
 
-from benchmarks._common import cdn_workload
-from repro import ExperimentConfig, FreqTier, FreqTierConfig, run_all_local, sweep
+from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
 from repro.analysis.tables import format_rows
 
 BITS = [2, 4, 8]
 
-CONFIG = ExperimentConfig(
-    local_fraction=0.06, ratio_label="1:32", max_batches=400, seed=1
-)
+CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
 def factory_for(bits: int):
@@ -36,7 +33,7 @@ def factory_for(bits: int):
 
 @pytest.fixture(scope="module")
 def results():
-    wf = cdn_workload()
+    wf = paper.workloads(1)["cdn"]
     base = run_all_local(wf, CONFIG)
     return base, sweep(wf, factory_for, BITS, CONFIG)
 

@@ -13,42 +13,37 @@ with more local DRAM.
 
 import pytest
 
-from benchmarks._common import (
-    CACHELIB_RATIOS,
-    cachelib_table,
-    cdn_workload,
-    POLICY_NAMES,
-    relative_throughput,
-    run_grid,
-)
+from benchmarks._common import cachelib_table, relative_throughput
+from repro import paper
+
+RATIOS = paper.ratios("cachelib")
+CDN = paper.workloads(1)["cdn"]
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_grid(cdn_workload(), CACHELIB_RATIOS, seed=1)
+    return paper.run_grid(CDN, RATIOS, seed=1)
 
 
 def test_table2_cachelib_cdn(benchmark, grid):
     # Time one representative cell (FreqTier at 1:32) for the record.
-    from repro import ExperimentConfig, FreqTier, run_experiment
+    from repro import FreqTier, run_experiment
 
-    config = ExperimentConfig(
-        local_fraction=0.06, ratio_label="1:32", max_batches=100, seed=1
-    )
+    config = paper.config("cachelib", max_batches=100, seed=1)
     benchmark.pedantic(
-        lambda: run_experiment(cdn_workload(), FreqTier, config),
+        lambda: run_experiment(CDN, FreqTier, config),
         rounds=1,
         iterations=1,
     )
 
     print("\n=== Table II: CacheLib CDN (throughput / P50 vs all-local) ===")
-    print(cachelib_table(grid, CACHELIB_RATIOS))
-    for label, __ in CACHELIB_RATIOS:
-        hits = {n: grid[label][n].steady_hit_ratio for n in POLICY_NAMES}
+    print(cachelib_table(grid, RATIOS))
+    for label, __ in RATIOS:
+        hits = {n: grid[label][n].steady_hit_ratio for n in paper.LINEUP}
         print(f"  {label} hit ratios: " + ", ".join(f"{n}={v:.2f}" for n, v in hits.items()))
 
     # FreqTier wins every cell.
-    for label, __ in CACHELIB_RATIOS:
+    for label, __ in RATIOS:
         ft = relative_throughput(grid[label], "FreqTier")
         for other in ("AutoNUMA", "TPP", "HeMem"):
             assert ft > relative_throughput(grid[label], other), (label, other)
@@ -59,5 +54,5 @@ def test_table2_cachelib_cdn(benchmark, grid):
     ) - 0.01
 
     # Monotone improvement with more local DRAM for FreqTier.
-    ft_series = [relative_throughput(grid[l], "FreqTier") for l, _ in CACHELIB_RATIOS]
+    ft_series = [relative_throughput(grid[l], "FreqTier") for l, _ in RATIOS]
     assert ft_series[0] <= ft_series[1] + 0.02 <= ft_series[2] + 0.04

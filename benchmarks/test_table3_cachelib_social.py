@@ -12,40 +12,35 @@ configuration to exceed 90% of all-local on social graph.
 
 import pytest
 
-from benchmarks._common import (
-    CACHELIB_RATIOS,
-    cachelib_table,
-    POLICY_NAMES,
-    relative_throughput,
-    run_grid,
-    social_workload,
-)
+from benchmarks._common import cachelib_table, relative_throughput
+from repro import paper
+
+RATIOS = paper.ratios("cachelib")
+SOCIAL = paper.workloads(1)["social"]
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_grid(social_workload(), CACHELIB_RATIOS, seed=1)
+    return paper.run_grid(SOCIAL, RATIOS, seed=1)
 
 
 def test_table3_cachelib_social(benchmark, grid):
-    from repro import ExperimentConfig, FreqTier, run_experiment
+    from repro import FreqTier, run_experiment
 
-    config = ExperimentConfig(
-        local_fraction=0.06, ratio_label="1:32", max_batches=100, seed=1
-    )
+    config = paper.config("cachelib", max_batches=100, seed=1)
     benchmark.pedantic(
-        lambda: run_experiment(social_workload(), FreqTier, config),
+        lambda: run_experiment(SOCIAL, FreqTier, config),
         rounds=1,
         iterations=1,
     )
 
     print("\n=== Table III: CacheLib social graph ===")
-    print(cachelib_table(grid, CACHELIB_RATIOS))
-    for label, __ in CACHELIB_RATIOS:
-        hits = {n: grid[label][n].steady_hit_ratio for n in POLICY_NAMES}
+    print(cachelib_table(grid, RATIOS))
+    for label, __ in RATIOS:
+        hits = {n: grid[label][n].steady_hit_ratio for n in paper.LINEUP}
         print(f"  {label} hit ratios: " + ", ".join(f"{n}={v:.2f}" for n, v in hits.items()))
 
-    for label, __ in CACHELIB_RATIOS:
+    for label, __ in RATIOS:
         ft = relative_throughput(grid[label], "FreqTier")
         for other in ("AutoNUMA", "TPP", "HeMem"):
             assert ft > relative_throughput(grid[label], other), (label, other)

@@ -12,44 +12,39 @@ frequency baseline (HeMem) is consistently near the bottom on GAP.
 
 import pytest
 
-from benchmarks._common import (
-    GAP_RATIOS,
-    gap_workload,
-    labeled_time_table,
-    relative_label_time,
-    run_grid,
-)
+from benchmarks._common import labeled_time_table, relative_label_time
+from repro import paper
 
 KERNELS = ("bc", "bfs", "cc")
+RATIOS = paper.ratios("gap")
+GAP = {kernel: paper.workloads(2)[f"gap-{kernel}"] for kernel in KERNELS}
 
 
 @pytest.fixture(scope="module")
 def grids():
     return {
-        kernel: run_grid(
-            gap_workload(kernel), GAP_RATIOS, max_batches=None, seed=2
-        )
+        kernel: paper.run_grid(GAP[kernel], RATIOS, max_batches=None, seed=2)
         for kernel in KERNELS
     }
 
 
 def test_table4_gap(benchmark, grids):
-    from repro import ExperimentConfig, FreqTier, run_experiment
+    from repro import FreqTier, run_experiment
 
-    config = ExperimentConfig(local_fraction=0.05, max_batches=None, seed=2)
+    config = paper.config("gap", max_batches=None, seed=2)
     benchmark.pedantic(
-        lambda: run_experiment(gap_workload("bfs"), FreqTier, config),
+        lambda: run_experiment(GAP["bfs"], FreqTier, config),
         rounds=1,
         iterations=1,
     )
 
     for kernel in KERNELS:
         print(f"\n=== Table IV: GAP {kernel.upper()} (time vs all-local) ===")
-        print(labeled_time_table(grids[kernel], GAP_RATIOS))
+        print(labeled_time_table(grids[kernel], RATIOS))
 
     # FreqTier wins every kernel at every ratio.
     for kernel in KERNELS:
-        for label, __ in GAP_RATIOS:
+        for label, __ in RATIOS:
             results = grids[kernel][label]
             ft = relative_label_time(results, "FreqTier")
             for other in ("AutoNUMA", "TPP", "HeMem"):

@@ -12,32 +12,30 @@ paper's exact ordering), and TPP is the worst system on XGBoost.
 
 import pytest
 
-from benchmarks._common import (
-    XGB_RATIOS,
-    labeled_time_table,
-    relative_label_time,
-    run_grid,
-    xgb_workload,
-)
+from benchmarks._common import labeled_time_table, relative_label_time
+from repro import paper
+
+RATIOS = paper.ratios("xgboost")
+XGBOOST = paper.workloads(3)["xgboost"]
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_grid(xgb_workload(), XGB_RATIOS, max_batches=None, seed=3)
+    return paper.run_grid(XGBOOST, RATIOS, max_batches=None, seed=3)
 
 
 def test_table5_xgboost(benchmark, grid):
-    from repro import ExperimentConfig, FreqTier, run_experiment
+    from repro import FreqTier, run_experiment
 
-    config = ExperimentConfig(local_fraction=0.065, max_batches=None, seed=3)
+    config = paper.config("xgboost", max_batches=None, seed=3)
     benchmark.pedantic(
-        lambda: run_experiment(xgb_workload(), FreqTier, config),
+        lambda: run_experiment(XGBOOST, FreqTier, config),
         rounds=1,
         iterations=1,
     )
 
     print("\n=== Table V: XGBoost (time/round vs all-local) ===")
-    print(labeled_time_table(grid, XGB_RATIOS))
+    print(labeled_time_table(grid, RATIOS))
 
     # Paper ordering at 1:32: FreqTier > AutoNUMA > HeMem > TPP.
     r132 = grid["1:32"]
@@ -48,7 +46,7 @@ def test_table5_xgboost(benchmark, grid):
     assert ft > an > hm > tpp
 
     # TPP is the worst system at every ratio (paper: 47-79%).
-    for label, __ in XGB_RATIOS:
+    for label, __ in RATIOS:
         results = grid[label]
         tpp_rel = relative_label_time(results, "TPP")
         for other in ("FreqTier", "AutoNUMA", "HeMem"):

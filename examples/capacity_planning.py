@@ -12,29 +12,21 @@ Usage:
     python examples/capacity_planning.py
 """
 
-from repro import (
-    AutoNUMA,
-    CacheLibWorkload,
-    ExperimentConfig,
-    FreqTier,
-    SOCIAL_PROFILE,
-    compare_policies,
-)
+from repro import AutoNUMA, ExperimentConfig, FreqTier, compare_policies, paper
 from repro.analysis.tables import format_rows
 
-FRACTIONS = [(0.03, "1:32"), (0.06, "1:32"), (0.12, "1:16"), (0.24, "1:8")]
+# A 3% point below the paper's smallest cell, then its three CacheLib
+# cells (1:32, 1:16, 1:8).
+POINTS = [("1:32", 0.03)] + paper.ratios("cachelib")
 
 
 def main() -> None:
-    def workload():
-        return CacheLibWorkload(
-            SOCIAL_PROFILE, slab_pages=16_384, ops_per_batch=10_000, seed=3
-        )
+    workload = paper.workloads(3)["social"]
 
     rows = []
     crossover = None
     print("Sweeping local DRAM sizes on CacheLib social graph ...")
-    for frac, label in FRACTIONS:
+    for label, frac in POINTS:
         config = ExperimentConfig(
             local_fraction=frac, ratio_label=label, max_batches=300, seed=3
         )

@@ -16,14 +16,7 @@ Usage:
     python examples/churn_adaptation.py
 """
 
-from repro import (
-    CacheLibWorkload,
-    CDN_PROFILE,
-    ExperimentConfig,
-    FreqTier,
-    ListSink,
-    Tracer,
-)
+from repro import FreqTier, ListSink, Tracer, paper
 from repro.analysis.timeline import resample_timeline
 from repro.core.engine import SimulationEngine
 from repro.core.runner import build_machine
@@ -42,17 +35,13 @@ def spark(values, width: int = 50) -> str:
 
 
 def main() -> None:
-    workload = CacheLibWorkload(
-        CDN_PROFILE,
-        slab_pages=16_384,
-        ops_per_batch=10_000,
+    workload = paper.workloads(9)["cdn"].with_params(
         phase_plan=(
             Phase(0.0, 0.5, num_batches=SHIFT_AT_BATCH),
             Phase(0.5, 1.0, None),
-        ),
-        seed=9,
-    )
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32", seed=9)
+        )
+    )()
+    config = paper.config("cachelib", "1:32", seed=9)
     machine = build_machine(workload.footprint_pages, config)
     policy = FreqTier(seed=9)
     sink = ListSink()

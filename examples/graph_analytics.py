@@ -18,28 +18,30 @@ import argparse
 
 from repro import (
     AutoNUMA,
-    ExperimentConfig,
     FreqTier,
-    GapWorkload,
     StaticNoMigration,
     compare_policies,
+    paper,
 )
 from repro.analysis.tables import format_rows
 
 
 def main() -> None:
+    presets = paper.workloads(2)
+    bench = presets["gap-bfs"].params
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=int, default=18, help="2^scale nodes")
+    parser.add_argument(
+        "--scale", type=int, default=bench["scale"], help="2^scale nodes"
+    )
     parser.add_argument(
         "--kernel", choices=("bfs", "cc", "bc"), default="bfs"
     )
-    parser.add_argument("--trials", type=int, default=6)
+    parser.add_argument("--trials", type=int, default=bench["num_trials"])
     args = parser.parse_args()
 
-    def workload():
-        return GapWorkload(
-            args.kernel, scale=args.scale, num_trials=args.trials, seed=2
-        )
+    workload = presets[f"gap-{args.kernel}"].with_params(
+        scale=args.scale, num_trials=args.trials
+    )
 
     probe = workload()
     print(
@@ -53,9 +55,7 @@ def main() -> None:
         f"(hubs make tiering worthwhile)"
     )
 
-    config = ExperimentConfig(
-        local_fraction=0.05, ratio_label="1:32", max_batches=None, seed=2
-    )
+    config = paper.config("gap", "1:32", max_batches=None, seed=2)
     print(f"\nRunning {args.kernel.upper()} x{args.trials} trials @ 1:32 ...")
     results = compare_policies(
         workload,

@@ -10,44 +10,22 @@ Usage:
     python examples/quickstart.py
 """
 
-from repro import (
-    AutoNUMA,
-    CacheLibWorkload,
-    CDN_PROFILE,
-    ExperimentConfig,
-    FreqTier,
-    HeMem,
-    TPP,
-    compare_policies,
-)
+from repro import compare_policies, paper
 from repro.analysis.tables import format_comparison_table
 
 
 def main() -> None:
-    # The workload: a cachebench-style CDN trace.  16384 slab pages
-    # ~= a 64 "simulated GB" cache (see DESIGN.md scaling convention).
-    def workload():
-        return CacheLibWorkload(
-            CDN_PROFILE, slab_pages=16_384, ops_per_batch=10_000, seed=1
-        )
+    # The workload: the bench-scale cachebench-style CDN trace, a
+    # 64 "simulated GB" cache (see DESIGN.md scaling convention).
+    workload = paper.workloads(1)["cdn"]
 
     # The machine: local DRAM sized to 6% of the footprint, CXL 32x
     # larger -- the paper's 1:32 configuration (16 GB : 512 GB).
-    config = ExperimentConfig(
-        local_fraction=0.06, ratio_label="1:32", max_batches=300, seed=1
-    )
+    config = paper.config("cachelib", "1:32", max_batches=300, seed=1)
 
     print("Running 5 tiering systems on CacheLib CDN @ 1:32 ...")
-    results = compare_policies(
-        workload,
-        {
-            "FreqTier": lambda: FreqTier(seed=1),
-            "AutoNUMA": lambda: AutoNUMA(seed=1),
-            "TPP": lambda: TPP(seed=1),
-            "HeMem": lambda: HeMem(seed=1),
-        },
-        config,
-    )
+    # FreqTier, AutoNUMA, TPP and HeMem, plus the all-local upper bound.
+    results = compare_policies(workload, paper.policies(1), config)
 
     print()
     print(format_comparison_table(results))

@@ -6,18 +6,15 @@ the FreqTier tiering system, the AutoNUMA / TPP / HeMem baselines, and
 a trace-driven tiered-memory simulator standing in for the paper's
 emulated-CXL testbed.
 
-Quickstart::
+Quickstart (``repro.paper`` holds the paper's cells at simulator
+scale; ``import repro`` does not import it)::
 
-    from repro import (
-        CacheLibWorkload, CDN_PROFILE, ExperimentConfig,
-        FreqTier, AutoNUMA, compare_policies,
-    )
+    from repro import AutoNUMA, FreqTier, compare_policies, paper
 
-    config = ExperimentConfig(local_fraction=0.06, ratio_label="1:32")
     results = compare_policies(
-        lambda: CacheLibWorkload(CDN_PROFILE, slab_pages=16384, seed=1),
+        paper.workloads(1)["cdn"],
         {"FreqTier": FreqTier, "AutoNUMA": AutoNUMA},
-        config,
+        paper.config("cachelib", "1:32"),
     )
     print(results["FreqTier"].summary())
 

@@ -3,31 +3,33 @@
 Usage::
 
     python -m repro.cli list
-    python -m repro.cli run --workload cdn --policy freqtier \
-        --local-fraction 0.06 --ratio 1:32 --batches 300
-    python -m repro.cli compare --workload social --ratio 1:16 \
-        --local-fraction 0.12
+    python -m repro.cli run --workload cdn --policy freqtier --batches 300
+    python -m repro.cli compare --workload social --cxl 2
     python -m repro.cli sweep --workload cdn --policy freqtier \
         --fractions 0.03,0.06,0.12,0.24
     python -m repro.cli run --workload zipf --policy freqtier \
         --trace out.jsonl
     python -m repro.cli trace summarize out.jsonl
 
-Outputs a human-readable table by default; ``--json`` emits
-machine-readable results.  ``--trace`` writes a JSONL event trace
-(``run``: one file; ``compare``: one file per cell in a directory);
-``trace summarize`` / ``trace validate`` inspect such files.
+Workload names, the ``compare`` line-up and the ``--local-fraction`` /
+``--ratio`` defaults (the CacheLib 1:32 cell) come from
+:mod:`repro.paper`.  Outputs a human-readable table by default;
+``--json`` emits machine-readable results.  ``--trace`` writes a JSONL
+event trace (``run``: one file; ``compare``: one file per cell in a
+directory); ``trace summarize`` / ``trace validate`` inspect such files.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
 from collections.abc import Callable
 
+from repro import paper
 from repro.analysis.tables import format_comparison_table, format_rows
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ExperimentResult
@@ -36,39 +38,12 @@ from repro.core.parallel import (
     FailedCell,
     ParallelExecutor,
     PolicySpec,
-    WorkloadSpec,
 )
 from repro.core.runner import compare_policies, run_all_local, run_experiment
 from repro.faults import FAULT_PRESETS, FaultPlan, parse_fault_spec
 from repro.memsim.tier import CXL1_CONFIG, CXL2_CONFIG
 from repro.obs import trace_to
 from repro.state import SnapshotError
-
-
-def _workload_registry(seed: int) -> dict[str, Callable]:
-    """Spec-based factories: picklable (``--jobs``) and cacheable."""
-    return {
-        "cdn": WorkloadSpec(
-            "cdn", slab_pages=16_384, ops_per_batch=10_000, seed=seed
-        ),
-        "social": WorkloadSpec(
-            "social", slab_pages=16_384, ops_per_batch=10_000, seed=seed
-        ),
-        "gap-bfs": WorkloadSpec(
-            "gap", kernel="bfs", scale=18, num_trials=6, seed=seed
-        ),
-        "gap-cc": WorkloadSpec(
-            "gap", kernel="cc", scale=18, num_trials=6, seed=seed
-        ),
-        "gap-bc": WorkloadSpec(
-            "gap", kernel="bc", scale=18, num_trials=6, seed=seed
-        ),
-        "gap-pr": WorkloadSpec(
-            "gap", kernel="pr", scale=18, num_trials=4, seed=seed
-        ),
-        "xgboost": WorkloadSpec("xgboost", num_rounds=80, seed=seed),
-        "zipf": WorkloadSpec("zipf", num_pages=16_384, alpha=1.2, seed=seed),
-    }
 
 
 def _policy_registry(seed: int) -> dict[str, Callable]:
@@ -166,12 +141,12 @@ def _maybe_profile(args: argparse.Namespace, default_stem: str):
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    memory = CXL2_CONFIG if args.cxl == 2 else CXL1_CONFIG
+    """The cell config of the machine flags; ``--batches <= 0`` = no limit."""
     return ExperimentConfig(
         local_fraction=args.local_fraction,
         ratio_label=args.ratio,
-        memory=memory,
-        max_batches=args.batches,
+        memory=CXL2_CONFIG if args.cxl == 2 else CXL1_CONFIG,
+        max_batches=args.batches if args.batches > 0 else None,
         seed=args.seed,
     )
 
@@ -187,14 +162,23 @@ def _result_dict(result: ExperimentResult) -> dict:
     return summary
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--local-fraction", type=float, default=0.06)
-    parser.add_argument("--ratio", default="1:32")
+def _add_machine_args(
+    parser: argparse.ArgumentParser,
+    batches: int = 300,
+    batches_help: str | None = None,
+) -> None:
+    """The flags of one cell's machine and output.
+
+    ``--local-fraction`` and ``--ratio`` default to the paper's CacheLib
+    1:32 cell.
+    """
+    cell = paper.config("cachelib")
+    parser.add_argument("--local-fraction", type=float, default=cell.local_fraction)
+    parser.add_argument("--ratio", default=cell.ratio_label)
     parser.add_argument(
         "--cxl", type=int, choices=(1, 2), default=1, help="CXL device config"
     )
-    parser.add_argument("--batches", type=int, default=300)
+    parser.add_argument("--batches", type=int, default=batches, help=batches_help)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true")
 
@@ -276,7 +260,7 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    workloads = sorted(_workload_registry(0))
+    workloads = sorted(paper.workloads(0))
     policies = sorted(_policy_registry(0))
     if args.json:
         print(json.dumps({"workloads": workloads, "policies": policies}))
@@ -295,11 +279,9 @@ def _lookup(registry: dict[str, Callable], name: str, kind: str) -> Callable:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    workload = _lookup(_workload_registry(args.seed), args.workload, "workload")
+    workload = _lookup(paper.workloads(args.seed), args.workload, "workload")
     policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
     config = _config_from_args(args)
-    max_batches = None if args.batches <= 0 else args.batches
-    config.max_batches = max_batches
     faults = _faults_from_args(args)
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
@@ -332,16 +314,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    workload = _lookup(_workload_registry(args.seed), args.workload, "workload")
+    workload = _lookup(paper.workloads(args.seed), args.workload, "workload")
     registry = _policy_registry(args.seed)
     names = (
         [n.strip() for n in args.policies.split(",")]
         if args.policies
-        else ["freqtier", "autonuma", "tpp", "hemem"]
+        else list(paper.LINEUP.values())
     )
     policies = {name: _lookup(registry, name, "policy") for name in names}
     config = _config_from_args(args)
-    config.max_batches = None if args.batches <= 0 else args.batches
     with _maybe_profile(args, "repro-compare"):
         results = compare_policies(
             workload,
@@ -387,7 +368,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.workloads.traceio import save_trace
 
     workload_factory = _lookup(
-        _workload_registry(args.seed), args.workload, "workload"
+        paper.workloads(args.seed), args.workload, "workload"
     )
     workload = workload_factory()
     config = _config_from_args(args)
@@ -400,7 +381,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             args.out,
             workload.batches(),
             workload.footprint_pages,
-            max_batches=args.batches if args.batches > 0 else None,
+            max_batches=config.max_batches,
         )
     except StreamTooLarge as exc:
         print(f"record: {exc}; nothing written, pass --batches", file=sys.stderr)
@@ -423,7 +404,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
     config = _config_from_args(args)
-    config.max_batches = None if args.batches <= 0 else args.batches
     result = run_experiment(
         lambda: TraceFileWorkload(args.trace), policy, config
     )
@@ -527,7 +507,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     overload protection")."""
     from repro.serve import ServeConfig, TieringDaemon, VirtualTimeDriver
 
-    workload_registry = _workload_registry(args.seed)
+    workload_registry = paper.workloads(args.seed)
     names = [n.strip() for n in args.workload.split(",")]
     factories: dict[str, Callable] = {}
     for i, name in enumerate(names):
@@ -536,7 +516,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         factories[tenant] = factory
     policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
     config = _config_from_args(args)
-    config.max_batches = None
     try:
         serve = ServeConfig(
             queue_capacity=args.queue_capacity,
@@ -579,7 +558,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    workload = _lookup(_workload_registry(args.seed), args.workload, "workload")
+    workload = _lookup(paper.workloads(args.seed), args.workload, "workload")
     policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
     fractions = [float(f) for f in args.fractions.split(",")]
     # Submit every (policy, all-local) pair across all fractions as one
@@ -587,15 +566,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # skips already-computed points.
     executor = _executor_from_args(args)
     faults = _faults_from_args(args)
+    machine = _config_from_args(args)
     cells = []
     for frac in fractions:
-        config = ExperimentConfig(
-            local_fraction=frac,
-            ratio_label=args.ratio,
-            memory=CXL2_CONFIG if args.cxl == 2 else CXL1_CONFIG,
-            max_batches=None if args.batches <= 0 else args.batches,
-            seed=args.seed,
-        )
+        config = dataclasses.replace(machine, local_fraction=frac)
         cells.append(
             CellSpec(workload, policy, config, label=str(frac), faults=faults)
         )
@@ -653,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_list)
 
     p_run = sub.add_parser("run", help="run one experiment cell")
-    _add_common_args(p_run)
+    p_run.add_argument("--workload", required=True)
+    _add_machine_args(p_run)
     _add_fault_args(p_run)
     p_run.add_argument("--policy", required=True)
     p_run.add_argument(
@@ -695,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare several policies")
-    _add_common_args(p_cmp)
+    p_cmp.add_argument("--workload", required=True)
+    _add_machine_args(p_cmp)
     _add_exec_args(p_cmp)
     _add_fault_args(p_cmp)
     p_cmp.add_argument(
@@ -761,12 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
         "with its own bounded queue",
     )
     p_serve.add_argument("--policy", required=True)
-    p_serve.add_argument("--local-fraction", type=float, default=0.06)
-    p_serve.add_argument("--ratio", default="1:32")
-    p_serve.add_argument("--cxl", type=int, choices=(1, 2), default=1)
-    p_serve.add_argument("--batches", type=int, default=0, help=argparse.SUPPRESS)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--json", action="store_true")
+    # Streams run until --offers; 0 = no batch limit.
+    _add_machine_args(p_serve, batches=0, batches_help=argparse.SUPPRESS)
     _add_fault_args(p_serve)
     p_serve.add_argument(
         "--offers",
@@ -841,7 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=cmd_serve)
 
     p_sweep = sub.add_parser("sweep", help="sweep local DRAM fractions")
-    _add_common_args(p_sweep)
+    p_sweep.add_argument("--workload", required=True)
+    _add_machine_args(p_sweep)
     _add_exec_args(p_sweep)
     _add_fault_args(p_sweep)
     p_sweep.add_argument("--policy", required=True)
@@ -859,19 +832,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rec = sub.add_parser("record", help="record a version-1 trace file")
-    _add_common_args(p_rec)
+    p_rec.add_argument("--workload", required=True)
+    _add_machine_args(p_rec)
     p_rec.add_argument("--out", required=True, help="output trace file path")
     p_rec.set_defaults(func=cmd_record)
 
     p_rep = sub.add_parser("replay", help="replay a recorded trace")
     p_rep.add_argument("--trace", required=True, help="trace file (or an old .npz)")
     p_rep.add_argument("--policy", required=True)
-    p_rep.add_argument("--local-fraction", type=float, default=0.06)
-    p_rep.add_argument("--ratio", default="1:32")
-    p_rep.add_argument("--cxl", type=int, choices=(1, 2), default=1)
-    p_rep.add_argument("--batches", type=int, default=0)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--json", action="store_true")
+    _add_machine_args(p_rep, batches=0)
     p_rep.set_defaults(func=cmd_replay)
     return parser
 
@@ -879,8 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # `sweep`/`compare` reuse the common --local-fraction even when
-    # unused; argparse guarantees presence.
     try:
         return args.func(args)
     except SnapshotError as exc:  # a checkpoint this release cannot resume

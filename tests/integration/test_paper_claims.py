@@ -10,12 +10,12 @@ from repro import (
     AutoNUMA,
     CacheLibWorkload,
     CDN_PROFILE,
-    ExperimentConfig,
     FreqTier,
     HeMem,
     SOCIAL_PROFILE,
     TPP,
     compare_policies,
+    paper,
 )
 from repro.memsim.tier import CXL2_CONFIG
 
@@ -40,9 +40,7 @@ POLICIES = {
 
 @pytest.fixture(scope="module")
 def cdn_results_132():
-    config = ExperimentConfig(
-        local_fraction=0.06, ratio_label="1:32", max_batches=250, seed=21
-    )
+    config = paper.config("cachelib", "1:32", max_batches=250, seed=21)
     return compare_policies(cdn_factory, POLICIES, config)
 
 
@@ -90,12 +88,8 @@ class TestHeadlineClaims:
 class TestCapacityScaling:
     def test_freqtier_at_1_32_matches_autonuma_at_1_16(self):
         """Table II's 2x-less-DRAM claim, small scale."""
-        cfg_132 = ExperimentConfig(
-            local_fraction=0.06, ratio_label="1:32", max_batches=200, seed=22
-        )
-        cfg_116 = ExperimentConfig(
-            local_fraction=0.12, ratio_label="1:16", max_batches=200, seed=22
-        )
+        cfg_132 = paper.config("cachelib", "1:32", max_batches=200, seed=22)
+        cfg_116 = paper.config("cachelib", "1:16", max_batches=200, seed=22)
         results_ft = compare_policies(cdn_factory, {"FreqTier": freqtier}, cfg_132)
         results_an = compare_policies(cdn_factory, {"AutoNUMA": AutoNUMA}, cfg_116)
         ft = results_ft["FreqTier"].relative_to(results_ft["AllLocal"])["throughput"]
@@ -105,10 +99,8 @@ class TestCapacityScaling:
     def test_gap_narrows_with_more_dram(self):
         """Section VII-A observation 2: FreqTier's edge shrinks at 1:8."""
         gaps = {}
-        for frac, label in [(0.06, "1:32"), (0.24, "1:8")]:
-            cfg = ExperimentConfig(
-                local_fraction=frac, ratio_label=label, max_batches=200, seed=23
-            )
+        for label in ("1:32", "1:8"):
+            cfg = paper.config("cachelib", label, max_batches=200, seed=23)
             res = compare_policies(
                 cdn_factory, {"FreqTier": freqtier, "AutoNUMA": AutoNUMA}, cfg
             )
@@ -123,12 +115,8 @@ class TestCapacityScaling:
 class TestLowBandwidthCXL:
     def test_freqtier_beats_autonuma_on_cxl2(self):
         """Fig. 10: the advantage generalizes to low-bandwidth CXL."""
-        config = ExperimentConfig(
-            local_fraction=0.06,
-            ratio_label="1:32",
-            memory=CXL2_CONFIG,
-            max_batches=200,
-            seed=24,
+        config = paper.config(
+            "cachelib", "1:32", memory=CXL2_CONFIG, max_batches=200, seed=24
         )
         res = compare_policies(
             lambda: CacheLibWorkload(

@@ -239,6 +239,39 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv, max_batches",
+        [
+            (["run", "--workload", "cdn", "--policy", "tpp"], 300),
+            (["compare", "--workload", "cdn"], 300),
+            (["sweep", "--workload", "cdn", "--policy", "tpp"], 300),
+            (["record", "--workload", "cdn", "--out", "x.trace"], 300),
+            (["serve", "--workload", "cdn", "--policy", "tpp"], None),
+            (["replay", "--trace", "x.trace", "--policy", "tpp"], None),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_every_cell_subcommand_defaults_to_the_paper_cell(
+        self, argv, max_batches
+    ):
+        from repro import paper
+        from repro.cli import _config_from_args
+
+        args = build_parser().parse_args(argv)
+        assert _config_from_args(args) == paper.config(
+            "cachelib", max_batches=max_batches, seed=0
+        )
+        assert args.json is False
+
+    def test_nonpositive_batches_mean_no_limit(self):
+        from repro.cli import _config_from_args
+
+        for batches in ("0", "-1"):
+            args = build_parser().parse_args(
+                ["run", "--workload", "cdn", "--policy", "tpp", "--batches", batches]
+            )
+            assert _config_from_args(args).max_batches is None
+
 
 class TestTracing:
     def run_traced(self, capsys, tmp_path) -> str:

@@ -14,17 +14,7 @@ import pathlib
 
 import pytest
 
-from benchmarks._common import (
-    CACHELIB_RATIOS,
-    GAP_RATIOS,
-    XGB_RATIOS,
-    cdn_workload,
-    gap_workload,
-    run_grid,
-    social_workload,
-    xgb_workload,
-)
-from repro import cli
+from repro import cli, paper
 from repro.core.parallel import ParallelExecutor
 
 PINS = json.loads(
@@ -39,55 +29,52 @@ class _Captured(Exception):
     pass
 
 
-class _Recorder:
-    """An executor stand-in that keeps the cells instead of running them."""
-
-    def __init__(self):
-        self.cells = []
-
-    def run(self, cells):
-        self.cells = list(cells)
-        return [None] * len(self.cells)
-
-
 def _rows(cells):
     return [[c.config.ratio_label, c.label, c.fingerprint()] for c in cells]
 
 
-def _grid(workload, ratios, **kwargs):
-    recorder = _Recorder()
-    run_grid(workload, ratios, executor=recorder, **kwargs)
-    return _rows(recorder.cells)
-
-
 def paper_grids():
-    grids = {
-        "table2": _grid(cdn_workload(), CACHELIB_RATIOS, seed=1),
-        "table3": _grid(social_workload(), CACHELIB_RATIOS, seed=1),
-    }
+    """The cells of each benchmark's ``paper.run_grid`` call."""
+    cachelib = paper.ratios("cachelib")
+    grids = {}
+    for name in ("cdn", "social"):
+        workload = paper.workloads(1)[name]
+        table = "table2" if name == "cdn" else "table3"
+        grids[table] = _rows(paper.grid(workload, cachelib, seed=1))
+        grids[f"fig2-{name}"] = _rows(paper.grid(workload, cachelib[:2], seed=1))
+        grids[f"fig9-{name}"] = _rows(paper.grid(workload, cachelib, seed=1))
     for kernel in ("bc", "bfs", "cc"):
-        grids[f"table4-{kernel}"] = _grid(
-            gap_workload(kernel), GAP_RATIOS, max_batches=None, seed=2
+        grids[f"table4-{kernel}"] = _rows(
+            paper.grid(
+                paper.workloads(2)[f"gap-{kernel}"],
+                paper.ratios("gap"),
+                max_batches=None,
+                seed=2,
+            )
         )
-    grids["table5"] = _grid(xgb_workload(), XGB_RATIOS, max_batches=None, seed=3)
-    for name, workload in (("cdn", cdn_workload), ("social", social_workload)):
-        grids[f"fig2-{name}"] = _grid(workload(), CACHELIB_RATIOS[:2], seed=1)
-        grids[f"fig9-{name}"] = _grid(workload(), CACHELIB_RATIOS, seed=1)
+    grids["table5"] = _rows(
+        paper.grid(
+            paper.workloads(3)["xgboost"],
+            paper.ratios("xgboost"),
+            max_batches=None,
+            seed=3,
+        )
+    )
     return grids
 
 
 def cli_compare_cells(workload, monkeypatch):
     """The cells ``repro.cli compare --workload W`` submits by default."""
-    recorder = _Recorder()
+    cells = []
 
-    def capture(self, cells):
-        recorder.run(cells)
+    def capture(self, specs):
+        cells.extend(specs)
         raise _Captured
 
     monkeypatch.setattr(ParallelExecutor, "run", capture)
     with pytest.raises(_Captured):
         cli.main(["compare", "--workload", workload])
-    return _rows(recorder.cells)
+    return _rows(cells)
 
 
 def test_paper_grids_are_pinned():
@@ -104,4 +91,4 @@ def test_cli_compare_cells_are_pinned(workload, monkeypatch):
 
 def test_pins_cover_every_cli_workload():
     assert set(PINS["compare"]) == set(CLI_WORKLOADS)
-    assert sorted(cli._workload_registry(0)) == sorted(CLI_WORKLOADS)
+    assert sorted(paper.workloads(0)) == sorted(CLI_WORKLOADS)
