@@ -132,6 +132,7 @@ class DAMONRegion(TieringPolicy):
         samples = self.pebs.drain()
         overhead = 20_000.0  # region bookkeeping walk
         page_ids = self._filter_corrupt_sample_ids(samples.page_ids)
+        self.stats.samples_processed += int(page_ids.size)
         if page_ids.size:
             idx = (
                 np.searchsorted(self._bounds, page_ids, side="right") - 1

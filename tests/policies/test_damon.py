@@ -96,3 +96,28 @@ class TestMigration:
         # More pages were promoted than were ever accessed.
         if policy.stats.promotions:
             assert policy.stats.promotions > 1
+
+
+class TestStats:
+    def test_counts_processed_samples(self):
+        machine, policy = make_setup()
+        rng = np.random.default_rng(3)
+        for i in range(10):
+            drive(machine, policy, rng.integers(0, 2048, 1000), now=float(i))
+        drained = policy.pebs.total_samples - policy.pebs.pending_samples
+        assert drained > 0
+        assert policy.stats.samples_processed == drained
+
+    def test_pinned_cell_reports_samples(self):
+        from repro.core.config import ExperimentConfig
+        from repro.core.parallel import PolicySpec, WorkloadSpec
+        from repro.core.runner import run_experiment
+
+        result = run_experiment(
+            WorkloadSpec("cdn", slab_pages=4_096, ops_per_batch=4_000, seed=11),
+            PolicySpec("damon", seed=11),
+            ExperimentConfig(
+                local_fraction=0.06, ratio_label="1:32", max_batches=60, seed=11
+            ),
+        )
+        assert result.to_dict()["policy_stats"]["samples_processed"] > 0
