@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Extending the framework: write and evaluate your own tiering policy.
 
-The policy interface is three methods; this example implements a
-simple "sampled-LFU" policy in ~40 lines -- PEBS sampling into an
-exact counter table with periodic top-k placement -- and benchmarks it
+The policy interface is a few methods; this example implements a
+simple "sampled-LFU" policy in ~40 lines -- PEBS sampling (through the
+``PEBSPolicy`` base) into an exact counter table with periodic top-k
+placement -- and benchmarks it
 against FreqTier on the same machine and trace, showing how research
 iterations slot into the harness.
 
@@ -22,11 +23,10 @@ from repro import (
 from repro.analysis.tables import format_comparison_table
 from repro.cbf.exact import ExactFrequencyTracker
 from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
-from repro.policies.base import TieringPolicy
-from repro.sampling.pebs import PEBSSampler, SamplingLevel
+from repro.policies.base import PEBSPolicy
 
 
-class SampledLFU(TieringPolicy):
+class SampledLFU(PEBSPolicy):
     """Every N accesses, place the top-k sampled pages in local DRAM.
 
     Deliberately naive: exact counting (high metadata cost), periodic
@@ -37,7 +37,7 @@ class SampledLFU(TieringPolicy):
     name = "SampledLFU"
     # Everything the policy accumulates or randomizes is checkpointed,
     # so a killed-and-resumed run matches an uninterrupted one.
-    _state_fields = TieringPolicy._state_fields + (
+    _state_fields = PEBSPolicy._state_fields + (
         "tracker",
         "pebs",
         "_since_replace",
@@ -46,21 +46,26 @@ class SampledLFU(TieringPolicy):
     def __init__(self, replace_interval_accesses: int = 400_000, seed: int = 0):
         super().__init__()
         self.replace_interval = int(replace_interval_accesses)
+        self.seed = int(seed)
         self.tracker = ExactFrequencyTracker(bytes_per_entry=16)
-        self.pebs = PEBSSampler(base_period=64, seed=seed)
-        self.pebs.set_level(SamplingLevel.HIGH)
         self._since_replace = 0
 
+    def attach(self, machine) -> None:
+        super().attach(machine)
+        self._attach_pebs(base_period=64, seed=self.seed)
+
     def on_batch(self, batch, now_ns: float, counts) -> float:
+        # Sampling is charged per drained sample below, not per sample
+        # taken (the ns that observe() returns).
         self.pebs.observe(batch)
         overhead = 0.0
         self._since_replace += batch.num_accesses
         if self._since_replace >= self.replace_interval:
             self._since_replace = 0
-            samples = self.pebs.drain()
-            if samples.num_samples:
-                self.tracker.increment(samples.page_ids)
-                overhead += samples.num_samples * 100.0
+            page_ids, drained = self._drain_samples(now_ns)
+            if drained:
+                self.tracker.increment(page_ids)
+                overhead += drained * 100.0
             overhead += self._replace_top_k()
             self.tracker.age()
         self.stats.overhead_ns += overhead

@@ -4,15 +4,15 @@ One :class:`FaultInjector` instance is built per experiment from a
 :class:`~repro.faults.plan.FaultPlan` and wired into the three contact
 points a real tiering daemon has with the kernel:
 
-- :meth:`~repro.memsim.machine.Machine.move_pages` consults
+- :meth:`~repro.memsim.machine.Machine.move_pages_ex` consults
   :meth:`FaultInjector.filter_migration` (per-page EBUSY, pinned pages,
   target-node ENOMEM bursts);
 - :meth:`~repro.sampling.pebs.PEBSSampler.observe` consults
   :meth:`FaultInjector.sample_loss` and
   :meth:`FaultInjector.corrupt_samples`;
-- the engine (or :meth:`Machine.service_accesses` when driven
-  directly) calls :meth:`FaultInjector.tick_batch` once per batch,
-  which advances the crash countdown.
+- :meth:`~repro.core.engine.SimulationEngine.step` calls
+  :meth:`FaultInjector.tick_batch` once per batch, which advances the
+  crash countdown.
 
 All randomness comes from one ``numpy`` Generator seeded with the
 plan's fault seed, so a faulted run is **bit-identical across

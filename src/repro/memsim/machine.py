@@ -10,8 +10,10 @@ what FreqTier and the baselines use on Linux (paper Sections IV-V):
   free local capacity (paper Section V-B / Fig. 6): when free local
   memory falls below ``PROMO_WMARK`` the policy demotes until free
   memory exceeds ``DEMOTE_WMARK``;
-- :meth:`Machine.move_pages` is the ``numa_move_pages()`` analogue:
-  batched, capacity-checked, traffic-accounted.
+- :meth:`Machine.move_pages_ex` is the ``numa_move_pages()`` analogue:
+  batched, capacity-checked, traffic-accounted, with per-page outcomes.
+
+The engine services accesses itself (``SimulationEngine.step``).
 """
 
 from __future__ import annotations
@@ -341,57 +343,6 @@ class Machine(Stateful):
                 self.tracer.observe("demotion_batch_pages", int(moved.size))
                 self.tracer.count("pages_demoted", int(moved.size))
         return outcome
-
-    def move_pages(self, pages: np.ndarray, target_tier: int) -> int:
-        """Migrate ``pages`` to ``target_tier``; returns pages actually moved.
-
-        The count-only convenience over :meth:`move_pages_ex` -- the
-        historical ``numa_move_pages`` analogue interface.
-        """
-        return self.move_pages_ex(pages, target_tier).num_moved
-
-    def promote(self, pages: np.ndarray) -> int:
-        """Move ``pages`` from CXL to local DRAM (capacity permitting)."""
-        return self.move_pages(pages, LOCAL_TIER)
-
-    def demote(self, pages: np.ndarray) -> int:
-        """Move ``pages`` from local DRAM to CXL."""
-        return self.move_pages(pages, CXL_TIER)
-
-    def promote_ex(self, pages: np.ndarray) -> MoveOutcome:
-        """:meth:`move_pages_ex` toward local DRAM."""
-        return self.move_pages_ex(pages, LOCAL_TIER)
-
-    def demote_ex(self, pages: np.ndarray) -> MoveOutcome:
-        """:meth:`move_pages_ex` toward CXL."""
-        return self.move_pages_ex(pages, CXL_TIER)
-
-    # -- access servicing ---------------------------------------------------------------
-
-    def service_accesses(self, page_ids: np.ndarray) -> tuple[int, int]:
-        """Service a batch of application accesses; returns (local, cxl) counts.
-
-        Every page id must be mapped; accessing an unmapped page is a
-        simulator bug, not a workload behaviour, so it raises.
-
-        When a fault injector is installed, each serviced batch ticks
-        its batch clock (the engine does this itself for engine-driven
-        runs, which bypass this method).
-        """
-        page_ids = np.asarray(page_ids, dtype=np.int64)
-        if self.fault_injector is not None:
-            self.fault_injector.tick_batch()
-        if page_ids.size == 0:
-            return 0, 0
-        placement = self.page_table.tier_of(page_ids)
-        n_local = int(np.count_nonzero(placement == LOCAL_TIER))
-        n_cxl = int(np.count_nonzero(placement == CXL_TIER))
-        if n_local + n_cxl != page_ids.size:
-            raise RuntimeError(
-                f"{page_ids.size - n_local - n_cxl} accesses touched unmapped pages"
-            )
-        self.traffic.record_accesses(n_local, n_cxl)
-        return n_local, n_cxl
 
     def placement_of(self, page_ids: np.ndarray) -> np.ndarray:
         """Vectorized tier lookup without traffic accounting.

@@ -7,7 +7,11 @@ what a real userspace tiering runtime gets:
   information -- never the raw access stream as ground truth;
 - the **page table / address space** query interfaces
   (``/proc``-style, batched);
-- the **migration** calls (``promote`` / ``demote``).
+- the **migration** call (``Machine.move_pages_ex``).
+
+:class:`PEBSPolicy` and :class:`HintFaultPolicy` hold the two sampler
+front ends once; ``_promote_pages`` / ``_demote_pages`` wrap the
+migration call with the stats accounting.
 
 The engine calls :meth:`TieringPolicy.on_batch` once per access batch
 with the batch's local/CXL access split *at service time* (what the
@@ -26,9 +30,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.memsim.machine import Machine, MoveOutcome
-from repro.memsim.pagetable import LOCAL_TIER
+from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
 from repro.obs import NULL_TRACER, Tracer
 from repro.sampling.events import AccessBatch
+from repro.sampling.pebs import DEFAULT_RING_CAPACITY, PEBSSampler
 from repro.sampling.recency import HintFaultScanner
 from repro.state.codec import Stateful
 
@@ -274,10 +279,9 @@ class TieringPolicy(Stateful, abc.ABC):
     def set_fault_injector(self, injector: FaultInjector | None) -> None:
         """Install a fault injector (call before attach).
 
-        The base class just records it; policies owning PEBS samplers
-        built at attach time propagate it there (sample-loss and
-        corruption faults), and the machine applies migration faults
-        independently.
+        The base class just records it; :class:`PEBSPolicy` propagates
+        it to its sampler (sample-loss and corruption faults), and the
+        machine applies migration faults independently.
         """
         self.fault_injector = injector
 
@@ -351,24 +355,6 @@ class TieringPolicy(Stateful, abc.ABC):
         if amount:
             self.stats.extra[name] = self.stats.extra.get(name, 0) + amount
 
-    def _filter_corrupt_sample_ids(self, page_ids: np.ndarray) -> np.ndarray:
-        """Drop sample ids outside the mapped page range.
-
-        Real PEBS records can carry bogus linear addresses (a race with
-        unmap, or a decoding error); a policy indexing per-page metadata
-        with such an id would crash or pollute a neighbour's counters.
-        Dropped ids are tallied in ``stats.extra["corrupt_samples_filtered"]``.
-        """
-        total = self.machine.config.total_capacity_pages
-        valid = (page_ids >= 0) & (page_ids < total)
-        if valid.all():
-            return page_ids
-        dropped = int(page_ids.size - np.count_nonzero(valid))
-        self._count_extra("corrupt_samples_filtered", dropped)
-        if self.tracer.enabled:
-            self.tracer.count("corrupt_samples_filtered", dropped)
-        return page_ids[valid]
-
     def _promote_pages(self, pages: np.ndarray) -> MoveOutcome:
         """Promote with full stats accounting, partial-success aware.
 
@@ -377,14 +363,14 @@ class TieringPolicy(Stateful, abc.ABC):
         under injected faults), and fault-failed pages are tallied in
         ``stats.extra["promotions_failed"]``.
         """
-        outcome = self.machine.promote_ex(pages)
+        outcome = self.machine.move_pages_ex(pages, LOCAL_TIER)
         self._record_migrations(outcome.num_moved, 0)
         self._count_extra("promotions_failed", outcome.num_failed)
         return outcome
 
     def _demote_pages(self, pages: np.ndarray) -> MoveOutcome:
         """Demote with full stats accounting (see :meth:`_promote_pages`)."""
-        outcome = self.machine.demote_ex(pages)
+        outcome = self.machine.move_pages_ex(pages, CXL_TIER)
         self._record_migrations(0, outcome.num_moved)
         self._count_extra("demotions_failed", outcome.num_failed)
         return outcome
@@ -440,6 +426,77 @@ class TieringPolicy(Stateful, abc.ABC):
     def describe(self) -> dict[str, object]:
         """Metadata for benchmark reports."""
         return {"name": self.name}
+
+
+class PEBSPolicy(TieringPolicy):
+    """A policy that profiles through PEBS samples (FreqTier, HeMem,
+    MULTI-CLOCK, DAMON).
+
+    :meth:`_attach_pebs` builds the sampler at attach time; ``on_batch``
+    adds ``self.pebs.observe(batch)`` (the samples' modeled cost) to its
+    overhead and calls :meth:`_drain_samples` when it processes the
+    ring.  Subclasses list ``"pebs"`` in their ``_state_fields``.
+    """
+
+    pebs: PEBSSampler | None = None
+
+    def set_fault_injector(self, injector: FaultInjector | None) -> None:
+        super().set_fault_injector(injector)
+        if self.pebs is not None:
+            self.pebs.fault_injector = injector
+
+    def _attach_pebs(
+        self,
+        base_period: int,
+        seed: int,
+        sample_cost_ns: float = 120.0,
+        ring_capacity: int = DEFAULT_RING_CAPACITY,
+    ) -> None:
+        """Build the sampler (at ``SamplingLevel.HIGH``) and hand it the
+        fault injector."""
+        self.pebs = PEBSSampler(
+            base_period=base_period,
+            ring_capacity=ring_capacity,
+            sample_cost_ns=sample_cost_ns,
+            seed=seed,
+        )
+        self.pebs.fault_injector = self.fault_injector
+
+    def _drain_samples(self, now_ns: float) -> tuple[np.ndarray, int]:
+        """Empty the ring; returns ``(valid sample ids, samples drained)``.
+
+        Samples lost to ring overruns or loss bursts since the last
+        drain are traced, corrupt ids are dropped before they can
+        touch per-page metadata, and the valid ones are counted in
+        ``stats.samples_processed``.
+        """
+        samples = self.pebs.drain()
+        if samples.lost and self.tracer.enabled:
+            self.tracer.count("samples_lost", samples.lost)
+            self.tracer.emit(
+                "ring_overflow", t_ns=now_ns, lost=samples.lost, reason="capacity"
+            )
+        page_ids = self._filter_corrupt_sample_ids(samples.page_ids)
+        self.stats.samples_processed += int(page_ids.size)
+        return page_ids, samples.num_samples
+
+    def _filter_corrupt_sample_ids(self, page_ids: np.ndarray) -> np.ndarray:
+        """Drop sample ids outside the mapped page range.
+
+        Real PEBS records can carry bogus linear addresses (a race with
+        unmap, or a decoding error); a policy indexing per-page metadata
+        with such an id would crash or pollute a neighbour's counters.
+        Dropped ids are tallied in ``stats.extra["corrupt_samples_filtered"]``.
+        """
+        total = self.machine.config.total_capacity_pages
+        valid = (page_ids >= 0) & (page_ids < total)
+        if valid.all():
+            return page_ids
+        dropped = int(page_ids.size - np.count_nonzero(valid))
+        self._count_extra("corrupt_samples_filtered", dropped)
+        if self.tracer.enabled:
+            self.tracer.count("corrupt_samples_filtered", dropped)
+        return page_ids[valid]
 
 
 class HintFaultPolicy(TieringPolicy):

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import accel
 from repro.memsim.machine import Machine
 from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
-from repro.policies.base import TieringPolicy
+from repro.policies.base import PEBSPolicy
 from repro.sampling.events import AccessBatch
-from repro.sampling.pebs import PEBSSampler, SamplingLevel
 
 
-class DAMONRegion(TieringPolicy):
+class DAMONRegion(PEBSPolicy):
     """Adaptive-region access monitoring and wholesale region migration."""
 
     name = "DAMON"
-    _state_fields = TieringPolicy._state_fields + (
+    _state_fields = PEBSPolicy._state_fields + (
         "pebs",
         "_bounds",
         "_region_hits",
@@ -61,7 +61,6 @@ class DAMONRegion(TieringPolicy):
         self.merge_similarity = float(merge_similarity)
         self.pebs_base_period = int(pebs_base_period)
         self.seed = int(seed)
-        self.pebs: PEBSSampler | None = None
         #: Region boundaries: pages [bounds[i], bounds[i+1]) = region i.
         self._bounds: np.ndarray | None = None
         self._region_hits: np.ndarray | None = None
@@ -71,9 +70,7 @@ class DAMONRegion(TieringPolicy):
 
     def attach(self, machine: Machine) -> None:
         super().attach(machine)
-        self.pebs = PEBSSampler(base_period=self.pebs_base_period, seed=self.seed)
-        self.pebs.set_level(SamplingLevel.HIGH)
-        self.pebs.fault_injector = self.fault_injector
+        self._attach_pebs(self.pebs_base_period, self.seed)
         total = machine.config.total_capacity_pages
         initial = min(self.min_regions * 4, self.max_regions)
         self._bounds = np.linspace(0, total, initial + 1).astype(np.int64)
@@ -112,27 +109,22 @@ class DAMONRegion(TieringPolicy):
             and self._bounds is not None
             and self._region_hits is not None
         )
-        overhead = 0.0
-        before = self.pebs.total_samples
-        self.pebs.observe(batch)
-        overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
+        overhead = self.pebs.observe(batch)
 
         self._accesses_since_adjust += batch.num_accesses
         if self._accesses_since_adjust >= self.adjust_interval:
             self._accesses_since_adjust = 0
-            overhead += self._adjustment_pass()
+            overhead += self._adjustment_pass(now_ns)
 
         self.stats.overhead_ns += overhead
         return overhead
 
     # -- DAMON adjustment: bin, split, merge, migrate ---------------------------
 
-    def _adjustment_pass(self) -> float:
-        assert self.pebs is not None and self._bounds is not None
-        samples = self.pebs.drain()
+    def _adjustment_pass(self, now_ns: float) -> float:
+        assert self._bounds is not None
         overhead = 20_000.0  # region bookkeeping walk
-        page_ids = self._filter_corrupt_sample_ids(samples.page_ids)
-        self.stats.samples_processed += int(page_ids.size)
+        page_ids, _ = self._drain_samples(now_ns)
         if page_ids.size:
             idx = (
                 np.searchsorted(self._bounds, page_ids, side="right") - 1
@@ -202,22 +194,24 @@ class DAMONRegion(TieringPolicy):
             if self.num_regions <= self.min_regions:
                 break
 
-    def _region_tier_counts(self, tier: int) -> np.ndarray:
-        """Pages of each region currently placed on ``tier``.
+    def _region_tier_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per region, ``(local pages, pages not local)``.
 
-        One prefix sum over the placement array replaces a per-region
-        gather: region ``i`` holds ``prefix[hi] - prefix[lo]`` such
-        pages.  The migration loops use this to skip regions with
-        nothing to move, which is where almost all their iterations
-        land once the local tier is full.
+        One ``accel.placement_prefix`` over the placement array replaces
+        a per-region gather: region ``i`` holds ``prefix[hi] -
+        prefix[lo]`` local pages.  The migration loops use this to skip
+        regions with nothing to move, which is where almost all their
+        iterations land once the local tier is full.  The second count
+        includes unmapped pages, so it bounds the CXL pages from above:
+        a zero skips the region, and the exact slice does the rest.
         """
         assert self._bounds is not None
         view = self.machine.page_table.placement_view()
         prefix = np.empty(view.size + 1, dtype=np.int64)
-        prefix[0] = 0
-        np.cumsum(view == tier, dtype=np.int64, out=prefix[1:])
+        accel.placement_prefix(view, prefix)
         bounds = np.minimum(self._bounds, view.size)
-        return prefix[bounds[1:]] - prefix[bounds[:-1]]
+        local = prefix[bounds[1:]] - prefix[bounds[:-1]]
+        return local, np.diff(bounds) - local
 
     def _region_pages_in_tier(self, i: int, tier: int) -> np.ndarray:
         """Page ids of region ``i`` on ``tier`` (ascending).
@@ -241,7 +235,7 @@ class DAMONRegion(TieringPolicy):
         budget = machine.config.local_capacity_pages // 4
 
         promoted_total = 0
-        cxl_counts = self._region_tier_counts(CXL_TIER)
+        cxl_counts = self._region_tier_counts()[1]
         for i in order:
             if promoted_total >= budget or density[i] <= 0:
                 break
@@ -256,7 +250,7 @@ class DAMONRegion(TieringPolicy):
                 )
                 # Demotions push pages of colder regions into CXL, so
                 # the skip counts must be rebuilt to stay exact.
-                cxl_counts = self._region_tier_counts(CXL_TIER)
+                cxl_counts = self._region_tier_counts()[1]
             moved = self._promote_pages(
                 pages[: machine.local_free_pages]
             ).num_moved
@@ -271,7 +265,7 @@ class DAMONRegion(TieringPolicy):
         demoted_total = 0
         # Demoting region i only drains region i's own local pages, so
         # one snapshot of the counts stays exact across the loop.
-        local_counts = self._region_tier_counts(LOCAL_TIER)
+        local_counts = self._region_tier_counts()[0]
         for i in np.argsort(density):
             if demoted_total >= num_pages:
                 break

@@ -19,7 +19,7 @@ from repro.cbf.coalescing import SampleCoalescer
 from repro.memsim.machine import Machine
 from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
 from repro.obs import Tracer
-from repro.policies.base import MigrationRetryQueue, TieringPolicy
+from repro.policies.base import MigrationRetryQueue, PEBSPolicy
 from repro.policies.freqtier.config import FreqTierConfig
 from repro.policies.freqtier.intensity import (
     IntensityController,
@@ -28,10 +28,10 @@ from repro.policies.freqtier.intensity import (
 )
 from repro.policies.freqtier.threshold import HotThresholdController
 from repro.sampling.events import AccessBatch
-from repro.sampling.pebs import PEBSSampler, SAMPLE_RECORD_BYTES
+from repro.sampling.pebs import SAMPLE_RECORD_BYTES
 
 
-class FreqTier(TieringPolicy):
+class FreqTier(PEBSPolicy):
     """Frequency-based tiering with probabilistic tracking.
 
     Published at ASPLOS'25 under the name **HybridTier**; the
@@ -39,7 +39,7 @@ class FreqTier(TieringPolicy):
     """
 
     name = "FreqTier"
-    _state_fields = TieringPolicy._state_fields + (
+    _state_fields = PEBSPolicy._state_fields + (
         "cbf",
         "coalescer",
         "pebs",
@@ -63,7 +63,6 @@ class FreqTier(TieringPolicy):
         # Bound at attach():
         self.cbf: CountingBloomFilter | None = None
         self.coalescer: SampleCoalescer | None = None
-        self.pebs: PEBSSampler | None = None
         self.intensity: IntensityController | None = None
         self.threshold_ctl: HotThresholdController | None = None
         self._promo_retry: MigrationRetryQueue | None = None
@@ -91,11 +90,6 @@ class FreqTier(TieringPolicy):
         super().set_tracer(tracer)
         if self.intensity is not None:
             self.intensity.tracer = tracer
-
-    def set_fault_injector(self, injector) -> None:
-        super().set_fault_injector(injector)
-        if self.pebs is not None:
-            self.pebs.fault_injector = injector
 
     # -- tracking-unit translation (granularity_pages) -----------------
 
@@ -136,13 +130,9 @@ class FreqTier(TieringPolicy):
         ring_capacity = cfg.pebs_ring_capacity
         if ring_capacity is None:
             ring_capacity = max(4 * cfg.sample_batch_size, 32_768)
-        self.pebs = PEBSSampler(
-            base_period=cfg.pebs_base_period,
-            ring_capacity=ring_capacity,
-            sample_cost_ns=cfg.sample_cost_ns,
-            seed=self.seed + 1,
+        self._attach_pebs(
+            cfg.pebs_base_period, self.seed + 1, cfg.sample_cost_ns, ring_capacity
         )
-        self.pebs.fault_injector = self.fault_injector
         self._promo_retry = MigrationRetryQueue(
             capacity=cfg.retry_queue_capacity,
             base_backoff_batches=cfg.retry_base_backoff_batches,
@@ -199,9 +189,7 @@ class FreqTier(TieringPolicy):
         overhead = self._drain_retries(now_ns)
         if self.intensity.sampling_active:
             self.pebs.set_level(self.intensity.level)
-            before = self.pebs.total_samples
-            self.pebs.observe(batch)
-            overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
+            overhead += self.pebs.observe(batch)
             # Drain at the configured batch size -- or when the ring is
             # full, whichever comes first (a ring smaller than the
             # batch must not stall sampling forever).
@@ -356,28 +344,16 @@ class FreqTier(TieringPolicy):
             and self.threshold_ctl is not None
         )
         cfg = self.config
-        samples = self.pebs.drain()
-        if samples.lost and self.tracer.enabled:
-            self.tracer.count("samples_lost", samples.lost)
-            self.tracer.emit(
-                "ring_overflow",
-                t_ns=now_ns,
-                lost=samples.lost,
-                reason="capacity",
-            )
-        if samples.num_samples == 0:
-            return 0.0
-        # Discard corrupted sample ids *before* they touch the CBF: an
-        # out-of-range id would otherwise pollute counters shared (via
-        # hashing) with real pages.
-        page_ids = self._filter_corrupt_sample_ids(samples.page_ids)
+        # Corrupted sample ids are dropped *before* they touch the CBF:
+        # an out-of-range id would otherwise pollute counters shared
+        # (via hashing) with real pages.
+        page_ids, drained = self._drain_samples(now_ns)
         if page_ids.size == 0:
             return 0.0
         self._rounds_in_window += 1
         unit_ids = self._units_of(page_ids)
         unique_units, freqs = self.coalescer.ingest(unit_ids)
         overhead = unique_units.size * cfg.cbf_op_ns
-        self.stats.samples_processed += int(page_ids.size)
         if self.tracer.enabled:
             self.tracer.count("cbf_ops", int(unique_units.size))
             self.tracer.observe("sample_batch_size", int(page_ids.size))
@@ -387,15 +363,13 @@ class FreqTier(TieringPolicy):
         # larger than the interval leaves its remainder behind, so the
         # long-run aging cadence stays one aging per
         # ``aging_interval_samples`` regardless of batch size.
-        self._samples_since_aging += samples.num_samples
+        self._samples_since_aging += drained
         if self._samples_since_aging >= cfg.aging_interval_samples:
             self.cbf.age()
             self._samples_since_aging -= cfg.aging_interval_samples
             if self.tracer.enabled:
                 self.tracer.count("agings")
-                self.tracer.emit(
-                    "aging", t_ns=now_ns, samples=samples.num_samples
-                )
+                self.tracer.emit("aging", t_ns=now_ns, samples=drained)
 
         threshold = self.threshold_ctl.threshold
         hot_mask = freqs >= threshold

@@ -24,17 +24,16 @@ from repro._units import PAGE_SIZE
 from repro.cbf.exact import ExactFrequencyTracker, HEMEM_BYTES_PER_PAGE
 from repro.memsim.machine import Machine
 from repro.memsim.pagetable import CXL_TIER
-from repro.policies.base import TieringPolicy
+from repro.policies.base import PEBSPolicy
 from repro.sampling.events import AccessBatch
-from repro.sampling.pebs import PEBSSampler, SamplingLevel
 
 
-class HeMem(TieringPolicy):
+class HeMem(PEBSPolicy):
     """Exact per-page frequency tiering with heavyweight metadata."""
 
     name = "HeMem"
     DEMOTE_RANK_NS = 10.0  # metadata walk to rank each local page
-    _state_fields = TieringPolicy._state_fields + (
+    _state_fields = PEBSPolicy._state_fields + (
         "tracker",
         "pebs",
         "_samples_since_aging",
@@ -63,20 +62,13 @@ class HeMem(TieringPolicy):
         self.tracker = ExactFrequencyTracker(
             bytes_per_entry=HEMEM_BYTES_PER_PAGE
         )
-        self.pebs: PEBSSampler | None = None
         self._samples_since_aging = 0
 
     # -- lifecycle --------------------------------------------------------
 
     def attach(self, machine: Machine) -> None:
         super().attach(machine)
-        self.pebs = PEBSSampler(
-            base_period=self.pebs_base_period,
-            sample_cost_ns=self.sample_cost_ns,
-            seed=self.seed + 1,
-        )
-        self.pebs.set_level(SamplingLevel.HIGH)
-        self.pebs.fault_injector = self.fault_injector
+        self._attach_pebs(self.pebs_base_period, self.seed + 1, self.sample_cost_ns)
         # Total metadata is 168 B for every page under management --
         # ~4% of the footprint, the paper's Section VII-C comparison
         # point (11 GB for 267 GB, 110x FreqTier).  The *hot* slice of
@@ -106,29 +98,21 @@ class HeMem(TieringPolicy):
         counts: tuple[int, int],
     ) -> float:
         assert self.pebs is not None
-        overhead = 0.0
-        before = self.pebs.total_samples
-        self.pebs.observe(batch)
-        overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
+        overhead = self.pebs.observe(batch)
         if self.pebs.pending_samples >= self.sample_batch_size:
-            overhead += self._process_samples()
+            overhead += self._process_samples(now_ns)
         self.stats.overhead_ns += overhead
         return overhead
 
-    def _process_samples(self) -> float:
-        assert self.pebs is not None
-        samples = self.pebs.drain()
-        if samples.num_samples == 0:
-            return 0.0
-        page_ids = self._filter_corrupt_sample_ids(samples.page_ids)
+    def _process_samples(self, now_ns: float) -> float:
+        page_ids, drained = self._drain_samples(now_ns)
         if page_ids.size == 0:
             return 0.0
         # No coalescing: one hash-table update per sample.
         freqs = self.tracker.increment(page_ids)
         overhead = int(page_ids.size) * self.table_update_ns
-        self.stats.samples_processed += int(page_ids.size)
 
-        self._samples_since_aging += samples.num_samples
+        self._samples_since_aging += drained
         if self._samples_since_aging >= self.aging_interval_samples:
             # Aging walks every metadata entry.
             overhead += self.tracker.num_entries * 20.0

@@ -16,16 +16,15 @@ import numpy as np
 
 from repro.memsim.machine import Machine
 from repro.memsim.pagetable import CXL_TIER
-from repro.policies.base import TieringPolicy
+from repro.policies.base import PEBSPolicy
 from repro.sampling.events import AccessBatch
-from repro.sampling.pebs import PEBSSampler, SamplingLevel
 
 
-class MultiClock(TieringPolicy):
+class MultiClock(PEBSPolicy):
     """Two-level (once vs many) access classification."""
 
     name = "MULTI-CLOCK"
-    _state_fields = TieringPolicy._state_fields + (
+    _state_fields = PEBSPolicy._state_fields + (
         "pebs",
         "_seen",
         "_samples_since_sweep",
@@ -43,16 +42,13 @@ class MultiClock(TieringPolicy):
         self.sweep_interval_samples = int(sweep_interval_samples)
         self.pebs_base_period = int(pebs_base_period)
         self.seed = int(seed)
-        self.pebs: PEBSSampler | None = None
         # 0 = unseen, 1 = seen once, 2 = seen multiple times.
         self._seen: np.ndarray | None = None
         self._samples_since_sweep = 0
 
     def attach(self, machine: Machine) -> None:
         super().attach(machine)
-        self.pebs = PEBSSampler(base_period=self.pebs_base_period, seed=self.seed)
-        self.pebs.set_level(SamplingLevel.HIGH)
-        self.pebs.fault_injector = self.fault_injector
+        self._attach_pebs(self.pebs_base_period, self.seed)
         self._seen = np.zeros(machine.config.total_capacity_pages, dtype=np.int8)
 
     def on_batch(
@@ -62,24 +58,16 @@ class MultiClock(TieringPolicy):
         counts: tuple[int, int],
     ) -> float:
         assert self.pebs is not None and self._seen is not None
-        overhead = 0.0
-        before = self.pebs.total_samples
-        self.pebs.observe(batch)
-        overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
+        overhead = self.pebs.observe(batch)
         if self.pebs.pending_samples >= self.sample_batch_size:
-            overhead += self._process_samples()
+            overhead += self._process_samples(now_ns)
         self.stats.overhead_ns += overhead
         return overhead
 
-    def _process_samples(self) -> float:
-        assert self.pebs is not None and self._seen is not None
-        samples = self.pebs.drain()
-        if samples.num_samples == 0:
-            return 0.0
-        page_ids = self._filter_corrupt_sample_ids(samples.page_ids)
+    def _process_samples(self, now_ns: float) -> float:
+        page_ids, drained = self._drain_samples(now_ns)
         if page_ids.size == 0:
             return 0.0
-        self.stats.samples_processed += int(page_ids.size)
         pages, counts = np.unique(page_ids, return_counts=True)
         prior = self._seen[pages]
         new_state = np.minimum(prior + np.minimum(counts, 2), 2).astype(np.int8)
@@ -94,7 +82,7 @@ class MultiClock(TieringPolicy):
             candidates = multi[self.machine.placement_of(multi) == CXL_TIER]
             overhead += self._promote_making_room(candidates)[0]
 
-        self._samples_since_sweep += samples.num_samples
+        self._samples_since_sweep += drained
         if self._samples_since_sweep >= self.sweep_interval_samples:
             # Clock sweep: everyone's classification resets.
             self._seen[:] = 0

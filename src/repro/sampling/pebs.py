@@ -81,7 +81,7 @@ class PEBSSampler(Stateful):
         Maximum samples held between :meth:`drain` calls.
     sample_cost_ns:
         Modeled CPU cost per collected sample (PEBS assist + record
-        parse); drives the sampling tax in the cost model.
+        parse); :meth:`observe` returns it summed over the samples kept.
     seed:
         Seed for the geometric skip-sampling stream.
     """
@@ -160,27 +160,29 @@ class PEBSSampler(Stateful):
 
     # -- observation ----------------------------------------------------------
 
-    def observe(self, batch: AccessBatch) -> None:
-        """Show an access batch to the sampler.
+    def observe(self, batch: AccessBatch) -> float:
+        """Show an access batch to the sampler; returns the modeled ns.
 
         A Binomial(n, 1/period) subsample of the accesses -- positioned
         uniformly, via geometric gap skipping -- lands in the ring
         buffer; overflow beyond ``ring_capacity`` is dropped and
         counted as lost.  Cost is O(samples), not O(accesses): sampled
         pages are resolved positionally via :meth:`AccessBatch.pages_at`
-        without expanding the stream.
+        without expanding the stream.  The return value is the CPU tax
+        of the samples kept, ``sample_cost_ns`` each; lost samples cost
+        nothing.
         """
         prob = self.sampling_probability
         if prob <= 0.0 or batch.num_accesses == 0:
             if prob <= 0.0:
                 # OFF: the pending gap no longer describes anything.
                 self._next_pos = None
-            return
+            return 0.0
         self.total_offered += batch.num_accesses
         positions = self._sample_positions(batch.num_accesses, prob)
         n_hit = int(positions.size)
         if n_hit == 0:
-            return
+            return 0.0
         if self.fault_injector is not None:
             injected_loss = self.fault_injector.sample_loss(n_hit)
             if injected_loss:
@@ -189,12 +191,12 @@ class PEBSSampler(Stateful):
                 # lost-sample accounting.
                 self._lost += injected_loss
                 self.total_lost += injected_loss
-                return
+                return 0.0
         space = self.ring_capacity - self._pending_count
         if space <= 0:
             self._lost += n_hit
             self.total_lost += n_hit
-            return
+            return 0.0
         if n_hit > space:
             self._lost += n_hit - space
             self.total_lost += n_hit - space
@@ -207,6 +209,7 @@ class PEBSSampler(Stateful):
         self._pending_pages.append(sampled_pages)
         self._pending_count += n_hit
         self.total_samples += n_hit
+        return n_hit * self.sample_cost_ns
 
     def _sample_positions(self, n: int, prob: float) -> np.ndarray:
         """Positions of this batch's samples, in program order.
@@ -292,9 +295,3 @@ class PEBSSampler(Stateful):
         # next drain() would double-count it as a capacity overflow.
         self.total_lost += discarded
         return discarded
-
-    # -- overhead accounting ------------------------------------------------------
-
-    def overhead_ns(self, num_samples: int) -> float:
-        """Modeled CPU tax for collecting ``num_samples`` samples."""
-        return num_samples * self.sample_cost_ns

@@ -47,8 +47,8 @@ class TestInterleavedAllocation:
         machine = interleaved_machine()
         machine.allocate(200)
         local_pages = machine.page_table.pages_in_tier(LOCAL_TIER)
-        moved = machine.demote(local_pages[:5])
-        assert moved == 5
+        outcome = machine.move_pages_ex(local_pages[:5], CXL_TIER)
+        assert outcome.num_moved == 5
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

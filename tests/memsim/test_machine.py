@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import SimulationEngine
 from repro.memsim.machine import CapacityError, Machine, MachineConfig
-from repro.memsim.pagetable import LOCAL_TIER
+from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
+from repro.policies.static_policy import StaticNoMigration
+from repro.sampling.events import AccessBatch
 
 
 class TestConfigValidation:
@@ -60,29 +63,41 @@ class TestMigration:
         return tiny_machine
 
     def test_demote(self, machine):
-        moved = machine.demote(np.arange(0, 4))
-        assert moved == 4
+        outcome = machine.move_pages_ex(np.arange(0, 4), CXL_TIER)
+        assert outcome.moved.tolist() == [0, 1, 2, 3]
         assert machine.local_used_pages == 4
         assert machine.traffic.pages_demoted == 4
 
     def test_promote_requires_free_local(self, machine):
-        # Local is full: promotion moves nothing.
-        assert machine.promote(np.arange(8, 12)) == 0
+        # Local is full: promotion moves nothing, and says why.
+        outcome = machine.move_pages_ex(np.arange(8, 12), LOCAL_TIER)
+        assert outcome.num_moved == 0
+        assert outcome.rejected_capacity.tolist() == [8, 9, 10, 11]
 
     def test_promote_after_demote(self, machine):
-        machine.demote(np.arange(0, 4))
-        moved = machine.promote(np.arange(8, 20))
-        assert moved == 4  # truncated to free local capacity
+        machine.move_pages_ex(np.arange(0, 4), CXL_TIER)
+        outcome = machine.move_pages_ex(np.arange(8, 20), LOCAL_TIER)
+        # Truncated to free local capacity, in request order.
+        assert outcome.moved.tolist() == [8, 9, 10, 11]
+        assert outcome.rejected_capacity.tolist() == list(range(12, 20))
+        assert outcome.num_failed == 0
         assert machine.local_used_pages == 8
 
     def test_skip_pages_already_on_target(self, machine):
-        assert machine.demote(np.arange(8, 12)) == 0  # already CXL
+        outcome = machine.move_pages_ex(np.arange(8, 12), CXL_TIER)
+        assert outcome.num_moved == 0  # already CXL
+        assert outcome.rejected_capacity.size == 0
 
     def test_skip_unmapped_pages(self, machine):
-        assert machine.promote(np.array([50])) == 0
+        outcome = machine.move_pages_ex(np.array([50]), LOCAL_TIER)
+        assert outcome.num_moved == 0
+        assert outcome.rejected_capacity.size == 0
+        assert machine.traffic.pages_migrated == 0
 
     def test_empty_move(self, machine):
-        assert machine.move_pages(np.zeros(0, dtype=np.int64), LOCAL_TIER) == 0
+        outcome = machine.move_pages_ex(np.zeros(0, dtype=np.int64), LOCAL_TIER)
+        assert outcome.num_moved == 0
+        assert outcome.rejected_capacity.size == 0
 
 
 class TestWatermarks:
@@ -115,25 +130,38 @@ class TestWatermarks:
 
     def test_above_demote_wmark_after_demotion(self, tiny_machine):
         tiny_machine.allocate(30)
-        tiny_machine.demote(np.arange(0, tiny_machine.demotion_deficit_pages()))
+        tiny_machine.move_pages_ex(
+            np.arange(0, tiny_machine.demotion_deficit_pages()), CXL_TIER
+        )
         assert tiny_machine.above_demote_wmark()
+
+
+def service(machine: Machine, pages) -> tuple[int, int]:
+    """Service ``pages`` as one batch through ``SimulationEngine.step``."""
+    engine = SimulationEngine(machine, None, StaticNoMigration())
+    batch = AccessBatch(
+        page_ids=np.asarray(pages, dtype=np.int64), num_ops=1.0, cpu_ns=0.0
+    )
+    step = engine.step(batch, invoke_policy=False)
+    return step.n_local, step.n_cxl
 
 
 class TestAccessServicing:
     def test_counts_by_tier(self, tiny_machine):
         tiny_machine.allocate(30)
-        local, cxl = tiny_machine.service_accesses(np.arange(0, 16))
-        assert local == 8
-        assert cxl == 8
+        assert service(tiny_machine, np.arange(0, 16)) == (8, 8)
         assert tiny_machine.traffic.total_accesses == 16
 
-    def test_unmapped_access_raises(self, tiny_machine):
+    def test_unmapped_access_counts_as_cxl(self, tiny_machine):
+        # The engine counts every non-local access on the CXL side; a
+        # page id beyond the machine raises.
         tiny_machine.allocate(5)
-        with pytest.raises(RuntimeError):
-            tiny_machine.service_accesses(np.array([40]))
+        assert service(tiny_machine, np.array([0, 40])) == (1, 1)
+        with pytest.raises(IndexError):
+            service(tiny_machine, np.array([tiny_machine.config.total_capacity_pages]))
 
     def test_empty_batch(self, tiny_machine):
-        assert tiny_machine.service_accesses(np.zeros(0, dtype=np.int64)) == (0, 0)
+        assert service(tiny_machine, np.zeros(0, dtype=np.int64)) == (0, 0)
 
 
 class TestReservations:

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER
 
+from tests.memsim.test_machine import service
+
 
 @st.composite
 def machine_and_ops(draw):
@@ -48,10 +50,8 @@ def test_migration_invariants(params):
         pages = np.arange(start, min(start + count, alloc), dtype=np.int64)
         if pages.size == 0:
             continue
-        if op == "promote":
-            total_moved += machine.promote(pages)
-        else:
-            total_moved += machine.demote(pages)
+        target = LOCAL_TIER if op == "promote" else CXL_TIER
+        total_moved += machine.move_pages_ex(pages, target).num_moved
 
         # Capacity invariants hold after every operation.
         assert 0 <= machine.local_used_pages <= local
@@ -102,7 +102,7 @@ def test_access_accounting_consistent(alloc, accesses):
     )
     machine.allocate(alloc)
     pages = np.asarray([a % alloc for a in accesses], dtype=np.int64)
-    local, cxl = machine.service_accesses(pages)
+    local, cxl = service(machine, pages)
     assert local + cxl == len(pages)
     assert machine.traffic.total_accesses == len(pages)
     placement = machine.placement_of(pages)

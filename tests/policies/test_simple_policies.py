@@ -21,8 +21,7 @@ class TestNoOpPolicies:
         machine.allocate(500)
         assert drive(machine, policy, np.arange(0, 500)) == 0.0
         assert machine.traffic.pages_migrated == 0
-        machine.service_accesses(np.arange(0, 500))
-        assert machine.traffic.local_hit_ratio == 1.0
+        assert np.all(machine.placement_of(np.arange(0, 500)) == LOCAL_TIER)
 
     def test_static_keeps_default_placement(self):
         machine = Machine(

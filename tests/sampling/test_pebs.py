@@ -205,8 +205,35 @@ class TestSkipSamplingStatistics:
 
 class TestOverhead:
     def test_overhead_linear_in_samples(self):
-        s = PEBSSampler(sample_cost_ns=100.0)
-        assert s.overhead_ns(50) == 5_000.0
+        # Period 1 samples every access: observe() charges each one.
+        s = PEBSSampler(base_period=1, sample_cost_ns=100.0)
+        assert s.observe(make_batch(50)) == 5_000.0
+        assert s.total_samples == 50
+
+    def test_ring_overflow_charges_kept_samples_only(self):
+        s = PEBSSampler(base_period=1, ring_capacity=30, sample_cost_ns=100.0)
+        assert s.observe(make_batch(50)) == 3_000.0  # truncated to the ring
+        assert s.observe(make_batch(50)) == 0.0  # ring full: all lost
+        assert s.total_samples == 30
+        assert s.total_lost == 70
+
+    def test_loss_burst_costs_nothing(self):
+        from repro.faults import FaultInjector, FaultPlan
+
+        s = PEBSSampler(base_period=1, sample_cost_ns=100.0)
+        s.fault_injector = FaultInjector(
+            FaultPlan(sample_loss_prob=1.0, sample_loss_burst_batches=2),
+            total_pages=64,
+        )
+        assert s.observe(make_batch(50)) == 0.0
+        assert s.total_samples == 0
+        assert s.total_lost == 50
+
+    def test_off_and_empty_cost_nothing(self):
+        s = PEBSSampler(base_period=1, sample_cost_ns=100.0)
+        assert s.observe(make_batch(0)) == 0.0
+        s.set_level(SamplingLevel.OFF)
+        assert s.observe(make_batch(50)) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
