@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Extending the framework: write and evaluate your own tiering policy.
 
-The policy interface is a few methods; this example implements a
+The policy interface is three methods; this example implements a
 simple "sampled-LFU" policy in ~40 lines -- PEBS sampling (through the
 ``PEBSPolicy`` base) into an exact counter table with periodic top-k
-placement -- and benchmarks it
-against FreqTier on the same machine and trace, showing how research
-iterations slot into the harness.
+placement -- and benchmarks it against FreqTier on the same machine
+and trace, showing how research iterations slot into the harness.
 
 Usage:
     python examples/custom_policy.py

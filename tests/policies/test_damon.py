@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ExperimentConfig
+from repro.core.parallel import PolicySpec, WorkloadSpec
+from repro.core.runner import run_experiment
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.damon import DAMONRegion
@@ -108,11 +111,7 @@ class TestStats:
         assert drained > 0
         assert policy.stats.samples_processed == drained
 
-    def test_pinned_cell_reports_samples(self):
-        from repro.core.config import ExperimentConfig
-        from repro.core.parallel import PolicySpec, WorkloadSpec
-        from repro.core.runner import run_experiment
-
+    def test_cdn_cell_reports_samples(self):
         result = run_experiment(
             WorkloadSpec("cdn", slab_pages=4_096, ops_per_batch=4_000, seed=11),
             PolicySpec("damon", seed=11),

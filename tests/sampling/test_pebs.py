@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.sampling.events import AccessBatch
 from repro.sampling.pebs import PEBSSampler, SamplingLevel
 
@@ -218,8 +219,6 @@ class TestOverhead:
         assert s.total_lost == 70
 
     def test_loss_burst_costs_nothing(self):
-        from repro.faults import FaultInjector, FaultPlan
-
         s = PEBSSampler(base_period=1, sample_cost_ns=100.0)
         s.fault_injector = FaultInjector(
             FaultPlan(sample_loss_prob=1.0, sample_loss_burst_batches=2),
