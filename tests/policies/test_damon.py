@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import ExperimentConfig
-from repro.core.parallel import PolicySpec, WorkloadSpec
-from repro.core.runner import run_experiment
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.damon import DAMONRegion
@@ -110,13 +107,3 @@ class TestStats:
         drained = policy.pebs.total_samples - policy.pebs.pending_samples
         assert drained > 0
         assert policy.stats.samples_processed == drained
-
-    def test_cdn_cell_reports_samples(self):
-        result = run_experiment(
-            WorkloadSpec("cdn", slab_pages=4_096, ops_per_batch=4_000, seed=11),
-            PolicySpec("damon", seed=11),
-            ExperimentConfig(
-                local_fraction=0.06, ratio_label="1:32", max_batches=60, seed=11
-            ),
-        )
-        assert result.to_dict()["policy_stats"]["samples_processed"] > 0
