@@ -13,7 +13,7 @@ promoted unit drags cold pages into scarce local DRAM.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 GRANULARITIES = [1, 4, 16, 64]
@@ -21,20 +21,17 @@ GRANULARITIES = [1, 4, 16, 64]
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
-def factory_for(granularity: int):
-    def make():
-        return FreqTier(
-            config=FreqTierConfig(granularity_pages=granularity), seed=1
-        )
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def results():
-    wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    return base, sweep(wf, factory_for, GRANULARITIES, CONFIG)
+    swept = compare_policies(
+        paper.workloads(1)["cdn"],
+        {
+            g: PolicySpec("freqtier", seed=1, granularity_pages=g)
+            for g in GRANULARITIES
+        },
+        CONFIG,
+    )
+    return swept.pop("AllLocal"), swept
 
 
 def test_ablation_tracking_granularity(benchmark, results):

@@ -10,7 +10,7 @@ avoid.
 
 import pytest
 
-from repro import FreqTier, run_all_local, run_experiment, paper
+from repro import FreqTier, PolicySpec, compare_policies, run_experiment, paper
 from repro.analysis.tables import format_rows
 from repro.policies.freqtier.intensity import IntensityController, TieringState
 from repro.sampling.pebs import SamplingLevel
@@ -41,10 +41,12 @@ class FixedRateFreqTier(FreqTier):
 @pytest.fixture(scope="module")
 def results():
     wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    adaptive = run_experiment(wf, lambda: FreqTier(seed=1), CONFIG)
+    results = compare_policies(
+        wf, {"adaptive": PolicySpec("freqtier", seed=1)}, CONFIG
+    )
+    # A test-local subclass: no registry builds it, so it runs inline.
     fixed = run_experiment(wf, lambda: FixedRateFreqTier(seed=1), CONFIG)
-    return base, adaptive, fixed
+    return results["AllLocal"], results["adaptive"], fixed
 
 
 def test_ablation_dynamic_intensity(benchmark, results):

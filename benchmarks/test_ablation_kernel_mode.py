@@ -11,7 +11,7 @@ advantage is modest.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, run_experiment, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
@@ -19,21 +19,15 @@ CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 @pytest.fixture(scope="module")
 def results():
-    wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    userspace = run_experiment(
-        wf,
-        lambda: FreqTier(
-            config=FreqTierConfig(runtime_mode="userspace"), seed=1
-        ),
+    results = compare_policies(
+        paper.workloads(1)["cdn"],
+        {
+            mode: PolicySpec("freqtier", seed=1, runtime_mode=mode)
+            for mode in ("userspace", "kernel")
+        },
         CONFIG,
     )
-    kernel = run_experiment(
-        wf,
-        lambda: FreqTier(config=FreqTierConfig(runtime_mode="kernel"), seed=1),
-        CONFIG,
-    )
-    return base, userspace, kernel
+    return results["AllLocal"], results["userspace"], results["kernel"]
 
 
 def test_ablation_kernel_vs_userspace(benchmark, results):

@@ -9,40 +9,25 @@ the best static choice without hand-tuning.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, run_experiment, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
-def fixed_threshold_policy(threshold: int):
-    def make():
-        return FreqTier(
-            config=FreqTierConfig(
-                initial_hot_threshold=threshold,
-                min_hot_threshold=threshold,
-                max_hot_threshold=threshold,
-            ),
-            seed=1,
-        )
-
-    return make
-
-
-def dynamic_policy():
-    return FreqTier(seed=1)
-
-
 @pytest.fixture(scope="module")
 def results():
-    wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    out = {"dynamic": run_experiment(wf, dynamic_policy, CONFIG)}
+    policies = {"dynamic": PolicySpec("freqtier", seed=1)}
     for threshold in (1, 5, 14):
-        out[f"static-{threshold}"] = run_experiment(
-            wf, fixed_threshold_policy(threshold), CONFIG
+        policies[f"static-{threshold}"] = PolicySpec(
+            "freqtier",
+            seed=1,
+            initial_hot_threshold=threshold,
+            min_hot_threshold=threshold,
+            max_hot_threshold=threshold,
         )
-    return base, out
+    out = compare_policies(paper.workloads(1)["cdn"], policies, CONFIG)
+    return out.pop("AllLocal"), out
 
 
 def test_ablation_dynamic_threshold(benchmark, results):

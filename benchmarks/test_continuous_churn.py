@@ -10,7 +10,7 @@ than going stale.
 
 import pytest
 
-from repro import AutoNUMA, FreqTier, compare_policies, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 CONFIG = paper.config("cachelib", max_batches=450, seed=6)
@@ -25,8 +25,8 @@ def results():
     return compare_policies(
         CHURNY,
         {
-            "FreqTier": lambda: FreqTier(seed=6),
-            "AutoNUMA": lambda: AutoNUMA(seed=6),
+            "FreqTier": PolicySpec("freqtier", seed=6),
+            "AutoNUMA": PolicySpec("autonuma", seed=6),
         },
         CONFIG,
     )

@@ -10,48 +10,34 @@ the 64 GB CXL-2 capacity, and compares FreqTier vs AutoNUMA.
 
 import pytest
 
-from repro import (
-    AutoNUMA,
-    CacheLibWorkload,
-    CDN_PROFILE,
-    ExperimentConfig,
-    FreqTier,
-    GapWorkload,
-    SOCIAL_PROFILE,
-    XGBoostWorkload,
-    compare_policies,
-)
+from repro import ExperimentConfig, PolicySpec, WorkloadSpec, compare_policies
 from repro.analysis.tables import format_rows
 from repro.memsim.tier import CXL2_CONFIG
 
 # Scaled-down footprints (paper Section VII-B) and 8 GB-equivalent local.
 WORKLOADS = {
     "cdn": (
-        lambda: CacheLibWorkload(
-            CDN_PROFILE, slab_pages=8192, ops_per_batch=8000, seed=7
-        ),
+        WorkloadSpec("cdn", slab_pages=8192, ops_per_batch=8000, seed=7),
         "throughput",
         300,
     ),
     "social": (
-        lambda: CacheLibWorkload(
-            SOCIAL_PROFILE, slab_pages=8192, ops_per_batch=8000, seed=7
-        ),
+        WorkloadSpec("social", slab_pages=8192, ops_per_batch=8000, seed=7),
         "throughput",
         300,
     ),
     "gap-bfs": (
-        lambda: GapWorkload("bfs", scale=17, num_trials=5, seed=7),
+        WorkloadSpec("gap", kernel="bfs", scale=17, num_trials=5, seed=7),
         "label_time",
         None,
     ),
     "gap-cc": (
-        lambda: GapWorkload("cc", scale=17, num_trials=5, seed=7),
+        WorkloadSpec("gap", kernel="cc", scale=17, num_trials=5, seed=7),
         "label_time",
         None,
     ),
     "xgboost": (
-        lambda: XGBoostWorkload(num_rounds=60, seed=7),
+        WorkloadSpec("xgboost", num_rounds=60, seed=7),
         "label_time",
         None,
     ),
@@ -72,7 +58,10 @@ def results():
         out[name] = (
             compare_policies(
                 factory,
-                {"FreqTier": lambda: FreqTier(seed=7), "AutoNUMA": lambda: AutoNUMA(seed=7)},
+                {
+                    "FreqTier": PolicySpec("freqtier", seed=7),
+                    "AutoNUMA": PolicySpec("autonuma", seed=7),
+                },
                 config,
             ),
             metric,

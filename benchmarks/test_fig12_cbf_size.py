@@ -12,7 +12,7 @@ performance rises with CBF size, then flattens.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 #: Counter-array sizes from starved to saturated.
@@ -21,22 +21,16 @@ CBF_SIZES = [256, 1024, 4096, 16_384, 65_536]
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
-def factory_for(num_counters: int):
-    def make():
-        return FreqTier(
-            config=FreqTierConfig(cbf_num_counters=num_counters), seed=1
-        )
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def sweeps():
+    policies = {
+        size: PolicySpec("freqtier", seed=1, cbf_num_counters=size)
+        for size in CBF_SIZES
+    }
     out = {}
-    for name, wf in (("cdn", paper.workloads(1)["cdn"]), ("social", paper.workloads(1)["social"])):
-        base = run_all_local(wf, CONFIG)
-        results = sweep(wf, factory_for, CBF_SIZES, CONFIG)
-        out[name] = (base, results)
+    for name in ("cdn", "social"):
+        results = compare_policies(paper.workloads(1)[name], policies, CONFIG)
+        out[name] = (results.pop("AllLocal"), results)
     return out
 
 

@@ -12,7 +12,7 @@ buffer memory grows linearly.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 from repro.sampling.pebs import SAMPLE_RECORD_BYTES
 
@@ -21,20 +21,17 @@ BATCH_SIZES = [50, 200, 1_000, 5_000, 20_000]
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
-def factory_for(batch_size: int):
-    def make():
-        return FreqTier(
-            config=FreqTierConfig(sample_batch_size=batch_size), seed=1
-        )
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def results():
-    wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    return base, sweep(wf, factory_for, BATCH_SIZES, CONFIG)
+    swept = compare_policies(
+        paper.workloads(1)["cdn"],
+        {
+            size: PolicySpec("freqtier", seed=1, sample_batch_size=size)
+            for size in BATCH_SIZES
+        },
+        CONFIG,
+    )
+    return swept.pop("AllLocal"), swept
 
 
 def test_fig13_batch_size_sensitivity(benchmark, results):

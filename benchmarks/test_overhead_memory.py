@@ -10,7 +10,7 @@ policies' modeled metadata from a real run.
 """
 
 
-from repro import FreqTier, HeMem, run_experiment, paper
+from repro import compare_policies, paper
 from repro._units import GiB, MiB, PAGE_SIZE
 from repro.analysis.tables import format_rows
 from repro.cbf.exact import HEMEM_BYTES_PER_PAGE
@@ -65,10 +65,14 @@ def test_overhead_memory(benchmark):
     assert 50 < ratio < 300
 
     # Simulated policies report consistent modeled metadata.
-    config = paper.config("cachelib", max_batches=60, seed=1)
-    cdn = paper.workloads(1)["cdn"]
-    ft = run_experiment(cdn, lambda: FreqTier(seed=1), config)
-    hm = run_experiment(cdn, lambda: HeMem(seed=1), config)
+    policies = paper.policies(1)
+    runs = compare_policies(
+        paper.workloads(1)["cdn"],
+        {name: policies[name] for name in ("FreqTier", "HeMem")},
+        paper.config("cachelib", max_batches=60, seed=1),
+        include_all_local=False,
+    )
+    ft, hm = runs["FreqTier"], runs["HeMem"]
     print(
         f"  simulated run metadata: FreqTier "
         f"{ft.policy_stats['metadata_bytes'] / 1024:.0f} KB, HeMem "

@@ -18,9 +18,8 @@ information beats both coarser signals.
 
 import pytest
 
-from repro import FreqTier, MultiClock, compare_policies, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
-from repro.policies.damon import DAMONRegion
 
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
@@ -30,9 +29,9 @@ def results():
     return compare_policies(
         paper.workloads(1)["cdn"],
         {
-            "FreqTier": lambda: FreqTier(seed=1),
-            "MULTI-CLOCK": lambda: MultiClock(seed=1),
-            "DAMON": lambda: DAMONRegion(seed=1),
+            "FreqTier": PolicySpec("freqtier", seed=1),
+            "MULTI-CLOCK": PolicySpec("multiclock", seed=1),
+            "DAMON": PolicySpec("damon", seed=1),
         },
         CONFIG,
     )

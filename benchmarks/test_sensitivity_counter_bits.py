@@ -9,7 +9,7 @@ and checks: 4 bits performs like 8 bits, and the filter's memory halves.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 BITS = [2, 4, 8]
@@ -17,25 +17,23 @@ BITS = [2, 4, 8]
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
-def factory_for(bits: int):
-    def make():
-        # Threshold must stay representable at every width.
-        return FreqTier(
-            config=FreqTierConfig(
-                cbf_bits=bits,
-                initial_hot_threshold=min(5, (1 << bits) - 1),
-            ),
-            seed=1,
-        )
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def results():
-    wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    return base, sweep(wf, factory_for, BITS, CONFIG)
+    swept = compare_policies(
+        paper.workloads(1)["cdn"],
+        {
+            # Threshold must stay representable at every width.
+            bits: PolicySpec(
+                "freqtier",
+                seed=1,
+                cbf_bits=bits,
+                initial_hot_threshold=min(5, (1 << bits) - 1),
+            )
+            for bits in BITS
+        },
+        CONFIG,
+    )
+    return swept.pop("AllLocal"), swept
 
 
 def test_sensitivity_counter_bits(benchmark, results):

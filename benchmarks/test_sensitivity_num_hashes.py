@@ -9,7 +9,7 @@ right, which is why the paper fixes it.
 
 import pytest
 
-from repro import FreqTier, FreqTierConfig, run_all_local, sweep, paper
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 HASHES = [1, 2, 3, 4, 6]
@@ -17,18 +17,14 @@ HASHES = [1, 2, 3, 4, 6]
 CONFIG = paper.config("cachelib", max_batches=400, seed=1)
 
 
-def factory_for(k: int):
-    def make():
-        return FreqTier(config=FreqTierConfig(cbf_num_hashes=k), seed=1)
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def results():
-    wf = paper.workloads(1)["cdn"]
-    base = run_all_local(wf, CONFIG)
-    return base, sweep(wf, factory_for, HASHES, CONFIG)
+    swept = compare_policies(
+        paper.workloads(1)["cdn"],
+        {k: PolicySpec("freqtier", seed=1, cbf_num_hashes=k) for k in HASHES},
+        CONFIG,
+    )
+    return swept.pop("AllLocal"), swept
 
 
 def test_sensitivity_num_hashes(benchmark, results):

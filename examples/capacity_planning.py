@@ -12,7 +12,7 @@ Usage:
     python examples/capacity_planning.py
 """
 
-from repro import AutoNUMA, ExperimentConfig, FreqTier, compare_policies, paper
+from repro import ExperimentConfig, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 # A 3% point below the paper's smallest cell, then its three CacheLib
@@ -22,6 +22,7 @@ POINTS = [("1:32", 0.03)] + paper.ratios("cachelib")
 
 def main() -> None:
     workload = paper.workloads(3)["social"]
+    policies = paper.policies(3)
 
     rows = []
     crossover = None
@@ -32,10 +33,7 @@ def main() -> None:
         )
         results = compare_policies(
             workload,
-            {
-                "FreqTier": lambda: FreqTier(seed=3),
-                "AutoNUMA": lambda: AutoNUMA(seed=3),
-            },
+            {name: policies[name] for name in ("FreqTier", "AutoNUMA")},
             config,
         )
         base = results["AllLocal"]

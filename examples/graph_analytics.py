@@ -16,13 +16,7 @@ Usage:
 
 import argparse
 
-from repro import (
-    AutoNUMA,
-    FreqTier,
-    StaticNoMigration,
-    compare_policies,
-    paper,
-)
+from repro import PolicySpec, compare_policies, paper
 from repro.analysis.tables import format_rows
 
 
@@ -60,9 +54,9 @@ def main() -> None:
     results = compare_policies(
         workload,
         {
-            "FreqTier": lambda: FreqTier(seed=2),
-            "AutoNUMA": lambda: AutoNUMA(seed=2),
-            "Static": lambda: StaticNoMigration(),
+            "FreqTier": PolicySpec("freqtier", seed=2),
+            "AutoNUMA": PolicySpec("autonuma", seed=2),
+            "Static": PolicySpec("static", seed=2),
         },
         config,
     )

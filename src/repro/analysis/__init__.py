@@ -21,7 +21,6 @@ from repro.analysis.timeline import (
 from repro.analysis.tracetool import (
     adaptation_latencies_ns,
     format_trace_summary,
-    read_events,
     state_timeline,
     summarize_trace,
     validate_trace,
@@ -34,7 +33,6 @@ __all__ = [
     "format_rows",
     "format_trace_summary",
     "frequency_cdf",
-    "read_events",
     "resample_timeline",
     "saturated_fraction",
     "state_timeline",

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ExperimentResult
-from repro.core.runner import run_experiment
+from repro.core.parallel import CellSpec, ParallelExecutor
 from repro.workloads.spec import Workload
 
 
@@ -65,28 +66,23 @@ def run_replicated(
     config: ExperimentConfig,
     seeds: Sequence[int],
 ) -> list[ExperimentResult]:
-    """Run one cell across several seeds (workload AND policy reseeded)."""
+    """Run one cell across several seeds (workload AND policy reseeded).
+
+    The per-seed factories are closures, so the cells run inline on a
+    ``ParallelExecutor(jobs=1)``.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
-    results = []
-    for seed in seeds:
-        cell_config = ExperimentConfig(
-            local_fraction=config.local_fraction,
-            ratio_label=config.ratio_label,
-            memory=config.memory,
-            max_batches=config.max_batches,
-            max_accesses=config.max_accesses,
-            warmup_fraction=config.warmup_fraction,
-            seed=seed,
+    cells = [
+        CellSpec(
+            partial(workload_factory_for_seed, seed),
+            partial(policy_factory_for_seed, seed),
+            replace(config, seed=seed),
+            label=str(seed),
         )
-        results.append(
-            run_experiment(
-                lambda: workload_factory_for_seed(seed),
-                lambda: policy_factory_for_seed(seed),
-                cell_config,
-            )
-        )
-    return results
+        for seed in seeds
+    ]
+    return ParallelExecutor(jobs=1).run(cells)
 
 
 def replicated_metric(

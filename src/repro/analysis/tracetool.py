@@ -28,17 +28,6 @@ from dataclasses import dataclass, field
 from repro.obs.events import TraceEventError, validate_event
 
 
-def read_events(path: str | os.PathLike) -> list[dict]:
-    """Load all events from a JSONL trace file (no validation)."""
-    events: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
-
-
 @dataclass
 class TraceValidation:
     """Outcome of validating one trace file line by line."""

@@ -38,7 +38,6 @@ class BlockedCountingBloomFilter(CountingBloomFilter):
         num_hashes: int = 3,
         bits: int = 4,
         seed: int = 0,
-        aging_interval: int | None = None,
     ):
         counters_per_block = BLOCK_BYTES * 8 // bits
         if num_counters < counters_per_block:
@@ -49,7 +48,6 @@ class BlockedCountingBloomFilter(CountingBloomFilter):
             num_hashes=num_hashes,
             bits=bits,
             seed=seed,
-            aging_interval=aging_interval,
         )
         self.counters_per_block = counters_per_block
         self.num_blocks = num_blocks

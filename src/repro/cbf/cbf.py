@@ -50,13 +50,12 @@ class CountingBloomFilter(Stateful):
         Counter width; the paper defaults to 4 bits (max count 15).
     seed:
         Hash-family seed; distinct seeds give independent filters.
-    aging_interval:
-        If set, every ``aging_interval`` increment operations all
-        counters are halved automatically.  ``None`` leaves aging to
-        explicit :meth:`age` calls (FreqTier's policy layer drives it).
+
+    Aging happens only on explicit :meth:`age` calls; the policies
+    that own a filter (FreqTier, HeMem) run their own aging clocks.
     """
 
-    _state_fields = ("_counters", "_since_aging", "stats")
+    _state_fields = ("_counters", "stats")
 
     def __init__(
         self,
@@ -64,19 +63,14 @@ class CountingBloomFilter(Stateful):
         num_hashes: int = 3,
         bits: int = 4,
         seed: int = 0,
-        aging_interval: int | None = None,
     ):
         if num_hashes < 1:
             raise ValueError(f"num_hashes must be >= 1, got {num_hashes}")
-        if aging_interval is not None and aging_interval < 1:
-            raise ValueError(f"aging_interval must be >= 1, got {aging_interval}")
         self.num_counters = int(num_counters)
         self.num_hashes = int(num_hashes)
         self.bits = int(bits)
         self.seed = int(seed)
-        self.aging_interval = aging_interval
         self._counters = PackedCounterArray(self.num_counters, bits=bits)
-        self._since_aging = 0
         self.stats = CBFStats()
 
     # -- sizing / introspection ----------------------------------------
@@ -172,19 +166,8 @@ class CountingBloomFilter(Stateful):
         # as one fused kernel (repro.accel).
         per_uniq = self._counters.fused_update(idx, totals)
 
-        total_amt = int(amt.sum())
-        self.stats.increments += total_amt
+        self.stats.increments += int(amt.sum())
         self.stats.slot_accesses += idx.size * 2  # read + write pass
-
-        self._since_aging += total_amt
-        if (
-            self.aging_interval is not None
-            and self._since_aging >= self.aging_interval
-        ):
-            self.age()
-            # Historically the readback ran after auto-aging, so the
-            # returned frequencies reflect the halved counters.
-            per_uniq = self._counters.get(idx, check=False).min(axis=1)
 
         # Frequency readback: ``fused_update`` already returned the
         # post-update min per unique key against the fully updated
@@ -194,13 +177,11 @@ class CountingBloomFilter(Stateful):
     def age(self) -> None:
         """Halve all counters (keeps frequencies fresh, paper Section V-A)."""
         self._counters.halve_all()
-        self._since_aging = 0
         self.stats.agings += 1
 
     def clear(self) -> None:
         """Reset every counter to zero."""
         self._counters = PackedCounterArray(self.num_counters, bits=self.bits)
-        self._since_aging = 0
 
     # -- analysis helpers --------------------------------------------------
 

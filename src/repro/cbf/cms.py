@@ -40,13 +40,6 @@ class CountMinSketch(CountingBloomFilter):
         self.stats.increments += int(amt.sum())
         self.stats.slot_accesses += idx.size * 2
 
-        self._since_aging += int(amt.sum())
-        if (
-            self.aging_interval is not None
-            and self._since_aging >= self.aging_interval
-        ):
-            self.age()
-
         return np.minimum(
             self._counters.get(self._indices(arr)).min(axis=1), self.max_count
         )

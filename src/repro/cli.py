@@ -27,7 +27,6 @@ import dataclasses
 import json
 import os
 import sys
-from collections.abc import Callable
 
 from repro import paper
 from repro.analysis.tables import format_comparison_table, format_rows
@@ -38,25 +37,13 @@ from repro.core.parallel import (
     FailedCell,
     ParallelExecutor,
     PolicySpec,
+    WorkloadSpec,
 )
 from repro.core.runner import compare_policies, run_all_local, run_experiment
 from repro.faults import FAULT_PRESETS, FaultPlan, parse_fault_spec
 from repro.memsim.tier import CXL1_CONFIG, CXL2_CONFIG
 from repro.obs import trace_to
 from repro.state import SnapshotError
-
-
-def _policy_registry(seed: int) -> dict[str, Callable]:
-    return {
-        "freqtier": PolicySpec("freqtier", seed=seed),
-        "hybridtier": PolicySpec("hybridtier", seed=seed),
-        "autonuma": PolicySpec("autonuma", seed=seed),
-        "tpp": PolicySpec("tpp", seed=seed),
-        "hemem": PolicySpec("hemem", seed=seed),
-        "multiclock": PolicySpec("multiclock", seed=seed),
-        "damon": PolicySpec("damon", seed=seed),
-        "static": PolicySpec("static"),
-    }
 
 
 def _executor_from_args(args: argparse.Namespace) -> ParallelExecutor:
@@ -259,9 +246,27 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _spec(kind: str, name: str, seed: int) -> WorkloadSpec | PolicySpec:
+    """The spec a CLI workload or policy name stands for.
+
+    Workload names are :func:`repro.paper.workloads`' presets and
+    policy names the policy registry's; an unknown name exits with the
+    valid ones.
+    """
+    specs = (
+        paper.workloads(seed)
+        if kind == "workload"
+        else {n: PolicySpec(n, seed=seed) for n in PolicySpec.names()}
+    )
+    if name not in specs:
+        valid = ", ".join(sorted(specs))
+        raise SystemExit(f"unknown {kind} {name!r}; choose from: {valid}")
+    return specs[name]
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     workloads = sorted(paper.workloads(0))
-    policies = sorted(_policy_registry(0))
+    policies = PolicySpec.names()
     if args.json:
         print(json.dumps({"workloads": workloads, "policies": policies}))
     else:
@@ -270,17 +275,13 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lookup(registry: dict[str, Callable], name: str, kind: str) -> Callable:
-    try:
-        return registry[name]
-    except KeyError:
-        valid = ", ".join(sorted(registry))
-        raise SystemExit(f"unknown {kind} {name!r}; choose from: {valid}")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    workload = _lookup(paper.workloads(args.seed), args.workload, "workload")
-    policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
+    return _run_cell(args, _spec("workload", args.workload, args.seed))
+
+
+def _run_cell(args: argparse.Namespace, workload: WorkloadSpec) -> int:
+    """``run``'s body: one cell of ``workload``, printed as one table."""
+    policy = _spec("policy", args.policy, args.seed)
     config = _config_from_args(args)
     faults = _faults_from_args(args)
     if args.resume and not args.checkpoint_dir:
@@ -314,14 +315,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    workload = _lookup(paper.workloads(args.seed), args.workload, "workload")
-    registry = _policy_registry(args.seed)
+    workload = _spec("workload", args.workload, args.seed)
     names = (
         [n.strip() for n in args.policies.split(",")]
         if args.policies
         else list(paper.LINEUP.values())
     )
-    policies = {name: _lookup(registry, name, "policy") for name in names}
+    policies = {name: _spec("policy", name, args.seed) for name in names}
     config = _config_from_args(args)
     with _maybe_profile(args, "repro-compare"):
         results = compare_policies(
@@ -367,10 +367,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.workloads.recording import StreamTooLarge
     from repro.workloads.traceio import save_trace
 
-    workload_factory = _lookup(
-        paper.workloads(args.seed), args.workload, "workload"
-    )
-    workload = workload_factory()
+    workload = _spec("workload", args.workload, args.seed)()
     config = _config_from_args(args)
     from repro.core.runner import build_machine
 
@@ -400,30 +397,15 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Run a policy over a previously recorded trace file."""
-    from repro.workloads.traceio import TraceFileWorkload
-
-    policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
-    config = _config_from_args(args)
-    result = run_experiment(
-        lambda: TraceFileWorkload(args.trace), policy, config
-    )
-    payload = _result_dict(result)
-    if args.json:
-        print(json.dumps(payload, default=str))
-    else:
-        print(format_rows(["metric", "value"], [[k, v] for k, v in payload.items()]))
-    return 0
+    return _run_cell(args, WorkloadSpec("trace", path=args.trace_file))
 
 
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
     """Summarize a JSONL trace: counts, timeline, adaptation latencies."""
-    from repro.analysis.tracetool import (
-        format_trace_summary,
-        read_events,
-        summarize_trace,
-    )
+    from repro.analysis.tracetool import format_trace_summary, summarize_trace
+    from repro.obs import read_jsonl
 
-    summary = summarize_trace(read_events(args.path))
+    summary = summarize_trace(list(read_jsonl(args.path)))
     if args.json:
         print(json.dumps(summary, default=str))
     else:
@@ -507,14 +489,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     overload protection")."""
     from repro.serve import ServeConfig, TieringDaemon, VirtualTimeDriver
 
-    workload_registry = paper.workloads(args.seed)
     names = [n.strip() for n in args.workload.split(",")]
-    factories: dict[str, Callable] = {}
+    factories: dict[str, WorkloadSpec] = {}
     for i, name in enumerate(names):
-        factory = _lookup(workload_registry, name, "workload")
+        factory = _spec("workload", name, args.seed)
         tenant = name if name not in factories else f"{name}-{i}"
         factories[tenant] = factory
-    policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
+    policy = _spec("policy", args.policy, args.seed)
     config = _config_from_args(args)
     try:
         serve = ServeConfig(
@@ -558,8 +539,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    workload = _lookup(paper.workloads(args.seed), args.workload, "workload")
-    policy = _lookup(_policy_registry(args.seed), args.policy, "policy")
+    workload = _spec("workload", args.workload, args.seed)
+    policy = _spec("policy", args.policy, args.seed)
     fractions = [float(f) for f in args.fractions.split(",")]
     # Submit every (policy, all-local) pair across all fractions as one
     # batch, so --jobs parallelizes the whole sweep and --cache-dir
@@ -838,10 +819,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_record)
 
     p_rep = sub.add_parser("replay", help="replay a recorded trace")
-    p_rep.add_argument("--trace", required=True, help="trace file (or an old .npz)")
+    p_rep.add_argument(
+        "--trace",
+        dest="trace_file",
+        required=True,
+        help="trace file (or an old .npz)",
+    )
     p_rep.add_argument("--policy", required=True)
     _add_machine_args(p_rep, batches=0)
-    p_rep.set_defaults(func=cmd_replay)
+    # run's body reads these run-only flags.
+    p_rep.set_defaults(
+        func=cmd_replay,
+        trace=None,
+        baseline=False,
+        checkpoint_dir=None,
+        resume=False,
+    )
     return parser
 
 

@@ -147,11 +147,16 @@ class _RegistrySpec:
         try:
             builder = self._registry[self.name]
         except KeyError:
-            valid = ", ".join(sorted(self._registry))
+            valid = ", ".join(self.names())
             raise KeyError(
                 f"unknown {self._kind} {self.name!r}; registered: {valid}"
             ) from None
         return builder(**self.params)
+
+    @classmethod
+    def names(cls) -> list[str]:
+        """The names registered for this kind of spec, sorted."""
+        return sorted(cls._registry)
 
     def spec_dict(self) -> dict[str, Any]:
         """JSON-serializable identity for cache fingerprinting."""

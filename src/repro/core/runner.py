@@ -13,10 +13,13 @@ cell gets fresh, identically-seeded instances.  :func:`run_experiment`
 and :func:`run_all_local` run one cell inline; they are what
 :func:`~repro.core.parallel.run_cell` calls.  :func:`compare_policies`
 submits its cells to a :class:`~repro.core.parallel.ParallelExecutor`
--- the one given, else an inline ``jobs=1`` one.  Factories that are
+-- the one given, else :func:`~repro.core.parallel.executor_from_env`'s
+(inline ``jobs=1`` and uncached unless ``REPRO_JOBS`` /
+``REPRO_CACHE_DIR`` say otherwise).  Factories that are
 :class:`~repro.core.parallel.WorkloadSpec` /
 :class:`~repro.core.parallel.PolicySpec` additionally let the cells
-fan out across a process pool and be served from the result cache.
+fan out across a process pool and be served from the result cache;
+closure factories need ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections.abc import Callable
 from repro.core.config import ExperimentConfig
 from repro.core.engine import SimulationEngine
 from repro.core.metrics import ExperimentResult
-from repro.core.parallel import CellSpec, ParallelExecutor
+from repro.core.parallel import CellSpec, ParallelExecutor, executor_from_env
 from repro.faults import FaultInjector, FaultPlan
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.tier import TieredMemoryConfig
@@ -208,9 +211,10 @@ def compare_policies(
 
     All cells (baseline included) are submitted at once to ``executor``
     -- fanned across its process pool and served from its result cache
-    where possible -- or, without one, to an inline
-    ``ParallelExecutor(jobs=1)``.  Results do not depend on the
-    executor (each cell seeds its own RNGs).
+    where possible -- or, without one, to :func:`executor_from_env`'s
+    (inline and uncached when ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` are
+    unset).  Results do not depend on the executor (each cell seeds
+    its own RNGs).
 
     With a ``trace_dir``, each cell writes its own JSONL event trace
     to ``<trace_dir>/<name>.jsonl`` (cache-served cells record a
@@ -232,9 +236,5 @@ def compare_policies(
 
     specs = [cell("AllLocal", None)] if include_all_local else []
     specs.extend(cell(name, f) for name, f in policy_factories.items())
-    if executor is None:
-        executor = ParallelExecutor(jobs=1)
-    return {
-        spec.label: result
-        for spec, result in zip(specs, executor.run(specs))
-    }
+    results = (executor or executor_from_env()).run(specs)
+    return {spec.label: result for spec, result in zip(specs, results)}

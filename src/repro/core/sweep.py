@@ -7,7 +7,7 @@ from typing import TypeVar
 
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ExperimentResult
-from repro.core.parallel import CellSpec, ParallelExecutor
+from repro.core.parallel import CellSpec, ParallelExecutor, executor_from_env
 from repro.core.runner import PolicyFactory, WorkloadFactory
 
 T = TypeVar("T")
@@ -28,10 +28,14 @@ def sweep(
 
     All points are submitted at once to ``executor`` -- fanned across
     its process pool and served from its result cache -- or, without
-    one, to an inline ``ParallelExecutor(jobs=1)``.  For ``jobs>1`` the
-    factories must be picklable (e.g.
-    ``lambda v: PolicySpec("freqtier", cbf_num_counters=v)`` -- the
-    *returned* spec is what crosses the process boundary).
+    one, to :func:`~repro.core.parallel.executor_from_env`'s (inline
+    and uncached when ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` are unset).
+    Only :class:`~repro.core.parallel.WorkloadSpec` /
+    :class:`~repro.core.parallel.PolicySpec` cells are cached and
+    cross processes, so closure factories need ``jobs=1``; e.g.
+    ``lambda v: PolicySpec("freqtier", cbf_num_counters=v)`` works on
+    any executor (the *returned* spec is what crosses the process
+    boundary).
     """
     values = list(values)
     specs = [
@@ -43,6 +47,4 @@ def sweep(
         )
         for value in values
     ]
-    if executor is None:
-        executor = ParallelExecutor(jobs=1)
-    return dict(zip(values, executor.run(specs)))
+    return dict(zip(values, (executor or executor_from_env()).run(specs)))

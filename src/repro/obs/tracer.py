@@ -32,16 +32,14 @@ class Tracer:
     sinks:
         Zero or more :class:`~repro.obs.sinks.TraceSink` destinations.
         A sink-less tracer still aggregates counters/histograms.
-    validate:
-        Validate every event against the schema at emit time (cheap;
-        disable only for micro-benchmarks of the tracer itself).
+
+    Every emitted event is validated against the schema.
     """
 
     enabled: bool = True
 
-    def __init__(self, sinks: Iterable[TraceSink] = (), validate: bool = True):
+    def __init__(self, sinks: Iterable[TraceSink] = ()):
         self.sinks: list[TraceSink] = list(sinks)
-        self.validate = validate
         self.counters = CounterRegistry()
         self.histograms = HistogramRegistry()
         #: Virtual time fallback for emitters without their own clock.
@@ -57,8 +55,7 @@ class Tracer:
         event["t_ns"] = float(self.clock_ns if t_ns is None else t_ns)
         event["seq"] = self._seq
         self._seq += 1
-        if self.validate:
-            validate_event(event)
+        validate_event(event)
         for sink in self.sinks:
             sink.write(event)
         return event

@@ -8,7 +8,6 @@ whose local capacity covers the workload footprint (the
 
 from __future__ import annotations
 
-from repro.memsim.machine import Machine
 from repro.policies.base import TieringPolicy
 from repro.sampling.events import AccessBatch
 
@@ -17,13 +16,6 @@ class AllLocal(TieringPolicy):
     """No-op policy for the all-in-local-DRAM upper bound."""
 
     name = "AllLocal"
-
-    def attach(self, machine: Machine) -> None:
-        super().attach(machine)
-        if machine.config.local_capacity_pages < machine.config.cxl_capacity_pages:
-            # Not an error (partially-local runs are allowed in tests),
-            # but the canonical all-local machine is local-dominated.
-            pass
 
     def on_batch(
         self,

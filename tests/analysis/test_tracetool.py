@@ -6,12 +6,11 @@ from repro.analysis.tracetool import (
     adaptation_latencies_ns,
     format_trace_summary,
     hit_ratio_series,
-    read_events,
     state_timeline,
     summarize_trace,
     validate_trace,
 )
-from repro.obs import JsonlTraceSink, ListSink, Tracer
+from repro.obs import JsonlTraceSink, ListSink, Tracer, read_jsonl
 
 
 def transition(tracer, t_ns, frm, to, reason, level):
@@ -55,7 +54,7 @@ class TestReadAndValidate:
         with JsonlTraceSink(path) as sink:
             for e in adaptation_events():
                 sink.write(e)
-        assert read_events(path) == adaptation_events()
+        assert list(read_jsonl(path)) == adaptation_events()
 
     def test_validate_accepts_real_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -75,17 +75,6 @@ class TestAging:
         cbf.age()
         assert cbf.get(5) == 0
 
-    def test_auto_aging_interval(self):
-        cbf = CountingBloomFilter(1024, aging_interval=10)
-        cbf.increase(np.array([1], dtype=np.uint64), 10)
-        # The 10th increment triggers aging: 10 // 2 = 5.
-        assert cbf.get(1) == 5
-        assert cbf.stats.agings == 1
-
-    def test_invalid_aging_interval(self):
-        with pytest.raises(ValueError):
-            CountingBloomFilter(64, aging_interval=0)
-
 
 class TestCollisions:
     def test_small_filter_overcounts_under_pressure(self):

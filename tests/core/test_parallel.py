@@ -155,6 +155,39 @@ def test_executor_from_env_reads_variables(monkeypatch, tmp_path):
     assert ex_default.cache is None
 
 
+def test_grid_helpers_default_to_the_environment_cache(monkeypatch, tmp_path):
+    import repro.core.parallel as parallel
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    executed = []
+    real_run_cell = parallel.run_cell
+
+    def counting_run_cell(spec):
+        executed.append(spec.label)
+        return real_run_cell(spec)
+
+    monkeypatch.setattr(parallel, "run_cell", counting_run_cell)
+
+    def grids():
+        compared = compare_policies(WORKLOAD, POLICIES, CONFIG)
+        swept = sweep(
+            WORKLOAD,
+            lambda seed: PolicySpec("freqtier", seed=seed),
+            [4, 5],
+            CONFIG,
+        )
+        return {
+            **{name: r.to_dict() for name, r in compared.items()},
+            **{seed: r.to_dict() for seed, r in swept.items()},
+        }
+
+    first = grids()
+    assert len(executed) == 5  # AllLocal + 2 policies, then 2 sweep points
+    assert grids() == first
+    assert len(executed) == 5  # the second pass executed nothing
+
+
 def test_closure_cells_have_no_fingerprint():
     assert CellSpec(lambda: None, None, CONFIG).fingerprint() is None
     assert (
@@ -200,7 +233,7 @@ class TestPerCellTraces:
         assert plain.fingerprint() == traced.fingerprint()
 
     def test_cache_hit_leaves_cache_hit_event(self, tmp_path):
-        from repro.analysis.tracetool import read_events
+        from repro.obs import read_jsonl
 
         executor = ParallelExecutor(jobs=1, cache=tmp_path / "cache")
         cold = CellSpec(
@@ -222,9 +255,9 @@ class TestPerCellTraces:
         assert executor.stats.cache_hits == 1
         assert first.to_dict() == second.to_dict()
         # The cold run traced real simulation events...
-        assert any(e["type"] == "batch" for e in read_events(cold.trace_path))
+        assert any(e["type"] == "batch" for e in read_jsonl(cold.trace_path))
         # ...the warm run traced exactly one cache_hit.
-        warm_events = read_events(warm.trace_path)
+        warm_events = list(read_jsonl(warm.trace_path))
         assert len(warm_events) == 1
         assert warm_events[0]["type"] == "cache_hit"
         assert warm_events[0]["label"] == "tpp"

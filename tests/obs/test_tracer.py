@@ -51,10 +51,6 @@ class TestTracer:
         with pytest.raises(TraceEventError):
             tracer.emit("aging", t_ns=0.0)  # missing 'samples'
 
-    def test_validation_can_be_disabled(self):
-        tracer = Tracer(validate=False)
-        tracer.emit("aging", t_ns=0.0)  # would raise with validate=True
-
     def test_stats_dict_merges_counters_and_histograms(self):
         tracer = Tracer()
         tracer.count("cbf_ops", 3)

@@ -3,14 +3,13 @@
 import json
 
 from repro.analysis.tracetool import (
-    read_events,
     serve_summary,
     summarize_trace,
     validate_trace,
 )
 from repro.cli import main
 from repro.faults import FaultPlan
-from repro.obs import EVENT_TYPES, Tracer
+from repro.obs import EVENT_TYPES, Tracer, read_jsonl
 from repro.obs.sinks import JsonlTraceSink
 from repro.serve import ServeConfig, VirtualTimeDriver
 
@@ -90,7 +89,7 @@ class TestServeSummary:
         VirtualTimeDriver(daemon, arrivals=3, max_offers=18).finish()
         tracer.close()
 
-        summary = summarize_trace(read_events(trace))
+        summary = summarize_trace(list(read_jsonl(trace)))
         serve = summary["serve"]
         assert serve["ticks"] == daemon.ticks
         assert serve["shed_batches"] == daemon.queues["a"].counters.shed

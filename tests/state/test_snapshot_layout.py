@@ -9,6 +9,11 @@ by declared fields; the schema-5 FreqTier file is kept as
 document, as ``data/schema4/snap-00000001.json``.  Loading one and
 capturing the restored engine must write the identical file, and
 resuming from it must equal the uninterrupted run.
+
+``data/cbf-since-aging/snap-00000001.ckpt`` is the same FreqTier
+checkpoint as written while the CBF still kept an aging clock: its
+``policy.cbf`` entry holds a ``since_aging`` key that no field declares
+now.  It is still schema 6, and still resumes.
 """
 
 from __future__ import annotations
@@ -67,4 +72,15 @@ def test_committed_snapshot_resumes_bit_identically(tmp_path, policy):
     # Still in place: an invalid generation would have been quarantined
     # and the run started fresh.
     assert (resume_dir / SNAPSHOT).exists()
+    assert resumed.to_dict() == reference.to_dict()
+
+
+def test_snapshot_with_cbf_since_aging_resumes_bit_identically(tmp_path):
+    snapshot = Snapshot.read(DATA / "cbf-since-aging" / SNAPSHOT)
+    assert "since_aging" in snapshot.payload["policy"]["cbf"]
+    shutil.copy(DATA / "cbf-since-aging" / SNAPSHOT, tmp_path / SNAPSHOT)
+    workload, pol, config = _cell("freqtier")
+    reference = run_experiment(workload, pol, config)
+    resumed = run_experiment(workload, pol, config, resume_from=tmp_path)
+    assert (tmp_path / SNAPSHOT).exists()
     assert resumed.to_dict() == reference.to_dict()

@@ -25,6 +25,13 @@ class TestList:
         assert "autonuma" in data["policies"]
         assert "xgboost" in data["workloads"]
 
+    def test_policies_are_the_registry_names(self, capsys):
+        from repro.core.parallel import PolicySpec
+
+        data = json.loads(run_cli(capsys, "list", "--json"))
+        assert data["policies"] == PolicySpec.names()
+        assert "alllocal" in data["policies"]
+
 
 class TestRun:
     def test_basic_run(self, capsys):
