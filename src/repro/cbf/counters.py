@@ -168,10 +168,9 @@ class PackedCounterArray(Stateful):
             self._store >>= 1
             return
         if self.bits == 4:
-            # Halve both nibbles of each byte in place:
-            # (b >> 1) keeps bit3 of the low nibble leaking? No:
-            # low' = (low >> 1), high' = (high >> 1); (b >> 1) & 0x77
-            # clears the bit that would leak from high nibble into low.
+            # Halve both nibbles of each byte at once.  Shifting the
+            # byte right moves bit 0 of the high nibble into bit 3 of
+            # the low one; the 0x77 mask clears that bit (and bit 7).
             self._store = (self._store >> np.uint8(1)) & np.uint8(0x77)
             return
         if self.bits == 2:

@@ -284,24 +284,35 @@ def _run_cell(args: argparse.Namespace, workload: WorkloadSpec) -> int:
     policy = _spec("policy", args.policy, args.seed)
     config = _config_from_args(args)
     faults = _faults_from_args(args)
+    # AllLocal is the all-DRAM baseline, not a policy on the tiered
+    # machine; that run never checkpoints.
+    all_local = args.policy == "alllocal"
+    if all_local and (args.checkpoint_dir or args.resume):
+        raise SystemExit(
+            "--policy alllocal runs the all-local baseline, which does "
+            "not checkpoint: drop --checkpoint-dir and --resume"
+        )
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
     with _maybe_profile(args, "repro-run"), trace_to(args.trace) as tracer:
-        result = run_experiment(
-            workload,
-            policy,
-            config,
-            tracer=tracer,
-            faults=faults,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every_batches=(
-                args.checkpoint_every if args.checkpoint_dir else 0
-            ),
-            resume_from=args.checkpoint_dir if args.resume else None,
-        )
+        if all_local:
+            result = run_all_local(workload, config, tracer=tracer, faults=faults)
+        else:
+            result = run_experiment(
+                workload,
+                policy,
+                config,
+                tracer=tracer,
+                faults=faults,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every_batches=(
+                    args.checkpoint_every if args.checkpoint_dir else 0
+                ),
+                resume_from=args.checkpoint_dir if args.resume else None,
+            )
     payload = _result_dict(result)
     if args.baseline:
-        base = run_all_local(workload, config)
+        base = result if all_local else run_all_local(workload, config)
         rel = result.relative_to(base)
         payload["pct_all_local_throughput"] = rel["throughput"]
         payload["pct_all_local_p50"] = rel["p50_latency"]
@@ -823,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         dest="trace_file",
         required=True,
-        help="trace file (or an old .npz)",
+        help="version-1 trace file written by record",
     )
     p_rep.add_argument("--policy", required=True)
     _add_machine_args(p_rep, batches=0)

@@ -43,7 +43,7 @@ WorkloadFactory = Callable[[], Workload]
 PolicyFactory = Callable[[], TieringPolicy]
 
 
-def _build_injector(
+def build_injector(
     faults: FaultPlan | None, machine: Machine
 ) -> FaultInjector | None:
     """An injector for the plan, or None when nothing would inject."""
@@ -130,7 +130,7 @@ def run_experiment(
         workload,
         policy,
         tracer=tracer,
-        fault_injector=_build_injector(faults, machine),
+        fault_injector=build_injector(faults, machine),
         checkpoint_manager=_checkpoint_manager(checkpoint_dir),
         checkpoint_every_batches=checkpoint_every_batches,
     )
@@ -186,7 +186,7 @@ def run_all_local(
         workload,
         AllLocal(),
         tracer=tracer,
-        fault_injector=_build_injector(faults, machine),
+        fault_injector=build_injector(faults, machine),
     )
     return engine.run(
         max_batches=config.max_batches,

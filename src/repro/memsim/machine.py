@@ -84,11 +84,6 @@ class MachineConfig:
     demote_wmark_frac: float = 0.04
     #: Demotion starts once free local capacity falls below this fraction.
     promo_wmark_frac: float = 0.02
-    #: "local_first" (default Linux policy, paper Section V-B) or
-    #: "interleave" (pages striped across tiers proportionally to
-    #: capacity -- the bandwidth-spreading alternative some deployments
-    #: use instead of tiering).
-    allocation_policy: str = "local_first"
     cost_params: CostModelParams = field(default_factory=CostModelParams)
 
     def __post_init__(self) -> None:
@@ -104,11 +99,6 @@ class MachineConfig:
             raise ValueError(
                 "need 0 <= promo_wmark_frac <= demote_wmark_frac <= 1, got "
                 f"promo={self.promo_wmark_frac} demote={self.demote_wmark_frac}"
-            )
-        if self.allocation_policy not in ("local_first", "interleave"):
-            raise ValueError(
-                "allocation_policy must be 'local_first' or 'interleave', "
-                f"got {self.allocation_policy!r}"
             )
 
     @property
@@ -244,7 +234,8 @@ class Machine(Stateful):
     # -- allocation -------------------------------------------------------------
 
     def allocate(self, num_pages: int, name: str = "anon") -> VMARegion:
-        """Map a region, placing pages per the allocation policy."""
+        """Map a region local-first (the default Linux policy, paper
+        Section V-B): pages fill local DRAM, the rest go to CXL."""
         if num_pages > self.local_free_pages + self.cxl_free_pages:
             raise CapacityError(
                 f"cannot allocate {num_pages} pages: only "
@@ -252,37 +243,12 @@ class Machine(Stateful):
             )
         region = self.address_space.map_region(num_pages, name=name)
         pages = np.arange(region.start_page, region.end_page, dtype=np.int64)
-        if self.config.allocation_policy == "interleave":
-            self._place_interleaved(pages)
-        else:
-            n_local = min(num_pages, self.local_free_pages)
-            if n_local:
-                self.page_table.place(pages[:n_local], LOCAL_TIER)
-            if n_local < num_pages:
-                self.page_table.place(pages[n_local:], CXL_TIER)
+        n_local = min(num_pages, self.local_free_pages)
+        if n_local:
+            self.page_table.place(pages[:n_local], LOCAL_TIER)
+        if n_local < num_pages:
+            self.page_table.place(pages[n_local:], CXL_TIER)
         return region
-
-    def _place_interleaved(self, pages: np.ndarray) -> None:
-        """Stripe pages across tiers proportionally to free capacity."""
-        num_pages = int(pages.size)
-        free_local = self.local_free_pages
-        free_cxl = self.cxl_free_pages
-        total_free = free_local + free_cxl
-        n_local = min(
-            free_local, int(round(num_pages * free_local / max(total_free, 1)))
-        )
-        n_local = max(n_local, num_pages - free_cxl)  # CXL must absorb rest
-        if num_pages <= 0:
-            return
-        # Even stripe: every k-th page goes local.
-        mask = np.zeros(num_pages, dtype=bool)
-        if n_local > 0:
-            idx = np.linspace(0, num_pages - 1, n_local).astype(np.int64)
-            mask[idx] = True
-        if mask.any():
-            self.page_table.place(pages[mask], LOCAL_TIER)
-        if (~mask).any():
-            self.page_table.place(pages[~mask], CXL_TIER)
 
     # -- migration (numa_move_pages analogue) --------------------------------------
 

@@ -1,4 +1,4 @@
-"""Serving-daemon configuration: queues, budgets, ladder, watchdog.
+"""Serving-daemon configuration: queues, budgets, ladder, restarts.
 
 One :class:`ServeConfig` carries every tunable of the online tiering
 loop.  It is JSON round-trippable (``to_dict``/``from_dict``) because
@@ -25,7 +25,7 @@ from typing import Any
 
 #: Backpressure modes for the bounded per-tenant request queues.
 #: - ``block``: a full queue refuses the offer and the producer must
-#:   retry (the driver holds the batch; async submitters await);
+#:   retry (the driver holds the batch and offers it again next round);
 #: - ``shed-oldest``: a full queue evicts its oldest entry to admit
 #:   the new one (freshness wins; the evicted request is counted shed);
 #: - ``reject``: a full queue refuses and *drops* the offer (the
@@ -84,11 +84,6 @@ class ServeConfig:
     #: Restarts the watchdog allows before giving up (raising
     #: :class:`~repro.serve.watchdog.WatchdogGaveUp`).
     max_restarts: int = 3
-    #: Wall-clock heartbeat gap (seconds) after which the async
-    #: watchdog task declares the loop stalled.  0 disables stall
-    #: detection (the virtual-time driver relies on crash detection
-    #: only -- virtual loops have no wall-clock contract).
-    watchdog_stall_s: float = 0.0
 
     # --- checkpointing ---
     #: Save a daemon checkpoint every N ticks (0 = only the final
@@ -134,10 +129,6 @@ class ServeConfig:
         if self.max_restarts < 0:
             raise ValueError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.watchdog_stall_s < 0:
-            raise ValueError(
-                f"watchdog_stall_s must be >= 0, got {self.watchdog_stall_s}"
             )
         if self.checkpoint_every_ticks < 0:
             raise ValueError(

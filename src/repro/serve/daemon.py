@@ -13,17 +13,13 @@ durable checkpoint.
 
 Everything observable is virtual-time: enqueue-to-service latency is
 measured on the engine clock, so the daemon's SLO quantiles (p50/p99/
-p999) are bit-reproducible under the
-:class:`~repro.serve.driver.VirtualTimeDriver`.  The asyncio front-end
-(:meth:`~TieringDaemon.serve_forever`) adds wall-clock concerns --
-signal-triggered graceful drain, heartbeat stall detection -- without
-touching the deterministic core.
+p999) are bit-reproducible.  The
+:class:`~repro.serve.driver.VirtualTimeDriver` is the one loop that
+drives a daemon: it offers each tenant's batches, ticks, and drains.
 """
 
 from __future__ import annotations
 
-import asyncio
-import signal
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Any
@@ -31,8 +27,8 @@ from typing import Any
 from repro.core.config import ExperimentConfig
 from repro.core.engine import SimulationEngine
 from repro.core.metrics import ExperimentResult
-from repro.core.runner import build_machine
-from repro.faults import FaultInjector, FaultPlan
+from repro.core.runner import build_injector, build_machine
+from repro.faults import FaultPlan
 from repro.memsim.machine import Machine
 from repro.obs import NULL_TRACER, Tracer
 from repro.obs.registry import HistogramRegistry
@@ -148,13 +144,10 @@ class TieringDaemon(Stateful):
             else None
         )
         self.budget = TickBudget(self.serve.tick_budget_ns)
-        self.watchdog = Watchdog(
-            self.serve.max_restarts, self.serve.watchdog_stall_s
-        )
+        self.watchdog = Watchdog(self.serve.max_restarts)
         self._reset_accounting()
         self._pending_serve: dict[str, Any] | None = None
         self._pending_policy: dict[str, Any] | None = None
-        self._stop_requested = False
         #: True while the live state differs from the newest checkpoint
         #: generation (nothing saved yet, or a tick/submit since).
         self._unsaved = True
@@ -187,17 +180,12 @@ class TieringDaemon(Stateful):
         }
         layout = MultiTenantLayout(tenants)
         machine = build_machine(layout.footprint_pages, self.config)
-        injector = None
-        if self.fault_plan is not None and self.fault_plan.active:
-            injector = FaultInjector(
-                self.fault_plan, machine.config.total_capacity_pages
-            )
         self.engine = SimulationEngine(
             machine,
             layout,
             self.policy_factory(),
             tracer=self.tracer,
-            fault_injector=injector,
+            fault_injector=build_injector(self.fault_plan, machine),
         )
         self.engine.setup()
         self.queues = {
@@ -260,16 +248,6 @@ class TieringDaemon(Stateful):
                 )
         return outcome
 
-    async def submit_async(
-        self, tenant: str, batch: AccessBatch, poll_s: float = 0.001
-    ) -> str:
-        """Async submit that awaits space in ``block`` mode."""
-        while True:
-            outcome = self.submit(tenant, batch)
-            if outcome != "blocked":
-                return outcome
-            await asyncio.sleep(poll_s)
-
     # -- hot-swap ----------------------------------------------------------
 
     def swap_config(
@@ -320,7 +298,6 @@ class TieringDaemon(Stateful):
         serve = self.serve
         self.ladder.config = serve
         self.watchdog.max_restarts = serve.max_restarts
-        self.watchdog.stall_timeout_s = serve.watchdog_stall_s
         for queue in self.queues.values():
             queue.capacity = serve.queue_capacity
             queue.backpressure = serve.backpressure
@@ -418,7 +395,6 @@ class TieringDaemon(Stateful):
                 )
         self.ticks += 1
         self._unsaved = True
-        self.watchdog.beat()
         if (
             self.checkpoint_manager is not None
             and serve.checkpoint_every_ticks
@@ -541,13 +517,13 @@ class TieringDaemon(Stateful):
     def drain(self) -> int:
         """Service every queued batch, then checkpoint; returns count.
 
-        The graceful-shutdown tail: intake is the caller's to stop
-        (the asyncio front-end closes it on SIGTERM/SIGINT before
-        calling this).  Runs guarded ticks until every queue is empty,
-        emits ``drain_complete``, and writes a final checkpoint when a
-        checkpoint directory is configured and the state changed since
-        the newest generation (a periodic save on the last tick already
-        holds it).
+        The end of a run: intake is the caller's to stop
+        (:meth:`~repro.serve.driver.VirtualTimeDriver.finish` calls
+        this once every stream is offered).  Runs guarded ticks until
+        every queue is empty, emits ``drain_complete``, and writes a
+        final checkpoint when a checkpoint directory is configured and
+        the state changed since the newest generation (a periodic save
+        on the last tick already holds it).
         """
         served = 0
         while aggregate_depth(self.queues).depth > 0:
@@ -600,54 +576,6 @@ class TieringDaemon(Stateful):
                 for stat, value in summary.items():
                     out[f"{name}_{stat}"] = value
         return out
-
-    # -- asyncio front-end -------------------------------------------------
-
-    def request_stop(self) -> None:
-        """Ask :meth:`serve_forever` to drain and exit (signal-safe)."""
-        self._stop_requested = True
-
-    async def serve_forever(
-        self,
-        poll_s: float = 0.001,
-        install_signal_handlers: bool = True,
-    ) -> int:
-        """Run guarded ticks until a stop is requested, then drain.
-
-        SIGTERM/SIGINT request a graceful stop: intake keeps being
-        accepted until the loop notices, then the remaining backlog is
-        fully drained and a final checkpoint written.  A stalled loop
-        (heartbeat older than ``watchdog_stall_s``) is recovered like a
-        crash.  Returns the number of batches served by the loop.
-        """
-        loop = asyncio.get_running_loop()
-        installed: list[signal.Signals] = []
-        if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_stop)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        served = 0
-        try:
-            while not self._stop_requested:
-                if self.watchdog.stalled:
-                    self.watchdog.on_failure("heartbeat stall")
-                    self.recover("heartbeat stall")
-                if aggregate_depth(self.queues).depth > 0:
-                    report = self.tick_guarded()
-                    if report is not None:
-                        served += report.served
-                    await asyncio.sleep(0)  # yield to producers
-                else:
-                    self.watchdog.beat()
-                    await asyncio.sleep(poll_s)
-            served += self.drain()
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-        return served
 
 
 def _rung(mode: str) -> int:

@@ -19,7 +19,7 @@ from repro.workloads.cachelib import CacheLibWorkload, CDN_PROFILE, SOCIAL_PROFI
 from repro.workloads.gap import GapWorkload
 from repro.workloads.kronecker import CSRGraph, generate_kronecker
 from repro.workloads.spec import Workload
-from repro.workloads.trace import RecordedTrace, SyntheticZipfWorkload
+from repro.workloads.trace import SyntheticZipfWorkload
 from repro.workloads.xgboost_like import XGBoostWorkload
 from repro.workloads.zipfian import ZipfianSampler
 
@@ -28,7 +28,6 @@ __all__ = [
     "CDN_PROFILE",
     "CSRGraph",
     "GapWorkload",
-    "RecordedTrace",
     "SOCIAL_PROFILE",
     "SyntheticZipfWorkload",
     "Workload",

@@ -5,13 +5,10 @@ A :class:`Recording` holds run-compressed batches as columns (see
 ``run_starts`` and ``run_counts``, per-batch end offsets into them and
 per-batch scalars, with labels as a sorted vocabulary plus codes.
 :func:`record` is the only builder and :meth:`Recording.batches` the
-only replay loop; :class:`RecordingWorkload` replays one from a
-checkpointed batch cursor.  The columns live on the heap or in one
-uncompressed column file (:mod:`repro.state.colfile`, format version
-1) with the magic ``RPTRACE\\0``.  :meth:`Recording.load`
-memory-maps such a file, loads the version-less ``.npz`` traces of
-earlier releases as the heads-only recordings they are;
-:meth:`Recording.validate` checks either kind.
+only replay loop.  The columns live on the heap or in one uncompressed
+column file (:mod:`repro.state.colfile`, format version 1) with the
+magic ``RPTRACE\\0``.  :meth:`Recording.load` memory-maps such a file
+and refuses any other; :meth:`Recording.validate` checks its columns.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import numpy as np
 
 from repro.sampling.events import AccessBatch
 from repro.state import colfile
-from repro.workloads.spec import Workload
 
 FORMAT_VERSION = 1
 
@@ -236,48 +232,23 @@ class Recording:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> Recording:
-        """Open a saved recording, memory-mapped, or a version-less
-        ``.npz`` trace.  Only the layout is checked here: call
-        :meth:`validate` (which reads every page) on outside input."""
+        """Open a saved recording, memory-mapped.  Only the layout is
+        checked here: call :meth:`validate` (which reads every page) on
+        outside input."""
         source = os.fspath(path)
         try:
             found = colfile.read(source, _MAGIC)
-            if found is None:
-                return cls._npz(source)
-            __, meta, columns = found
-            if meta["format_version"] != FORMAT_VERSION:
-                raise ValueError(f"unsupported format version {meta['format_version']!r}")
-            return cls(
-                labels=meta["labels"], footprint_pages=meta["footprint_pages"], **columns
-            )
-        except Exception as exc:  # OS, numpy, zipfile and json errors
+            if found is not None:
+                __, meta, columns = found
+                if meta["format_version"] == FORMAT_VERSION:
+                    return cls(
+                        labels=meta["labels"],
+                        footprint_pages=meta["footprint_pages"],
+                        **columns,
+                    )
+        except Exception as exc:  # OS, numpy and json errors
             raise ValueError(f"trace {source!r} is unreadable: {exc}") from exc
-
-    @classmethod
-    def _npz(cls, source: str) -> Recording:
-        def widened(array: np.ndarray, keep: tuple = ()) -> np.ndarray:
-            # Integers as int64, as earlier releases and AccessBatch
-            # (which keeps int32 heads) did; validate() rejects the rest.
-            if array.dtype.kind not in "iu" or array.dtype in keep:
-                return array
-            return array.astype(np.int64)
-
-        with np.load(source, allow_pickle=False) as data:
-            ends = widened(data["batch_ends"])
-            vocab, codes = np.unique(data["labels"], return_inverse=True)
-            return cls(
-                head_page_ids=widened(data["page_ids"], (np.int32,)),
-                run_starts=np.empty(0, dtype=np.int64),
-                run_counts=np.empty(0, dtype=np.int64),
-                head_batch_ends=ends,
-                run_batch_ends=np.zeros(ends.shape, dtype=np.int64),
-                num_ops=data["num_ops"].astype(np.float64),
-                cpu_ns=data["cpu_ns"].astype(np.float64),
-                bytes_per_access=data["bytes_per_access"].astype(np.float64),
-                label_codes=codes.reshape(-1).astype(np.int32),
-                labels=vocab,
-                footprint_pages=int(data["footprint_pages"]),
-            )
+        raise ValueError(f"trace {source!r} is not a version-{FORMAT_VERSION} trace file")
 
     def validate(self, source: str) -> None:
         """Reject anything a replay could trip over, raising
@@ -333,31 +304,3 @@ class Recording:
             not (codes.size and (codes.min() < 0 or codes.max() >= len(self.labels))),
             f"has label_codes outside its {len(self.labels)}-label vocabulary",
         )
-
-
-class RecordingWorkload(Workload):
-    """A workload that replays a :class:`Recording` from a batch cursor.
-
-    Subclasses set ``_recording``.  The cursor is the declared state:
-    :meth:`batches` continues from it, and rewinds it once the recording
-    is exhausted, so the next call replays from the first batch.
-    """
-
-    _state_fields = ("_batch",)
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed=seed)
-        self._recording: Recording | None = None
-        self._batch = 0
-
-    @property
-    def position(self) -> int:
-        return self._batch
-
-    def batches(self) -> Iterator[AccessBatch]:
-        if self._recording is None:
-            raise RuntimeError(f"{type(self).__name__}.batches() before setup()")
-        for batch in self._recording.batches(start=self._batch):
-            self._batch += 1
-            yield batch
-        self._batch = 0

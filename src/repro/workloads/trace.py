@@ -1,11 +1,7 @@
-"""Trace utilities: recording, replay and simple synthetic workloads.
+"""The minimal synthetic workload: :class:`SyntheticZipfWorkload`.
 
-- :class:`SyntheticZipfWorkload` -- the minimal page-level Zipf
-  workload used across unit tests and sensitivity sweeps: one region,
-  Zipf-popular page accesses, no item structure.
-- :class:`RecordedTrace` -- record any workload's batches once and
-  replay them verbatim (e.g. to show two policies the *identical*
-  access stream in accuracy studies).
+The page-level Zipf workload used across unit tests and sensitivity
+sweeps: one region, Zipf-popular page accesses, no item structure.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ import numpy as np
 
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
-from repro.workloads.recording import RecordingWorkload, record
 from repro.workloads.spec import Workload
 from repro.workloads.zipfian import ZipfianSampler
 
@@ -72,33 +67,3 @@ class SyntheticZipfWorkload(Workload):
     def hottest_pages(self, count: int) -> np.ndarray:
         """Page ids of the ``count`` most popular pages (oracle)."""
         return self._start_page + self.sampler.top_items(count)
-
-
-class RecordedTrace(RecordingWorkload):
-    """Record another workload's stream once, replay it identically.
-
-    ``setup`` re-runs the inner workload's setup (regions must be laid
-    out identically, which holds when replaying onto a machine with
-    the same capacities) and records the first ``max_batches`` batches
-    into a heap :class:`~repro.workloads.recording.Recording`.
-    """
-
-    def __init__(self, inner: Workload, max_batches: int):
-        super().__init__(seed=inner.seed)
-        if max_batches < 1:
-            raise ValueError(f"max_batches must be >= 1, got {max_batches}")
-        self.inner = inner
-        self.name = f"recorded-{inner.name}"
-        self.max_batches = int(max_batches)
-
-    @property
-    def footprint_pages(self) -> int:
-        return self.inner.footprint_pages
-
-    def setup(self, machine: Machine) -> None:
-        self.inner.setup(machine)
-        self._machine = machine
-        if self._recording is None:
-            self._recording = record(
-                self.inner.batches(), self.footprint_pages, self.max_batches
-            )

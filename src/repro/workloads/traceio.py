@@ -2,20 +2,21 @@
 
 Lets users capture a workload's access stream once and replay it
 byte-identically -- across policies (so every system sees the same
-trace), across sessions, or from external sources.  A trace file is one
-recording file (:mod:`repro.workloads.recording` holds the format, its
-validation and the version-less ``.npz`` layout external traces can
-use), memory-mapped on replay.
+trace), across sessions, or from external sources (:func:`save_trace`
+takes any iterable of :class:`~repro.sampling.events.AccessBatch`).  A
+trace file is one recording file (:mod:`repro.workloads.recording`
+holds the format and its validation), memory-mapped on replay.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
-from repro.workloads.recording import Recording, RecordingWorkload, record
+from repro.workloads.recording import Recording, record
+from repro.workloads.spec import Workload
 
 
 def save_trace(
@@ -33,10 +34,16 @@ def save_trace(
     return len(recording)
 
 
-class TraceFileWorkload(RecordingWorkload):
-    """A workload replayed from a saved trace file, validated on load."""
+class TraceFileWorkload(Workload):
+    """A workload replayed from a saved trace file, validated on load.
+
+    The batch cursor is the declared state: :meth:`batches` continues
+    from it, and rewinds it once the trace is exhausted, so the next
+    call replays from the first batch.
+    """
 
     name = "trace-file"
+    _state_fields = ("_batch",)
 
     def __init__(self, path: str | os.PathLike):
         super().__init__(seed=0)
@@ -44,6 +51,7 @@ class TraceFileWorkload(RecordingWorkload):
         self._recording = Recording.load(self.path)
         self._recording.validate(self.path)
         self.name = f"trace:{os.path.basename(self.path)}"
+        self._batch = 0
 
     @property
     def num_batches(self) -> int:
@@ -53,6 +61,16 @@ class TraceFileWorkload(RecordingWorkload):
     def footprint_pages(self) -> int:
         return self._recording.footprint_pages
 
+    @property
+    def position(self) -> int:
+        return self._batch
+
     def setup(self, machine: Machine) -> None:
         machine.allocate(self.footprint_pages, name="trace-replay")
         self._machine = machine
+
+    def batches(self) -> Iterator[AccessBatch]:
+        for batch in self._recording.batches(start=self._batch):
+            self._batch += 1
+            yield batch
+        self._batch = 0

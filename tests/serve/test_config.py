@@ -39,7 +39,6 @@ class TestServeConfig:
             ("promote_after_ticks", 0),
             ("sample_only_stride", 0),
             ("max_restarts", -1),
-            ("watchdog_stall_s", -0.5),
             ("checkpoint_every_ticks", -1),
         ],
     )

@@ -1,6 +1,5 @@
 """TieringDaemon behaviour: ticks, overload, deadlines, swaps, drain."""
 
-import asyncio
 import json
 
 import pytest
@@ -10,7 +9,6 @@ from repro.obs import Tracer
 from repro.obs.sinks import ListSink
 from repro.serve import (
     ServeConfig,
-    TieringDaemon,
     VirtualTimeDriver,
     WatchdogGaveUp,
 )
@@ -313,52 +311,3 @@ class TestWatchdogGiveUp:
         driver = VirtualTimeDriver(daemon, arrivals=2, max_offers=12)
         with pytest.raises(WatchdogGaveUp, match="InjectedCrash"):
             driver.run(12)
-
-
-class TestAsyncioFrontend:
-    def test_serve_forever_drains_on_stop(self):
-        daemon = make_daemon(serve=ServeConfig(max_batches_per_tick=2))
-
-        async def scenario():
-            task = asyncio.ensure_future(
-                daemon.serve_forever(
-                    poll_s=0.001, install_signal_handlers=False
-                )
-            )
-            workload = daemon.tenants["a"]
-            stream = workload.batches()
-            for _ in range(5):
-                outcome = await daemon.submit_async("a", next(stream))
-                assert outcome == "enqueued"
-            await asyncio.sleep(0.05)
-            daemon.request_stop()
-            return await task
-
-        served = asyncio.run(scenario())
-        assert served == 5
-        assert daemon.queues["a"].counters.served == 5
-
-    def test_submit_async_blocks_until_space(self):
-        daemon = make_daemon(
-            serve=ServeConfig(
-                queue_capacity=1, backpressure="block", max_batches_per_tick=1
-            )
-        )
-
-        async def scenario():
-            workload = daemon.tenants["a"]
-            stream = workload.batches()
-            task = asyncio.ensure_future(
-                daemon.serve_forever(
-                    poll_s=0.001, install_signal_handlers=False
-                )
-            )
-            for _ in range(3):  # each submit must wait for the loop
-                outcome = await daemon.submit_async("a", next(stream))
-                assert outcome == "enqueued"
-            daemon.request_stop()
-            return await task
-
-        served = asyncio.run(scenario())
-        assert served == 3
-        assert daemon.queues["a"].counters.blocked >= 0

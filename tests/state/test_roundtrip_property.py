@@ -23,7 +23,6 @@ from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import build_machine
 from repro.workloads import gap
 from repro.workloads.cachelib import CDN_PROFILE, CacheLibWorkload, Phase
-from repro.workloads.trace import RecordedTrace
 from repro.workloads.traceio import TraceFileWorkload, save_trace
 
 from tests.state.conftest import assert_same_state, snapshot_round_trip
@@ -147,13 +146,12 @@ def _families(tmp_path) -> dict:
             churn_swaps_per_batch=20,
             seed=3,
         ),
-        "recorded": lambda: RecordedTrace(zipf(), max_batches=12),
         "trace-file": lambda: TraceFileWorkload(trace),
     }
 
 
 @pytest.mark.parametrize(
-    "family", sorted([*WORKLOADS, "gap-cc", "cdn-phases", "recorded", "trace-file"])
+    "family", sorted([*WORKLOADS, "gap-cc", "cdn-phases", "trace-file"])
 )
 def test_fresh_stream_continues_after_load_state(family, tmp_path):
     factory = _families(tmp_path)[family]

@@ -66,6 +66,32 @@ class TestRun:
         assert data["policy"] == "Static"
         assert 0.0 < data["pct_all_local_throughput"] <= 1.001
 
+    def test_alllocal_runs_the_all_local_machine(self, capsys):
+        out = run_cli(
+            capsys,
+            "run",
+            "--workload",
+            "zipf",
+            "--policy",
+            "alllocal",
+            "--batches",
+            "20",
+            "--baseline",
+            "--json",
+        )
+        data = json.loads(out)
+        assert data["policy"] == "AllLocal"
+        assert data["hit_ratio"] == 1.0
+        assert data["pct_all_local_throughput"] == 1.0
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-dir", "--resume"])
+    def test_alllocal_refuses_checkpoints(self, capsys, tmp_path, flag):
+        argv = ["run", "--workload", "zipf", "--policy", "alllocal"]
+        extra = [flag, str(tmp_path)] if flag == "--checkpoint-dir" else [flag]
+        with pytest.raises(SystemExit, match="alllocal .* does not checkpoint"):
+            main([*argv, "--batches", "2", *extra])
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(
@@ -183,7 +209,7 @@ class TestCompareReport:
 
 class TestRecordReplay:
     def test_record_then_replay(self, capsys, tmp_path):
-        trace_path = str(tmp_path / "t.npz")
+        trace_path = str(tmp_path / "t.trace")
         out = run_cli(
             capsys,
             "record",
@@ -209,6 +235,20 @@ class TestRecordReplay:
         )
         data = json.loads(out)
         assert data["workload"].startswith("trace:")
+
+    def test_replay_alllocal_runs_the_all_local_machine(self, capsys, tmp_path):
+        trace_path = str(tmp_path / "t.trace")
+        run_cli(
+            capsys, "record", "--workload", "zipf", "--batches", "4",
+            "--out", trace_path,
+        )
+        out = run_cli(
+            capsys, "replay", "--trace", trace_path, "--policy", "alllocal",
+            "--json",
+        )
+        data = json.loads(out)
+        assert data["workload"].startswith("trace:")
+        assert data["hit_ratio"] == 1.0
 
     def test_unbounded_record_stops_at_memory_budget(
         self, capsys, tmp_path, monkeypatch

@@ -1,4 +1,4 @@
-"""Tests for trace utilities and the synthetic Zipf workload."""
+"""Tests for the synthetic Zipf workload and replayed streams."""
 
 import dataclasses
 
@@ -11,7 +11,7 @@ from repro.core.runner import build_all_local_machine, run_experiment
 from repro.core.shm import SharedStreamFactory, publish_stream
 from repro.memsim.machine import Machine, MachineConfig
 from repro.memsim.tier import CXL1_CONFIG
-from repro.workloads.trace import RecordedTrace, SyntheticZipfWorkload
+from repro.workloads.trace import SyntheticZipfWorkload
 from repro.workloads.traceio import TraceFileWorkload, save_trace
 
 
@@ -52,37 +52,13 @@ class TestSyntheticZipf:
             SyntheticZipfWorkload(num_pages=0)
 
 
-class TestRecordedTrace:
-    def test_replay_identical(self):
-        inner = SyntheticZipfWorkload(num_pages=500, accesses_per_batch=100, seed=2)
-        rec = RecordedTrace(inner, max_batches=5)
-        m = build_machine(500)
-        rec.setup(m)
-        first = [b.page_ids.copy() for b in rec.batches()]
-        second = [b.page_ids.copy() for b in rec.batches()]
-        assert len(first) == 5
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-
-    def test_batches_before_setup_raises(self):
-        rec = RecordedTrace(SyntheticZipfWorkload(num_pages=100), max_batches=2)
-        with pytest.raises(RuntimeError):
-            next(iter(rec.batches()))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecordedTrace(SyntheticZipfWorkload(num_pages=100), max_batches=0)
-
-    def test_footprint_delegates(self):
-        inner = SyntheticZipfWorkload(num_pages=123)
-        assert RecordedTrace(inner, max_batches=1).footprint_pages == 123
-
-    @pytest.mark.parametrize("source", ["heap", "file", "executor"])
+class TestReplay:
+    @pytest.mark.parametrize("source", ["file", "executor"])
     def test_replayed_cdn_run_equals_live_run(self, source, tmp_path):
-        """A recording -- on the heap, in a saved trace file, or
-        published by the executor -- keeps the runs, the head dtype and
-        CDN's 1024-byte accesses, so the replayed run costs exactly what
-        the live run did."""
+        """A recording -- in a saved trace file or published by the
+        executor -- keeps the runs, the head dtype and CDN's 1024-byte
+        accesses, so the replayed run costs exactly what the live run
+        did."""
         cdn = WorkloadSpec("cdn", slab_pages=2_048, ops_per_batch=2_000, seed=7)
         config = ExperimentConfig(
             local_fraction=0.12, ratio_label="1:16", max_batches=20, seed=7
@@ -95,17 +71,7 @@ class TestRecordedTrace:
             )
             return workload
 
-        if source == "heap":
-            recorded = []
-
-            def replay():
-                recorded.append(RecordedTrace(cdn(), max_batches=20))
-                return recorded[-1]
-
-            def replayed_batches():
-                return recorded[0].batches()
-
-        elif source == "file":
+        if source == "file":
             path = tmp_path / "cdn.trace"
             stream = live_stream()
             save_trace(path, stream.batches(), stream.footprint_pages, 20)
@@ -131,10 +97,8 @@ class TestRecordedTrace:
         finally:
             if source == "executor":
                 handle.unlink()
-        live_name = live.pop("workload_name")
-        replayed_name = replayed.pop("workload_name")
-        if source == "heap":
-            assert replayed_name == "recorded-" + live_name
+        live.pop("workload_name")
+        replayed.pop("workload_name")
         assert replayed == live
         assert batch.run_starts.size > 0
         assert batch.bytes_per_access == 1024.0

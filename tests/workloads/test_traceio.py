@@ -22,7 +22,7 @@ def saved_trace(tmp_path):
         MachineConfig(local_capacity_pages=100, cxl_capacity_pages=2000)
     )
     workload.setup(machine)
-    path = tmp_path / "trace.npz"
+    path = tmp_path / "zipf.trace"
     count = save_trace(path, workload.batches(), 1000, max_batches=6)
     assert count == 6
     return path, workload
@@ -68,7 +68,7 @@ class TestSaveLoad:
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_trace(tmp_path / "x.npz", iter([]), 100)
+            save_trace(tmp_path / "x.trace", iter([]), 100)
 
     def test_runs_through_experiment_facade(self, saved_trace):
         path, __ = saved_trace
@@ -83,29 +83,10 @@ class TestSaveLoad:
         batch = AccessBatch(
             page_ids=np.array([500]), num_ops=1.0, cpu_ns=0.0
         )
-        path = tmp_path / "bad.npz"
+        path = tmp_path / "bad.trace"
         save_trace(path, [batch], footprint_pages=100)
         with pytest.raises(ValueError):
             TraceFileWorkload(path)
-
-
-def _write_raw_trace(path, page_ids, batch_ends, footprint=100, **columns):
-    """An ``.npz`` in the version-less trace layout, bypassing
-    save_trace's checks; ``columns`` replace the defaults."""
-    n = len(batch_ends)
-    np.savez(
-        path,
-        **{
-            "page_ids": np.asarray(page_ids),
-            "batch_ends": np.asarray(batch_ends),
-            "num_ops": np.ones(n),
-            "cpu_ns": np.zeros(n),
-            "bytes_per_access": np.full(n, 64.0),
-            "labels": np.asarray([""] * n, dtype="U64"),
-            "footprint_pages": np.int64(footprint),
-            **columns,
-        },
-    )
 
 
 def _write_recording(path, labels=("",), **columns):
@@ -129,27 +110,51 @@ def _write_recording(path, labels=("",), **columns):
     ).save(path)
 
 
+def _write_heads_only(path, page_ids, batch_ends, **columns):
+    """A heads-only recording file of ``len(batch_ends)`` batches over
+    100 pages, via :func:`_write_recording`; ``columns`` replace the
+    defaults."""
+    n = len(batch_ends)
+    _write_recording(
+        path,
+        **{
+            "head_page_ids": np.asarray(page_ids),
+            "run_starts": np.empty(0, dtype=np.int64),
+            "run_counts": np.empty(0, dtype=np.int64),
+            "head_batch_ends": np.asarray(batch_ends),
+            "run_batch_ends": np.zeros(n, dtype=np.int64),
+            "num_ops": np.ones(n),
+            "cpu_ns": np.zeros(n),
+            "bytes_per_access": np.full(n, 64.0),
+            "label_codes": np.zeros(n, dtype=np.int32),
+            **columns,
+        },
+    )
+
+
 class TestTraceFileValidation:
     def test_well_formed_raw_trace_loads(self, tmp_path):
-        path = tmp_path / "ok.npz"
-        _write_raw_trace(path, [1, 2, 3, 4], [1, 1, 4])
-        assert TraceFileWorkload(path).num_batches == 3
+        path = tmp_path / "ok.trace"
+        _write_heads_only(path, [1, 2, 3, 4], [1, 1, 4])
+        trace = TraceFileWorkload(path)
+        assert trace.num_batches == 3
+        assert [b.page_ids.tolist() for b in trace.batches()] == [[1], [], [2, 3, 4]]
 
     def test_negative_page_ids_rejected(self, tmp_path):
-        path = tmp_path / "negative.npz"
-        _write_raw_trace(path, [3, -1, 7], [3])
+        path = tmp_path / "negative.trace"
+        _write_heads_only(path, [3, -1, 7], [3])
         with pytest.raises(ValueError, match="outside"):
             TraceFileWorkload(path)
 
     def test_decreasing_batch_ends_rejected(self, tmp_path):
-        path = tmp_path / "decreasing.npz"
-        _write_raw_trace(path, [1, 2, 3, 4], [3, 2, 4])
+        path = tmp_path / "decreasing.trace"
+        _write_heads_only(path, [1, 2, 3, 4], [3, 2, 4])
         with pytest.raises(ValueError, match="batch_ends"):
             TraceFileWorkload(path)
 
     def test_batch_ends_must_cover_every_access(self, tmp_path):
-        path = tmp_path / "short.npz"
-        _write_raw_trace(path, [1, 2, 3, 4], [1, 3])
+        path = tmp_path / "short.trace"
+        _write_heads_only(path, [1, 2, 3, 4], [1, 3])
         with pytest.raises(ValueError, match="batch_ends"):
             TraceFileWorkload(path)
 
@@ -157,21 +162,21 @@ class TestTraceFileValidation:
         "columns, match",
         [
             ({"bytes_per_access": np.full(2, 64.0)}, "bytes_per_access"),
-            ({"labels": np.asarray(["a", "b"])}, "label_codes"),
+            ({"label_codes": np.zeros(2, dtype=np.int32)}, "label_codes"),
             ({"num_ops": np.array([1.0, 1.0, -1.0])}, "num_ops"),
             ({"cpu_ns": np.array([0.0, -5.0, 0.0])}, "cpu_ns"),
             ({"bytes_per_access": np.array([64.0, 0.0, 64.0])}, "bytes_per_access"),
         ],
     )
     def test_malformed_batch_columns_rejected(self, tmp_path, columns, match):
-        path = tmp_path / "bad.npz"
-        _write_raw_trace(path, [1, 2, 3], [1, 2, 3], **columns)
+        path = tmp_path / "bad.trace"
+        _write_heads_only(path, [1, 2, 3], [1, 2, 3], **columns)
         with pytest.raises(ValueError, match=match):
             TraceFileWorkload(path)
 
     def test_float_page_ids_rejected(self, tmp_path):
-        path = tmp_path / "float.npz"
-        _write_raw_trace(path, [1.7, 2.2], [2])
+        path = tmp_path / "float.trace"
+        _write_heads_only(path, [1.7, 2.2], [2])
         with pytest.raises(ValueError, match="not a flat int32 or int64"):
             TraceFileWorkload(path)
 
@@ -225,15 +230,14 @@ class TestTraceFileValidation:
         with pytest.raises(ValueError, match="version"):
             TraceFileWorkload(path)
 
-    def test_uint64_page_ids_replay_as_int64(self, tmp_path):
-        path = tmp_path / "unsigned.npz"
-        _write_raw_trace(path, np.array([1, 2, 3], dtype=np.uint64), [1, 3])
-        trace = TraceFileWorkload(path)
-        assert [b.page_ids.tolist() for b in trace.batches()] == [[1], [2, 3]]
-        assert {b.head_page_ids.dtype for b in trace.batches()} == {np.dtype(np.int64)}
-
     def test_unsigned_decreasing_batch_ends_rejected(self, tmp_path):
-        path = tmp_path / "unsigned_ends.npz"
-        _write_raw_trace(path, [1, 2, 3, 4], np.array([3, 2, 4], np.uint64))
-        with pytest.raises(ValueError, match="batch_ends"):
+        path = tmp_path / "unsigned_ends.trace"
+        _write_heads_only(path, [1, 2, 3, 4], np.array([3, 2, 4], np.uint64))
+        with pytest.raises(ValueError, match="head_batch_ends of dtype uint64"):
+            TraceFileWorkload(path)
+
+    def test_numpy_archive_is_refused(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez(path, page_ids=np.array([1, 2]), batch_ends=np.array([2]))
+        with pytest.raises(ValueError, match="old.npz.*not a version-1 trace file"):
             TraceFileWorkload(path)
