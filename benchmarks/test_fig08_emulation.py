@@ -22,7 +22,7 @@ from repro.memsim.tier import CXL1_CONFIG, CXL2_CONFIG, LOCAL_DRAM
 def measure(model: CostModel, cxl: bool, accesses: int = 100_000):
     """MLC-style probe: idle latency and sustained bandwidth."""
     tier = model.memory.cxl if cxl else model.memory.local
-    idle_latency = model.loaded_latency_ns(tier, utilization=0.0)
+    idle_latency = tier.latency_ns
     # Saturating sequential read: 4 KB per access.
     cost = model.batch_cost(
         0.0,

@@ -51,7 +51,6 @@ from repro.core import (
     compare_policies,
     run_all_local,
     run_experiment,
-    sweep,
 )
 from repro.faults import (
     FAULT_PRESETS,
@@ -179,7 +178,6 @@ __all__ = [
     "run_all_local",
     "run_experiment",
     "sim_gb_to_pages",
-    "sweep",
     "trace_to",
     "validate_event",
 ]

@@ -1,8 +1,8 @@
 """Minimal text charts for benchmark and example output.
 
 No plotting dependency is available offline, so figures render as
-unicode-free ASCII: sparklines for timelines, horizontal bars for
-comparisons.  Used by the examples and the benchmark printouts.
+unicode-free ASCII sparklines for timelines.  Used by the run
+report (:mod:`repro.analysis.report`).
 """
 
 from __future__ import annotations
@@ -27,23 +27,3 @@ def sparkline(values: Sequence[float], lo: float | None = None,
         idx = int((v - lo) / span * (len(_LEVELS) - 1))
         out.append(_LEVELS[max(0, min(idx, len(_LEVELS) - 1))])
     return "".join(out)
-
-
-def hbar_chart(
-    items: Sequence[tuple[str, float]],
-    width: int = 40,
-    fmt: str = "{:.1%}",
-) -> str:
-    """Horizontal bar chart: one labeled row per (name, value)."""
-    if not items:
-        return ""
-    max_value = max(v for __, v in items)
-    label_width = max(len(name) for name, __ in items)
-    lines = []
-    for name, value in items:
-        bar_len = 0 if max_value <= 0 else int(round(value / max_value * width))
-        lines.append(
-            f"{name.ljust(label_width)}  {'#' * bar_len:<{width}}  "
-            f"{fmt.format(value)}"
-        )
-    return "\n".join(lines)

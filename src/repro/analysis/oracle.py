@@ -55,23 +55,6 @@ def oracle_hit_ratio(
     return float(top.sum() / total)
 
 
-def oracle_hit_curve(
-    batches: list[AccessBatch],
-    footprint_pages: int,
-    capacities: list[int],
-) -> dict[int, float]:
-    """Oracle hit ratio at several local capacities (one pass)."""
-    counts = page_access_counts(batches, footprint_pages)
-    total = max(int(counts.sum()), 1)
-    ordered = np.sort(counts)[::-1]
-    cumulative = np.cumsum(ordered)
-    out: dict[int, float] = {}
-    for cap in capacities:
-        k = int(np.clip(cap, 0, footprint_pages))
-        out[cap] = float(cumulative[k - 1] / total) if k > 0 else 0.0
-    return out
-
-
 def placement_efficiency(measured_hit_ratio: float, oracle: float) -> float:
     """Measured hit ratio as a fraction of the oracle's (capped at 1)."""
     if oracle <= 0:

@@ -216,9 +216,6 @@ def serve_summary(events: list[dict]) -> dict[str, object] | None:
             1 for e in events if e["type"] == "deadline_exceeded"
         ),
         "watchdog_restarts": len(restarts),
-        "config_swaps": sum(
-            1 for e in events if e["type"] == "config_swapped"
-        ),
         "drained": sum(e["served"] for e in drains),
         "mode_timeline": mode_timeline(events),
     }
@@ -297,8 +294,7 @@ def format_trace_summary(summary: dict[str, object]) -> str:
         lines.append(
             f"  shed batches:    {serve['shed_batches']}  "
             f"deadline misses: {serve['deadline_exceeded']}  "
-            f"restarts: {serve['watchdog_restarts']}  "
-            f"config swaps: {serve['config_swaps']}"
+            f"restarts: {serve['watchdog_restarts']}"
         )
         for seg in serve["mode_timeline"]:
             end = (

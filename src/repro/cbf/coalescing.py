@@ -67,9 +67,3 @@ class SampleCoalescer(Stateful):
         self.stats.samples_in += int(arr.size)
         self.stats.unique_increments_out += int(uniq.size)
         return uniq, freqs
-
-    def coalesce_only(self, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregate without touching the CBF (for analysis/tests)."""
-        arr = np.asarray(page_ids, dtype=np.uint64)
-        uniq, counts = np.unique(arr, return_counts=True)
-        return uniq, counts.astype(np.int64)

@@ -264,6 +264,19 @@ def _spec(kind: str, name: str, seed: int) -> WorkloadSpec | PolicySpec:
     return specs[name]
 
 
+def _cell_policy(name: str, seed: int) -> PolicySpec | None:
+    """The cell policy a CLI policy name stands for.
+
+    ``alllocal`` is the all-local baseline cell (``policy=None``: the
+    all-DRAM machine of :func:`~repro.core.runner.run_all_local`), not
+    the no-op policy on the tiered machine; every other name is the
+    registry's spec.
+    """
+    if name == "alllocal":
+        return None
+    return _spec("policy", name, seed)
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     workloads = sorted(paper.workloads(0))
     policies = PolicySpec.names()
@@ -281,12 +294,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run_cell(args: argparse.Namespace, workload: WorkloadSpec) -> int:
     """``run``'s body: one cell of ``workload``, printed as one table."""
-    policy = _spec("policy", args.policy, args.seed)
+    policy = _cell_policy(args.policy, args.seed)
     config = _config_from_args(args)
     faults = _faults_from_args(args)
-    # AllLocal is the all-DRAM baseline, not a policy on the tiered
-    # machine; that run never checkpoints.
-    all_local = args.policy == "alllocal"
+    # The all-local baseline never checkpoints.
+    all_local = policy is None
     if all_local and (args.checkpoint_dir or args.resume):
         raise SystemExit(
             "--policy alllocal runs the all-local baseline, which does "
@@ -332,7 +344,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if args.policies
         else list(paper.LINEUP.values())
     )
-    policies = {name: _spec("policy", name, args.seed) for name in names}
+    policies = {name: _cell_policy(name, args.seed) for name in names}
     config = _config_from_args(args)
     with _maybe_profile(args, "repro-compare"):
         results = compare_policies(
@@ -451,17 +463,43 @@ def cmd_trace_validate(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
+def _serve_config_error(path: str) -> str | None:
+    """Why a daemon snapshot's serve config would not restore, or None.
+
+    Snapshots without a serve section (single-run checkpoints) pass.
+    """
+    from repro.serve import ServeConfig
+    from repro.state import Snapshot
+
+    payload = Snapshot.read(path).payload
+    serve = payload.get("serve") if isinstance(payload, dict) else None
+    if not isinstance(serve, dict):
+        return None
+    try:
+        ServeConfig.from_dict(serve["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"serve config does not restore: {exc}"
+    return None
+
+
 def cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     """Report every snapshot generation in a checkpoint directory.
 
-    Exit 0 when at least one generation verifies (a resume would
-    succeed), 1 otherwise -- so scripts can probe resumability.
+    A generation is valid when its digest and schema verify and, for a
+    daemon snapshot, its serve config restores.  Exit 0 when at least
+    one generation is valid (a resume would succeed), 1 otherwise -- so
+    scripts can probe resumability.
     """
     from repro.state import CheckpointManager
 
     if not os.path.isdir(args.dir):
         raise SystemExit(f"not a checkpoint directory: {args.dir}")
     report = CheckpointManager(args.dir).inspect()
+    for entry in report:
+        if entry.get("valid"):
+            error = _serve_config_error(os.path.join(args.dir, entry["file"]))
+            if error is not None:
+                entry.update(valid=False, error=error)
     any_valid = any(entry.get("valid") for entry in report)
     if args.json:
         print(
@@ -551,7 +589,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     workload = _spec("workload", args.workload, args.seed)
-    policy = _spec("policy", args.policy, args.seed)
+    policy = _cell_policy(args.policy, args.seed)
     fractions = [float(f) for f in args.fractions.split(",")]
     # Submit every (policy, all-local) pair across all fractions as one
     # batch, so --jobs parallelizes the whole sweep and --cache-dir

@@ -32,7 +32,6 @@ from repro.core.runner import (
     run_all_local,
     run_experiment,
 )
-from repro.core.sweep import sweep
 
 __all__ = [
     "BatchRecord",
@@ -56,5 +55,4 @@ __all__ = [
     "register_workload",
     "run_all_local",
     "run_experiment",
-    "sweep",
 ]

@@ -197,7 +197,7 @@ def run_all_local(
 
 def compare_policies(
     workload_factory: WorkloadFactory,
-    policy_factories: dict[str, PolicyFactory],
+    policy_factories: dict[str, PolicyFactory | None],
     config: ExperimentConfig,
     include_all_local: bool = True,
     executor: ParallelExecutor | None = None,
@@ -207,7 +207,8 @@ def compare_policies(
     """Run several policies on identical cells; adds 'AllLocal' if asked.
 
     Returns ``{policy_name: result}``; compute the paper's %all-local
-    columns via ``result.relative_to(results["AllLocal"])``.
+    columns via ``result.relative_to(results["AllLocal"])``.  A
+    ``None`` factory runs the all-local baseline under its name.
 
     All cells (baseline included) are submitted at once to ``executor``
     -- fanned across its process pool and served from its result cache

@@ -9,10 +9,10 @@ captures the three effects the paper's results hinge on:
 1. **Latency**: each L3-missing access pays its tier's idle latency,
    overlapped across ``threads x mlp`` outstanding requests.
 2. **Bandwidth**: a tier can move at most ``bandwidth_gbps`` bytes/ns;
-   when demand (accesses + migration traffic) exceeds it, time dilates
-   and loaded latency inflates (an M/M/1-style queueing term).  This is
-   what makes the low-bandwidth CXL-2 device slow and what makes
-   excessive migration traffic hurt (Fig. 2, Fig. 10).
+   when demand (accesses + migration traffic) exceeds it, the tier's
+   service time is its bandwidth floor instead of its latency bound.
+   This is what makes the low-bandwidth CXL-2 device slow and what
+   makes excessive migration traffic hurt (Fig. 2, Fig. 10).
 3. **Interference**: page migrations also consume CPU (page copy +
    PTE updates, paper Section III Challenge 2), and each policy reports
    its own sampling/scanning tax.  This is why HeMem's accurate-but-
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._units import PAGE_SIZE
-from repro.memsim.tier import TieredMemoryConfig, TierSpec
+from repro.memsim.tier import TieredMemoryConfig
 from repro.memsim.traffic import CACHE_LINE_BYTES
 
 
@@ -60,8 +60,6 @@ class CostModelParams:
     #: CPU time to migrate one page (copy + unmap/remap + TLB shootdown),
     #: consistent with kernel move_pages costs of ~1-2 us/page.
     migration_cpu_ns_per_page: float = 1500.0
-    #: Cap on the queueing-delay inflation of loaded latency.
-    max_latency_inflation: float = 8.0
 
     @property
     def effective_parallelism(self) -> float:
@@ -78,29 +76,6 @@ class CostModel:
     ):
         self.memory = memory
         self.params = params or CostModelParams()
-
-    # -- loaded latency ----------------------------------------------------
-
-    def loaded_latency_ns(self, tier: TierSpec, utilization: float) -> float:
-        """Access latency under load.
-
-        Applies an M/M/1-style queueing inflation
-        ``latency * (1 + u^2 / (2 (1 - u)))`` capped at
-        ``max_latency_inflation`` so saturated tiers stay finite.
-        """
-        u = min(max(utilization, 0.0), 0.999)
-        inflation = 1.0 + (u * u) / (2.0 * (1.0 - u))
-        inflation = min(inflation, self.params.max_latency_inflation)
-        return tier.latency_ns * inflation
-
-    def tier_utilization(
-        self, tier: TierSpec, demand_bytes: float, window_ns: float
-    ) -> float:
-        """Fraction of a tier's bandwidth consumed over a window."""
-        if window_ns <= 0:
-            return 0.0
-        demanded_rate = demand_bytes / window_ns  # bytes per ns
-        return demanded_rate / tier.bandwidth_bytes_per_ns
 
     # -- batch timing -----------------------------------------------------------
 
@@ -137,8 +112,6 @@ class CostModel:
         # requests the sustained rate is already capped by the
         # bandwidth floor, and double-counting queueing would let a
         # policy "beat" the all-local upper bound by splitting traffic.
-        # (Loaded latency matters for per-access latency percentiles;
-        # see expected_access_latency_ns.)
         local_ns = max(
             local_accesses * self.memory.local.latency_ns / par,
             local_bytes / self.memory.local.bandwidth_bytes_per_ns,
@@ -165,18 +138,3 @@ class CostModel:
             migration_ns=migration_ns,
             overhead_ns=overhead_ns,
         )
-
-    # -- per-operation latency (P50 model) ------------------------------------------
-
-    def expected_access_latency_ns(
-        self,
-        hit_ratio: float,
-        local_utilization: float = 0.0,
-        cxl_utilization: float = 0.0,
-    ) -> float:
-        """Mean L3-miss service latency given a local hit ratio."""
-        if not 0.0 <= hit_ratio <= 1.0:
-            raise ValueError(f"hit_ratio must be in [0, 1], got {hit_ratio}")
-        local = self.loaded_latency_ns(self.memory.local, local_utilization)
-        cxl = self.loaded_latency_ns(self.memory.cxl, cxl_utilization)
-        return hit_ratio * local + (1.0 - hit_ratio) * cxl

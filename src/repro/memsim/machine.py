@@ -201,10 +201,6 @@ class Machine(Stateful):
     def cxl_free_pages(self) -> int:
         return self.config.cxl_capacity_pages - self.cxl_used_pages
 
-    @property
-    def local_free_fraction(self) -> float:
-        return self.local_free_pages / self.config.local_capacity_pages
-
     # -- watermarks (paper Fig. 6) -------------------------------------------
 
     @property

@@ -72,8 +72,6 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     # The watchdog restarted the policy loop from the newest valid
     # checkpoint (generation -1 = no checkpoint, fresh restart).
     "watchdog_restart": frozenset({"restarts", "reason", "generation"}),
-    # A serve/policy config hot-swap was applied at a tick boundary.
-    "config_swapped": frozenset({"changed"}),
     # A graceful drain finished: intake closed, queues fully serviced.
     "drain_complete": frozenset({"served", "remaining"}),
 }

@@ -291,36 +291,6 @@ class TieringPolicy(Stateful, abc.ABC):
             raise RuntimeError(f"policy {self.name!r} used before attach()")
         return self._machine
 
-    def reconfigure(self, overrides: dict) -> list[str]:
-        """Hot-swap config fields on a live policy; returns applied keys.
-
-        The serving daemon applies this at a tick boundary
-        (``TieringDaemon.swap_config(policy_overrides=...)``), so a
-        long-lived loop can retune thresholds, batch sizes or scan
-        cadences without a restart.  The base implementation sets
-        matching attributes on ``self.config`` (policies without a
-        ``config`` accept nothing); unknown keys raise -- a typo must
-        not silently no-op on a production daemon.  Structures *sized*
-        from config at attach time (e.g. a CBF sized for a target FPR)
-        are not rebuilt: swaps take effect on forward-looking decisions
-        only.
-        """
-        config = getattr(self, "config", None)
-        unknown = [
-            key for key in overrides
-            if config is None or not hasattr(config, key)
-        ]
-        if unknown:
-            raise ValueError(
-                f"policy {self.name!r} has no config field(s) "
-                f"{sorted(unknown)}"
-            )
-        applied = []
-        for key, value in overrides.items():
-            setattr(config, key, value)
-            applied.append(key)
-        return sorted(applied)
-
     # -- main hook ----------------------------------------------------------
 
     @abc.abstractmethod

@@ -45,7 +45,6 @@ class TieringState(enum.Enum):
 class WindowReport:
     """What happened during one observation window."""
 
-    hit_ratio: float | None
     pages_promoted: int
     empty_demotion_scan: bool
     #: Promotion passes (sample-batch processings) run this window.
@@ -119,7 +118,7 @@ class IntensityController(Stateful):
             # the policy is stuck in monitoring mode for good.
             self._reference_ratio = ratio
             return
-        if abs(ratio - self._reference_ratio) > self.perf.stability_epsilon:
+        if self.perf.changed_since_stable(self._reference_ratio):
             # Distribution changed: back to full-rate sampling.
             self.state = TieringState.SAMPLING
             self.level = SamplingLevel.HIGH

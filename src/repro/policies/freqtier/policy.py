@@ -296,7 +296,6 @@ class FreqTier(PEBSPolicy):
         ):
             overhead += self._process_samples(now_ns)
         report = WindowReport(
-            hit_ratio=None,
             pages_promoted=self._promoted_in_window,
             empty_demotion_scan=self._empty_scan_in_window,
             processing_rounds=self._rounds_in_window,

@@ -107,8 +107,9 @@ class PerfStatCounter(Stateful):
     def changed_since_stable(self, reference: float) -> bool:
         """True when the last closed window deviates from ``reference``.
 
-        Used in monitoring mode: a deviation beyond epsilon means the
-        access distribution shifted and sampling must restart.
+        FreqTier's monitoring-mode rule (``IntensityController``): a
+        deviation beyond epsilon means the access distribution shifted
+        and sampling must restart.
         """
         last = self.last_window_hit_ratio
         if last is None:

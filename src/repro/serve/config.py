@@ -2,9 +2,8 @@
 
 One :class:`ServeConfig` carries every tunable of the online tiering
 loop.  It is JSON round-trippable (``to_dict``/``from_dict``) because
-the daemon supports **hot-swapping** it between ticks -- a live
-deployment retunes its backpressure or budget without a restart -- and
-because the CLI accepts it inline.
+the daemon's checkpoint stores it next to the serving state, so a
+resumed daemon runs under the config it was saved with.
 
 The **degradation ladder** is the graceful-overload story: under
 sustained pressure the daemon steps down
@@ -151,6 +150,3 @@ class ServeConfig:
                 f"known: {sorted(known)}"
             )
         return cls(**data)
-
-    def replace(self, **overrides: Any) -> "ServeConfig":
-        return dataclasses.replace(self, **overrides)

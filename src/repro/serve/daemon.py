@@ -116,7 +116,6 @@ class TieringDaemon(Stateful):
         "deadline_ticks",
         "degradations",
         "promotions",
-        "config_swaps",
         "migration_stall_ns",
     )
 
@@ -146,8 +145,6 @@ class TieringDaemon(Stateful):
         self.budget = TickBudget(self.serve.tick_budget_ns)
         self.watchdog = Watchdog(self.serve.max_restarts)
         self._reset_accounting()
-        self._pending_serve: dict[str, Any] | None = None
-        self._pending_policy: dict[str, Any] | None = None
         #: True while the live state differs from the newest checkpoint
         #: generation (nothing saved yet, or a tick/submit since).
         self._unsaved = True
@@ -165,7 +162,6 @@ class TieringDaemon(Stateful):
         self.deadline_ticks = 0
         self.degradations = 0
         self.promotions = 0
-        self.config_swaps = 0
         self.migration_stall_ns = 0.0
 
     def _build(self) -> None:
@@ -248,51 +244,6 @@ class TieringDaemon(Stateful):
                 )
         return outcome
 
-    # -- hot-swap ----------------------------------------------------------
-
-    def swap_config(
-        self,
-        serve: dict[str, Any] | None = None,
-        policy: dict[str, Any] | None = None,
-    ) -> None:
-        """Stage a config hot-swap; applied at the next tick boundary.
-
-        ``serve`` fields are :class:`~repro.serve.config.ServeConfig`
-        overrides (validated on application); ``policy`` fields go
-        through :meth:`~repro.policies.base.TieringPolicy.reconfigure`.
-        Mid-tick state is never touched -- the swap is atomic at the
-        boundary and is recorded with a ``config_swapped`` event.
-        """
-        if serve:
-            staged = dict(self._pending_serve or {})
-            staged.update(serve)
-            self._pending_serve = staged
-        if policy:
-            staged = dict(self._pending_policy or {})
-            staged.update(policy)
-            self._pending_policy = staged
-
-    def _apply_pending_swap(self) -> None:
-        if self._pending_serve is None and self._pending_policy is None:
-            return
-        changed: list[str] = []
-        if self._pending_serve:
-            self.serve = self.serve.replace(**self._pending_serve)
-            changed.extend(f"serve.{key}" for key in self._pending_serve)
-            self._apply_serve_config()
-        if self._pending_policy:
-            applied = self.engine.policy.reconfigure(self._pending_policy)
-            changed.extend(f"policy.{key}" for key in applied)
-        self._pending_serve = None
-        self._pending_policy = None
-        self.config_swaps += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "config_swapped",
-                t_ns=self.engine.now_ns,
-                changed=sorted(changed),
-            )
-
     def _apply_serve_config(self) -> None:
         """Push :attr:`serve` into the components that copy its knobs."""
         serve = self.serve
@@ -307,13 +258,11 @@ class TieringDaemon(Stateful):
     def tick(self) -> TickReport:
         """Service up to ``max_batches_per_tick`` queued batches.
 
-        One tick is the daemon's scheduling quantum: it applies staged
-        config swaps, sets the migration gate for the current ladder
-        rung, drains queues round-robin (sorted tenant order) under the
-        deadline budget, then feeds the end-of-tick queue pressure back
-        into the ladder.
+        One tick is the daemon's scheduling quantum: it sets the
+        migration gate for the current ladder rung, drains queues
+        round-robin (sorted tenant order) under the deadline budget,
+        then feeds the end-of-tick queue pressure back into the ladder.
         """
-        self._apply_pending_swap()
         serve = self.serve
         engine = self.engine
         start_ns = engine.now_ns
@@ -562,7 +511,6 @@ class TieringDaemon(Stateful):
             "degradations": self.degradations,
             "promotions": self.promotions,
             "restarts": self.watchdog.restarts,
-            "config_swaps": self.config_swaps,
             "migration_stall_ns": self.migration_stall_ns,
             "migrations_deferred": self.engine.machine.migrations_deferred,
         }

@@ -1,6 +1,6 @@
 """Tests for the text chart helpers."""
 
-from repro.analysis.charts import hbar_chart, sparkline
+from repro.analysis.charts import sparkline
 
 
 class TestSparkline:
@@ -22,23 +22,3 @@ class TestSparkline:
         line = sparkline([0.5], lo=0.0, hi=1.0)
         assert line in "=+"  # mid-scale glyph
 
-
-class TestHBarChart:
-    def test_rows_and_labels(self):
-        out = hbar_chart([("alpha", 1.0), ("b", 0.5)])
-        lines = out.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("alpha")
-        # Longest bar belongs to the max value.
-        assert lines[0].count("#") > lines[1].count("#")
-
-    def test_value_formatting(self):
-        out = hbar_chart([("x", 0.42)], fmt="{:.0%}")
-        assert "42%" in out
-
-    def test_empty(self):
-        assert hbar_chart([]) == ""
-
-    def test_zero_values(self):
-        out = hbar_chart([("x", 0.0)])
-        assert "#" not in out

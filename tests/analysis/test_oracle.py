@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.oracle import (
-    oracle_hit_curve,
     oracle_hit_ratio,
     page_access_counts,
     placement_efficiency,
@@ -40,20 +39,6 @@ class TestOracleHitRatio:
 
     def test_empty_stream(self):
         assert oracle_hit_ratio([], 10, 5) == 0.0
-
-    def test_curve_matches_pointwise(self):
-        rng = np.random.default_rng(0)
-        batches = [batch_of(rng.integers(0, 100, 1000)) for __ in range(3)]
-        curve = oracle_hit_curve(batches, 100, [5, 20, 50])
-        for cap, value in curve.items():
-            assert value == pytest.approx(oracle_hit_ratio(batches, 100, cap))
-
-    def test_curve_monotone(self):
-        rng = np.random.default_rng(1)
-        batches = [batch_of(rng.integers(0, 50, 500))]
-        curve = oracle_hit_curve(batches, 50, [1, 5, 10, 25, 50])
-        values = list(curve.values())
-        assert values == sorted(values)
 
 
 class TestEfficiency:

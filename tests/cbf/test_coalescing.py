@@ -50,15 +50,6 @@ class TestCoalescing:
         assert uniq.size == 0
         assert freqs.size == 0
 
-    def test_coalesce_only_does_not_touch_cbf(self, setup):
-        cbf, coalescer = setup
-        uniq, counts = coalescer.coalesce_only(
-            np.array([3, 3, 4], dtype=np.uint64)
-        )
-        assert np.array_equal(uniq, [3, 4])
-        assert np.array_equal(counts, [2, 1])
-        assert cbf.get(3) == 0
-
     def test_fewer_cbf_slot_accesses_than_per_sample(self):
         """The point of the optimization: ~4x fewer CBF update calls."""
         skewed = np.concatenate(

@@ -16,7 +16,6 @@ from repro.core.parallel import (
     resolve_jobs,
 )
 from repro.core.runner import compare_policies, run_all_local, run_experiment
-from repro.core.sweep import sweep
 
 WORKLOAD = WorkloadSpec("zipf", num_pages=512, alpha=1.1, seed=3)
 POLICIES = {
@@ -106,18 +105,6 @@ def test_run_cells_positional_alignment():
     assert [r.policy_name for r in results] == ["TPP", "AllLocal", "FreqTier"]
 
 
-def test_sweep_through_executor_matches_serial():
-    values = [1, 3]
-    factory_for = lambda v: PolicySpec("freqtier", seed=3, initial_hot_threshold=v)
-    serial = sweep(WORKLOAD, factory_for, values, CONFIG)
-    parallel = sweep(
-        WORKLOAD, factory_for, values, CONFIG, executor=ParallelExecutor(jobs=2)
-    )
-    assert list(parallel) == values
-    for v in values:
-        assert serial[v].to_dict() == parallel[v].to_dict()
-
-
 def test_jobs_one_accepts_closures():
     result = ParallelExecutor(jobs=1).run_one(
         CellSpec(WORKLOAD, POLICIES["TPP"], CONFIG)
@@ -169,23 +156,14 @@ def test_grid_helpers_default_to_the_environment_cache(monkeypatch, tmp_path):
 
     monkeypatch.setattr(parallel, "run_cell", counting_run_cell)
 
-    def grids():
+    def grid():
         compared = compare_policies(WORKLOAD, POLICIES, CONFIG)
-        swept = sweep(
-            WORKLOAD,
-            lambda seed: PolicySpec("freqtier", seed=seed),
-            [4, 5],
-            CONFIG,
-        )
-        return {
-            **{name: r.to_dict() for name, r in compared.items()},
-            **{seed: r.to_dict() for seed, r in swept.items()},
-        }
+        return {name: r.to_dict() for name, r in compared.items()}
 
-    first = grids()
-    assert len(executed) == 5  # AllLocal + 2 policies, then 2 sweep points
-    assert grids() == first
-    assert len(executed) == 5  # the second pass executed nothing
+    first = grid()
+    assert len(executed) == 3  # AllLocal + 2 policies
+    assert grid() == first
+    assert len(executed) == 3  # the second pass executed nothing
 
 
 def test_closure_cells_have_no_fingerprint():

@@ -93,43 +93,6 @@ class TestCXL2:
         assert cost.cxl_mem_ns == pytest.approx(bw_floor)
 
 
-class TestLoadedLatency:
-    def test_idle_equals_spec(self, model):
-        assert model.loaded_latency_ns(
-            model.memory.local, 0.0
-        ) == pytest.approx(model.memory.local.latency_ns)
-
-    def test_monotone_in_utilization(self, model):
-        lats = [
-            model.loaded_latency_ns(model.memory.local, u)
-            for u in (0.0, 0.5, 0.9, 0.99)
-        ]
-        assert lats == sorted(lats)
-
-    def test_capped(self, model):
-        lat = model.loaded_latency_ns(model.memory.local, 0.9999)
-        assert lat <= model.memory.local.latency_ns * model.params.max_latency_inflation
-
-
-class TestExpectedAccessLatency:
-    def test_interpolates_between_tiers(self, model):
-        lat = model.expected_access_latency_ns(0.5)
-        assert (
-            model.memory.local.latency_ns
-            < lat
-            < model.memory.cxl.latency_ns
-        )
-
-    def test_hit_ratio_one_is_local(self, model):
-        assert model.expected_access_latency_ns(1.0) == pytest.approx(
-            model.memory.local.latency_ns
-        )
-
-    def test_invalid_hit_ratio(self, model):
-        with pytest.raises(ValueError):
-            model.expected_access_latency_ns(1.5)
-
-
 class TestParams:
     def test_effective_parallelism(self):
         p = CostModelParams(threads=8, mlp=4.0)

@@ -13,7 +13,6 @@ from repro.sampling.pebs import SamplingLevel
 
 def window(promoted=10, empty_scan=False, rounds=1) -> WindowReport:
     return WindowReport(
-        hit_ratio=None,
         pages_promoted=promoted,
         empty_demotion_scan=empty_scan,
         processing_rounds=rounds,

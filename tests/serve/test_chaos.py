@@ -16,6 +16,7 @@ from repro.faults import FAULT_PRESETS, FaultPlan
 from repro.obs import Tracer
 from repro.obs.sinks import ListSink
 from repro.serve import ServeConfig, VirtualTimeDriver
+from repro.state import CheckpointManager
 
 from tests.serve.conftest import make_daemon, zipf_factory
 
@@ -90,6 +91,40 @@ class TestCrashRecovery:
         assert canonical(crashed.engine.capture_state()) == canonical(
             reference.engine.capture_state()
         )
+
+    def test_checkpoint_holding_config_swaps_restores(
+        self, tmp_path, monkeypatch
+    ):
+        """Older daemon checkpoints hold a ``config_swaps`` counter in
+        their serve state; restore ignores the undeclared key."""
+        save = CheckpointManager.save
+
+        def save_with_config_swaps(manager, payload):
+            serve = {**payload["serve"], "config_swaps": 0}
+            return save(manager, {**payload, "serve": serve})
+
+        monkeypatch.setattr(CheckpointManager, "save", save_with_config_swaps)
+        sink = ListSink()
+        crashed, drv = run_daemon(
+            FaultPlan(seed=3, migration_fail_prob=0.05,
+                      crash_after_batches=17),
+            tmp_path / "crashed",
+            tracer=Tracer(sinks=[sink]),
+        )
+        restarts = [
+            e for e in sink.events if e["type"] == "watchdog_restart"
+        ]
+        assert drv.restarts_seen == 1 and restarts[0]["generation"] > 0
+        latest = CheckpointManager(tmp_path / "crashed").load_latest()
+        assert "config_swaps" in latest.payload["serve"]
+        reference, _ = run_daemon(
+            FaultPlan(seed=3, migration_fail_prob=0.05),
+            tmp_path / "reference",
+        )
+        assert canonical(crashed.engine.capture_state()) == canonical(
+            reference.engine.capture_state()
+        )
+        assert crashed.queues["a"].counters.served == 40
 
     def test_double_crash_still_converges(self, tmp_path):
         # The replay itself re-crosses the crash batch count; the

@@ -22,12 +22,6 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="unknown ServeConfig"):
             ServeConfig.from_dict({"queue_capacity": 4, "bogus": 1})
 
-    def test_replace_validates(self):
-        config = ServeConfig()
-        assert config.replace(queue_capacity=3).queue_capacity == 3
-        with pytest.raises(ValueError, match="queue_capacity"):
-            config.replace(queue_capacity=0)
-
     @pytest.mark.parametrize(
         "field,value",
         [

@@ -1,4 +1,4 @@
-"""TieringDaemon behaviour: ticks, overload, deadlines, swaps, drain."""
+"""TieringDaemon behaviour: ticks, overload, deadlines, drain."""
 
 import json
 
@@ -138,44 +138,6 @@ class TestDeadlineBudget:
         # Policy ran for the first batch only.
         assert batches[0]["overhead_ns"] > 0
         assert all(b["overhead_ns"] == 0 for b in batches[1:])
-
-
-class TestHotSwap:
-    def test_serve_swap_applies_at_tick_boundary(self):
-        sink, tracer = traced()
-        daemon = make_daemon(
-            serve=ServeConfig(queue_capacity=8), tracer=tracer
-        )
-        daemon.swap_config(serve={"queue_capacity": 3, "tick_budget_ns": 5.0})
-        assert daemon.serve.queue_capacity == 8  # not yet
-        daemon.tick()
-        assert daemon.serve.queue_capacity == 3
-        assert daemon.queues["a"].capacity == 3
-        events = [e for e in sink.events if e["type"] == "config_swapped"]
-        assert len(events) == 1
-        assert events[0]["changed"] == [
-            "serve.queue_capacity", "serve.tick_budget_ns",
-        ]
-
-    def test_policy_swap_via_reconfigure(self):
-        daemon = make_daemon()
-        old = daemon.engine.policy.config.initial_hot_threshold
-        daemon.swap_config(policy={"initial_hot_threshold": old + 3})
-        daemon.tick()
-        assert daemon.engine.policy.config.initial_hot_threshold == old + 3
-        assert daemon.config_swaps == 1
-
-    def test_unknown_policy_field_rejected(self):
-        daemon = make_daemon()
-        daemon.swap_config(policy={"not_a_real_knob": 1})
-        with pytest.raises(ValueError, match="not_a_real_knob"):
-            daemon.tick()
-
-    def test_invalid_serve_swap_rejected(self):
-        daemon = make_daemon()
-        daemon.swap_config(serve={"queue_capacity": 0})
-        with pytest.raises(ValueError, match="queue_capacity"):
-            daemon.tick()
 
 
 class TestDrainAndFinalize:

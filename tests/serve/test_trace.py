@@ -21,7 +21,6 @@ SERVE_EVENT_TYPES = {
     "degraded",
     "load_shed",
     "watchdog_restart",
-    "config_swapped",
     "drain_complete",
 }
 
@@ -39,7 +38,7 @@ class TestEventSchema:
 
     def test_daemon_trace_is_schema_valid(self, tmp_path):
         """A busy daemon run -- overload, deadline misses, a crash, a
-        config swap, a drain -- must emit only schema-valid events."""
+        drain -- must emit only schema-valid events."""
         trace = tmp_path / "serve.jsonl"
         tracer = Tracer(sinks=[JsonlTraceSink(trace)])
         daemon = make_daemon(
@@ -55,10 +54,7 @@ class TestEventSchema:
             faults=FaultPlan(seed=4, crash_after_batches=9),
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
-        driver = VirtualTimeDriver(daemon, arrivals=3, max_offers=24)
-        driver.run(3)  # let the 1 ns budget blow a few deadlines first
-        daemon.swap_config(serve={"tick_budget_ns": 0.0})
-        driver.finish()
+        VirtualTimeDriver(daemon, arrivals=3, max_offers=24).finish()
         tracer.close()
 
         outcome = validate_trace(trace)
@@ -66,7 +62,7 @@ class TestEventSchema:
         seen = {e["type"] for e in outcome.events}
         assert {
             "tick_start", "load_shed", "deadline_exceeded", "degraded",
-            "watchdog_restart", "config_swapped", "drain_complete",
+            "watchdog_restart", "drain_complete",
         } <= seen
 
 

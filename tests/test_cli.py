@@ -168,6 +168,23 @@ class TestCompare:
         data = json.loads(out)
         assert set(data) == {"AllLocal", "static"}
 
+    def test_alllocal_is_the_baseline_cell(self, capsys):
+        out = run_cli(
+            capsys,
+            "compare",
+            "--workload",
+            "zipf",
+            "--batches",
+            "5",
+            "--policies",
+            "alllocal,static",
+            "--json",
+        )
+        data = json.loads(out)
+        assert data["alllocal"] == data["AllLocal"]
+        assert data["alllocal"]["hit_ratio"] == 1.0
+        assert data["static"]["hit_ratio"] < 1.0
+
 
 class TestSweep:
     def test_sweep_rows(self, capsys):
@@ -185,6 +202,24 @@ class TestSweep:
         )
         assert "5.00%" in out
         assert "20.00%" in out
+
+    def test_alllocal_sweeps_the_baseline_cell(self, capsys):
+        out = run_cli(
+            capsys,
+            "sweep",
+            "--workload",
+            "zipf",
+            "--policy",
+            "alllocal",
+            "--batches",
+            "5",
+            "--fractions",
+            "0.05",
+            "--json",
+        )
+        data = json.loads(out)
+        assert data["0.05"]["policy"] == "AllLocal"
+        assert data["0.05"]["hit_ratio"] == 1.0
 
 
 class TestCompareReport:
@@ -450,6 +485,32 @@ class TestCheckpointCLI:
         assert data["resumable"] is True
         assert len(data["generations"]) == 2
         assert all(g["valid"] for g in data["generations"])
+
+    def test_inspect_refuses_a_serve_config_that_does_not_restore(
+        self, capsys, tmp_path
+    ):
+        from repro.state import CheckpointManager
+
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        main([
+            "serve", "--workload", "zipf", "--policy", "freqtier",
+            "--offers", "4", "--checkpoint-dir", str(good),
+            "--checkpoint-every", "2", "--json",
+        ])
+        capsys.readouterr()
+        payload = CheckpointManager(good).load_latest().payload
+        payload["serve"]["config"]["no_such_field"] = 1
+        CheckpointManager(bad).save(payload)
+        assert main(["checkpoint", "inspect", str(good)]) == 0
+        capsys.readouterr()
+        assert main(["checkpoint", "inspect", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "no_such_field" in out
+        assert "NOT resumable" in out
+        assert main(["checkpoint", "inspect", str(bad), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["resumable"] is False
+        assert "no_such_field" in data["generations"][0]["error"]
 
     def test_inspect_missing_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit):
