@@ -51,11 +51,14 @@ def test_fig11_distribution_change(benchmark, runs):
     ft_engine, ft_result, an_result, ft_sink = runs
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    records = ft_engine.metrics.records
-    shift_time = records[SHIFT_BATCH].start_ns
-    pre = [r.hit_ratio for r in records[SHIFT_BATCH - 40 : SHIFT_BATCH]]
-    crash = [r.hit_ratio for r in records[SHIFT_BATCH + 1 : SHIFT_BATCH + 10]]
-    tail = [r.hit_ratio for r in records[-60:]]
+    metrics = ft_engine.metrics
+    shift_time = float(metrics.column("start_ns")[SHIFT_BATCH])
+    hit = (
+        metrics.column("local_accesses") / metrics.column("num_accesses")
+    ).tolist()
+    pre = hit[SHIFT_BATCH - 40 : SHIFT_BATCH]
+    crash = hit[SHIFT_BATCH + 1 : SHIFT_BATCH + 10]
+    tail = hit[-60:]
     pre_avg = sum(pre) / len(pre)
     crash_min = min(crash)
     tail_avg = sum(tail) / len(tail)

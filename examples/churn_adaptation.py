@@ -65,7 +65,7 @@ def main() -> None:
             f"{e['from']} -> {e['to']} ({e['reason']})"
         )
 
-    shift_time = engine.metrics.records[SHIFT_AT_BATCH].start_ns
+    shift_time = float(engine.metrics.column("start_ns")[SHIFT_AT_BATCH])
     resumed = [
         e["t_ns"]
         for e in sink.of_type("state_transition")

@@ -463,43 +463,18 @@ def cmd_trace_validate(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
-def _serve_config_error(path: str) -> str | None:
-    """Why a daemon snapshot's serve config would not restore, or None.
-
-    Snapshots without a serve section (single-run checkpoints) pass.
-    """
-    from repro.serve import ServeConfig
-    from repro.state import Snapshot
-
-    payload = Snapshot.read(path).payload
-    serve = payload.get("serve") if isinstance(payload, dict) else None
-    if not isinstance(serve, dict):
-        return None
-    try:
-        ServeConfig.from_dict(serve["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return f"serve config does not restore: {exc}"
-    return None
-
-
 def cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     """Report every snapshot generation in a checkpoint directory.
 
-    A generation is valid when its digest and schema verify and, for a
-    daemon snapshot, its serve config restores.  Exit 0 when at least
-    one generation is valid (a resume would succeed), 1 otherwise -- so
-    scripts can probe resumability.
+    A generation is valid when its digest and schema verify.  Exit 0
+    when at least one generation is valid (a resume would succeed), 1
+    otherwise -- so scripts can probe resumability.
     """
     from repro.state import CheckpointManager
 
     if not os.path.isdir(args.dir):
         raise SystemExit(f"not a checkpoint directory: {args.dir}")
     report = CheckpointManager(args.dir).inspect()
-    for entry in report:
-        if entry.get("valid"):
-            error = _serve_config_error(os.path.join(args.dir, entry["file"]))
-            if error is not None:
-                entry.update(valid=False, error=error)
     any_valid = any(entry.get("valid") for entry in report)
     if args.json:
         print(
@@ -559,15 +534,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     with trace_to(args.trace) as tracer:
-        daemon = TieringDaemon(
-            factories,
-            policy,
-            config,
-            serve=serve,
-            tracer=tracer,
-            faults=_faults_from_args(args),
-            checkpoint_dir=args.checkpoint_dir,
-        )
+        try:
+            daemon = TieringDaemon(
+                factories,
+                policy,
+                config,
+                serve=serve,
+                tracer=tracer,
+                faults=_faults_from_args(args),
+                checkpoint_dir=args.checkpoint_dir,
+            )
+        except ValueError as exc:  # e.g. a directory of earlier generations
+            raise SystemExit(str(exc)) from None
         driver = VirtualTimeDriver(
             daemon, arrivals=args.arrivals, max_offers=args.offers
         )
@@ -824,7 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="durable daemon checkpoints (engine + serving state) "
-        "under DIR; the watchdog restores the newest valid one",
+        "under DIR, which must hold none yet; the watchdog restores "
+        "the newest valid one",
     )
     p_serve.add_argument(
         "--checkpoint-every",

@@ -15,7 +15,7 @@
 from repro.core.cache import ResultCache, SCHEMA_VERSION, cell_fingerprint
 from repro.core.config import ExperimentConfig, ratio_to_cxl_multiple
 from repro.core.engine import SimulationEngine
-from repro.core.metrics import BatchRecord, ExperimentResult, MetricsCollector
+from repro.core.metrics import ExperimentResult, MetricsCollector
 from repro.core.parallel import (
     CellSpec,
     FailedCell,
@@ -34,7 +34,6 @@ from repro.core.runner import (
 )
 
 __all__ = [
-    "BatchRecord",
     "CellSpec",
     "ExperimentConfig",
     "ExperimentResult",

@@ -1,7 +1,7 @@
 """Metrics collection and the experiment result object.
 
-Collects one :class:`BatchRecord` per simulated batch, then reduces to
-the quantities the paper reports:
+Keeps one row per simulated batch in numeric columns, then reduces
+them to the quantities the paper reports:
 
 - **P50 op latency** -- median per-operation latency across
   steady-state batches (paper: P50 GET latency);
@@ -22,40 +22,8 @@ import numpy as np
 
 from repro.memsim.costmodel import BatchCost
 
-
-@dataclass
-class BatchRecord:
-    """Everything remembered about one simulated batch."""
-
-    start_ns: float
-    duration_ns: float
-    num_ops: float
-    num_accesses: int
-    local_accesses: int
-    cxl_accesses: int
-    pages_migrated: int
-    overhead_ns: float
-    label: str = ""
-
-    @property
-    def end_ns(self) -> float:
-        return self.start_ns + self.duration_ns
-
-    @property
-    def per_op_latency_ns(self) -> float | None:
-        if self.num_ops <= 0:
-            return None
-        return self.duration_ns / self.num_ops
-
-    @property
-    def hit_ratio(self) -> float | None:
-        total = self.local_accesses + self.cxl_accesses
-        if total == 0:
-            return None
-        return self.local_accesses / total
-
-
-#: Column layout of the collector's storage, in BatchRecord field order.
+#: Column layout of the collector's numeric storage (and of its
+#: checkpoint, ahead of the labels).
 _COLUMNS: tuple[tuple[str, type], ...] = (
     ("start_ns", np.float64),
     ("duration_ns", np.float64),
@@ -69,17 +37,15 @@ _COLUMNS: tuple[tuple[str, type], ...] = (
 
 
 class MetricsCollector:
-    """Accumulates batch records during an engine run.
+    """The per-batch run history, one row per simulated batch.
 
     Storage is columnar: one grow-doubling numpy array per numeric
-    field plus a label list, so the per-batch cost is a handful of
-    scalar stores instead of a dict/dataclass allocation.  Values pass
-    through float64/int64 columns losslessly, and :attr:`records`
-    materializes the familiar :class:`BatchRecord` list on demand (all
-    consumers are read-only).  Checkpoints keep the same layout: the
-    columns as ndarrays plus the labels as a sorted vocabulary and an
-    ``int32`` code column, so a save costs a few bulk copies, not a
-    Python dict per batch.
+    field plus an ``int32`` label-code column into a label vocabulary,
+    so a batch costs a handful of scalar stores and no Python object.
+    :meth:`column` gives read-only views; :meth:`finalize` reduces the
+    columns to an :class:`ExperimentResult`.  Checkpoints keep the same
+    layout: the numeric columns, the vocabulary sorted, and the codes
+    into it.
     """
 
     def __init__(self):
@@ -88,20 +54,20 @@ class MetricsCollector:
         self._cols: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dtype) for name, dtype in _COLUMNS
         }
-        self._labels: list[str] = []
+        self._codes = np.empty(0, dtype=np.int32)
+        #: Labels by code, and the code of each label.
+        self._vocab: list[str] = []
+        self._code_of: dict[str, int] = {}
 
     def __len__(self) -> int:
         return self._n
 
-    @property
-    def records(self) -> list[BatchRecord]:
-        """All batch records so far (materialized copy; do not mutate)."""
-        n = self._n
-        cols = [self._cols[name][:n].tolist() for name, __ in _COLUMNS]
-        return [
-            BatchRecord(*values, label=self._labels[i])
-            for i, values in enumerate(zip(*cols))
-        ]
+    def column(self, name: str) -> np.ndarray:
+        """Read-only view of one numeric column (a :data:`_COLUMNS`
+        name), one entry per batch recorded so far."""
+        view = self._cols[name][: self._n]
+        view.flags.writeable = False
+        return view
 
     def _grow(self) -> None:
         new_cap = max(1024, 2 * self._cap)
@@ -109,6 +75,9 @@ class MetricsCollector:
             grown = np.empty(new_cap, dtype=dtype)
             grown[: self._n] = self._cols[name][: self._n]
             self._cols[name] = grown
+        codes = np.empty(new_cap, dtype=np.int32)
+        codes[: self._n] = self._codes[: self._n]
+        self._codes = codes
         self._cap = new_cap
 
     def record_batch(
@@ -133,28 +102,31 @@ class MetricsCollector:
         cols["cxl_accesses"][i] = cxl_accesses
         cols["pages_migrated"][i] = pages_migrated
         cols["overhead_ns"][i] = cost.overhead_ns
-        self._labels.append(label)
+        code = self._code_of.get(label)
+        if code is None:
+            code = self._code_of[label] = len(self._vocab)
+            self._vocab.append(label)
+        self._codes[i] = code
         self._n = i + 1
 
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
         """The history as columns: copies, so later batches cannot
-        mutate a captured state."""
+        mutate a captured state.  The vocabulary is stored sorted."""
         n = self._n
         state: dict = {
             name: self._cols[name][:n].copy() for name, __ in _COLUMNS
         }
-        vocab = sorted(set(self._labels))
-        code_of = {label: code for code, label in enumerate(vocab)}
-        state["label_vocab"] = vocab
-        state["label_codes"] = np.array(
-            [code_of[label] for label in self._labels], dtype=np.int32
-        )
+        order = sorted(range(len(self._vocab)), key=self._vocab.__getitem__)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        state["label_vocab"] = [self._vocab[code] for code in order]
+        state["label_codes"] = rank[self._codes[:n]]
         return state
 
     def load_state(self, state: dict) -> None:
-        codes = np.asarray(state["label_codes"])
+        codes = np.array(state["label_codes"], dtype=np.int32)
         n = len(codes)
         cols = {
             name: np.array(state[name], dtype=dtype) for name, dtype in _COLUMNS
@@ -165,10 +137,17 @@ class MetricsCollector:
                     f"metrics column {name!r} has shape {col.shape}, "
                     f"expected ({n},)"
                 )
+        vocab = list(state["label_vocab"])
+        if n and not 0 <= codes.min() <= codes.max() < len(vocab):
+            raise ValueError(
+                f"metrics label codes fall outside the {len(vocab)}-label "
+                "vocabulary"
+            )
         self._cols = cols
+        self._codes = codes
         self._n = self._cap = n
-        vocab = np.array(state["label_vocab"], dtype=object)
-        self._labels = vocab[codes].tolist()
+        self._vocab = vocab
+        self._code_of = {label: code for code, label in enumerate(vocab)}
 
     def finalize(
         self,
@@ -179,16 +158,76 @@ class MetricsCollector:
         warmup_fraction: float = 0.25,
         policy_stats: dict[str, float] | None = None,
     ) -> "ExperimentResult":
-        # Materialize once at result build; the reduction itself is
-        # unchanged, so finalized numbers are bit-identical to the
-        # list-of-records implementation.
-        return ExperimentResult.from_records(
-            self.records,
+        """Reduce the history to an :class:`ExperimentResult`.
+
+        Batches starting before ``warmup_fraction`` of the total time
+        are warmup (all batches count when none is left).  Sums run
+        in batch order (Python ``sum`` over the column's values, or
+        ``np.bincount``), never pairwise, so results do not depend on
+        how the history is stored.
+        """
+        n = self._n
+        if not n:
+            raise ValueError("cannot reduce an empty history")
+        cols = {name: col[:n] for name, col in self._cols.items()}
+        start, duration, ops = cols["start_ns"], cols["duration_ns"], cols["num_ops"]
+        local, cxl = cols["local_accesses"], cols["cxl_accesses"]
+        end = start + duration
+        total_time = float(end[-1])
+        steady = start >= total_time * warmup_fraction
+        if not steady.any():
+            steady[:] = True
+        first, last = np.flatnonzero(steady)[[0, -1]]
+
+        # A batch without operations has no per-op latency.
+        timed = ~(ops <= 0)
+        latency = duration[timed] / ops[timed]
+        steady_latency = latency[steady[timed]]
+        p50 = float(np.median(steady_latency)) if len(steady_latency) else None
+
+        steady_ops = sum(ops[steady].tolist())
+        steady_span = float(end[last]) - float(start[first])
+        throughput = (
+            steady_ops / (steady_span / 1e9) if steady_span > 0 and steady_ops else None
+        )
+
+        total_local = sum(local.tolist())
+        total_cxl = sum(cxl.tolist())
+        s_local = sum(local[steady].tolist())
+        s_cxl = sum(cxl[steady].tolist())
+
+        # A batch without accesses has no hit ratio.
+        hit_timeline = [
+            (t, hits / (hits + misses))
+            for t, hits, misses in zip(end.tolist(), local.tolist(), cxl.tolist())
+            if hits + misses
+        ]
+
+        # Labels in order of first appearance, whatever the code order.
+        codes = self._codes[:n]
+        per_code = np.bincount(codes, weights=duration, minlength=len(self._vocab))
+        present, first_seen = np.unique(codes, return_index=True)
+        per_label = {}
+        for code in present[np.argsort(first_seen)].tolist():
+            if label := self._vocab[code]:
+                per_label[label] = float(per_code[code])
+
+        return ExperimentResult(
             policy_name=policy_name,
             workload_name=workload_name,
-            traffic_breakdown=traffic_breakdown,
+            total_time_ns=total_time,
+            steady_p50_latency_ns=p50,
+            steady_throughput_ops_per_s=throughput,
+            overall_hit_ratio=total_local / max(total_local + total_cxl, 1),
+            steady_hit_ratio=s_local / max(s_local + s_cxl, 1),
+            traffic_breakdown=dict(traffic_breakdown),
             migration_bytes=migration_bytes,
-            warmup_fraction=warmup_fraction,
+            pages_migrated=sum(cols["pages_migrated"].tolist()),
+            total_ops=sum(ops.tolist()),
+            total_accesses=sum(cols["num_accesses"].tolist()),
+            hit_ratio_timeline=hit_timeline,
+            latency_timeline=list(zip(end[timed].tolist(), latency.tolist())),
+            time_per_label_ns=per_label,
             policy_stats=policy_stats or {},
         )
 
@@ -216,75 +255,6 @@ class ExperimentResult:
     #: Simulated time per batch label (e.g. GAP trials, XGBoost rounds).
     time_per_label_ns: dict[str, float] = field(default_factory=dict)
     policy_stats: dict[str, float] = field(default_factory=dict)
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_records(
-        records: list[BatchRecord],
-        policy_name: str,
-        workload_name: str,
-        traffic_breakdown: dict[str, float],
-        migration_bytes: int,
-        warmup_fraction: float = 0.25,
-        policy_stats: dict[str, float] | None = None,
-    ) -> "ExperimentResult":
-        if not records:
-            raise ValueError("cannot reduce an empty record list")
-        total_time = records[-1].end_ns
-        cutoff = total_time * warmup_fraction
-        steady = [r for r in records if r.start_ns >= cutoff] or records
-
-        latencies = [
-            lat for r in steady if (lat := r.per_op_latency_ns) is not None
-        ]
-        p50 = float(np.median(latencies)) if latencies else None
-
-        steady_ops = sum(r.num_ops for r in steady)
-        steady_span = steady[-1].end_ns - steady[0].start_ns
-        throughput = (
-            steady_ops / (steady_span / 1e9) if steady_span > 0 and steady_ops else None
-        )
-
-        total_local = sum(r.local_accesses for r in records)
-        total_cxl = sum(r.cxl_accesses for r in records)
-        overall_hit = total_local / max(total_local + total_cxl, 1)
-        s_local = sum(r.local_accesses for r in steady)
-        s_cxl = sum(r.cxl_accesses for r in steady)
-        steady_hit = s_local / max(s_local + s_cxl, 1)
-
-        hit_timeline = [
-            (r.end_ns, hr) for r in records if (hr := r.hit_ratio) is not None
-        ]
-        lat_timeline = [
-            (r.end_ns, lat)
-            for r in records
-            if (lat := r.per_op_latency_ns) is not None
-        ]
-
-        per_label: dict[str, float] = {}
-        for r in records:
-            if r.label:
-                per_label[r.label] = per_label.get(r.label, 0.0) + r.duration_ns
-
-        return ExperimentResult(
-            policy_name=policy_name,
-            workload_name=workload_name,
-            total_time_ns=total_time,
-            steady_p50_latency_ns=p50,
-            steady_throughput_ops_per_s=throughput,
-            overall_hit_ratio=overall_hit,
-            steady_hit_ratio=steady_hit,
-            traffic_breakdown=dict(traffic_breakdown),
-            migration_bytes=migration_bytes,
-            pages_migrated=sum(r.pages_migrated for r in records),
-            total_ops=sum(r.num_ops for r in records),
-            total_accesses=sum(r.num_accesses for r in records),
-            hit_ratio_timeline=hit_timeline,
-            latency_timeline=lat_timeline,
-            time_per_label_ns=per_label,
-            policy_stats=policy_stats or {},
-        )
 
     # -- serialization -----------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Serving-daemon configuration: queues, budgets, ladder, restarts.
 
 One :class:`ServeConfig` carries every tunable of the online tiering
-loop.  It is JSON round-trippable (``to_dict``/``from_dict``) because
-the daemon's checkpoint stores it next to the serving state, so a
-resumed daemon runs under the config it was saved with.
+loop.  It is fixed for a daemon's life and is not checkpointed: a
+daemon restores only the generations it wrote itself, under this same
+config.
 
 The **degradation ladder** is the graceful-overload story: under
 sustained pressure the daemon steps down
@@ -18,9 +18,7 @@ with hysteresis so a noisy load cannot make it oscillate.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any
 
 #: Backpressure modes for the bounded per-tenant request queues.
 #: - ``block``: a full queue refuses the offer and the producer must
@@ -134,19 +132,3 @@ class ServeConfig:
                 "checkpoint_every_ticks must be >= 0, got "
                 f"{self.checkpoint_every_ticks}"
             )
-
-    # -- round-trip --------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServeConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ServeConfig fields {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        return cls(**data)

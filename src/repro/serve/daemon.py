@@ -9,7 +9,7 @@ charging policy overhead against a per-tick deadline budget and
 consulting the degradation ladder for how much policy work the current
 load affords.  A watchdog catches crashed ticks and restores the whole
 stack -- engine, policy, ladder, queue accounting -- from the newest
-durable checkpoint.
+durable checkpoint this daemon wrote.
 
 Everything observable is virtual-time: enqueue-to-service latency is
 measured on the engine clock, so the daemon's SLO quantiles (p50/p99/
@@ -103,14 +103,18 @@ class TieringDaemon(Stateful):
     Parameters mirror :func:`~repro.core.runner.run_experiment` where
     they overlap; the serving-specific knobs live in ``serve``.  The
     daemon owns its checkpoint manager (payloads bundle engine *and*
-    serving state) -- do not also give the engine one.
+    serving state) -- do not also give the engine one.  Its generations
+    serve only its own watchdog, so ``checkpoint_dir`` must hold none
+    yet: a directory with snapshot generations raises ``ValueError``
+    and is left as it is.
     """
 
-    #: Serving state; :meth:`state_dict` adds the ``ServeConfig``.
+    #: Serving state.  The ``ServeConfig`` and the watchdog's restart
+    #: count are not in it: a daemon restores only generations it wrote
+    #: itself, so both are already the live ones (see :meth:`recover`).
     _state_fields = (
         "ticks",
         "ladder",
-        "watchdog",
         "queues",
         "slo",
         "deadline_ticks",
@@ -137,11 +141,15 @@ class TieringDaemon(Stateful):
         self.serve = serve if serve is not None else ServeConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.fault_plan = faults
-        self.checkpoint_manager = (
-            CheckpointManager(checkpoint_dir)
-            if checkpoint_dir is not None
-            else None
-        )
+        self.checkpoint_manager = None
+        if checkpoint_dir is not None:
+            self.checkpoint_manager = CheckpointManager(checkpoint_dir)
+            if self.checkpoint_manager.generations():
+                raise ValueError(
+                    f"checkpoint directory {checkpoint_dir} already holds "
+                    "snapshot generations; a daemon restores only the "
+                    "generations it writes, so give it an empty directory"
+                )
         self.budget = TickBudget(self.serve.tick_budget_ns)
         self.watchdog = Watchdog(self.serve.max_restarts)
         self._reset_accounting()
@@ -243,15 +251,6 @@ class TieringDaemon(Stateful):
                     reason="reject",
                 )
         return outcome
-
-    def _apply_serve_config(self) -> None:
-        """Push :attr:`serve` into the components that copy its knobs."""
-        serve = self.serve
-        self.ladder.config = serve
-        self.watchdog.max_restarts = serve.max_restarts
-        for queue in self.queues.values():
-            queue.capacity = serve.queue_capacity
-            queue.backpressure = serve.backpressure
 
     # -- the tick ----------------------------------------------------------
 
@@ -383,6 +382,11 @@ class TieringDaemon(Stateful):
     def recover(self, reason: str) -> int:
         """Rebuild the stack and restore the newest valid checkpoint.
 
+        Every generation in the directory is this daemon's own (it
+        refuses a directory that holds any when built), so the restore
+        runs under the same ``ServeConfig`` and keeps the live restart
+        count, which is never lower than a checkpointed one.
+
         Returns the restored checkpoint generation (-1 when none was
         found, i.e. a fresh restart from tick zero).  A checkpoint of
         another schema raises :class:`~repro.state.SnapshotSchemaError`
@@ -426,21 +430,6 @@ class TieringDaemon(Stateful):
         return generation
 
     # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict[str, Any]:
-        return {**super().state_dict(), "config": self.serve.to_dict()}
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.serve = ServeConfig.from_dict(state["config"])
-        # The checkpoint predates the failure that triggered this
-        # restore, so its restart count is stale -- keeping the live
-        # (higher) count is what bounds a crash loop.  The checkpointed
-        # count still matters across *process* deaths, where the live
-        # count starts at zero.
-        live_restarts = self.watchdog.restarts
-        super().load_state(state)
-        self.watchdog.restarts = max(self.watchdog.restarts, live_restarts)
-        self._apply_serve_config()
 
     def save_checkpoint(self) -> None:
         """Write one durable generation: engine state + serve state."""

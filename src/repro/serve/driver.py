@@ -73,7 +73,6 @@ class VirtualTimeDriver:
             raise ValueError(f"max_offers must be >= 0, got {max_offers}")
         self.max_offers = max_offers
         self.round = 0
-        self.reports: list[TickReport] = []
         self.restarts_seen = 0
         self._streams: dict[str, Iterator[AccessBatch]] = {}
         self._pending: dict[str, tuple[AccessBatch, dict | None] | None] = {}
@@ -189,17 +188,14 @@ class VirtualTimeDriver:
         report = self.daemon.tick_guarded()
         if report is None:
             self._resync()
-        else:
-            self.reports.append(report)
         self.round += 1
         return report
 
     def run(self, rounds: int) -> list[TickReport]:
-        """Run a fixed number of rounds; returns their reports."""
-        start = len(self.reports)
-        for _ in range(rounds):
-            self.step()
-        return self.reports[start:]
+        """Run a fixed number of rounds; returns the reports of the
+        ticks that completed (crashed ticks have none)."""
+        reports = (self.step() for _ in range(rounds))
+        return [report for report in reports if report is not None]
 
     @property
     def streams_exhausted(self) -> bool:

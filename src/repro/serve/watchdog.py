@@ -13,8 +13,6 @@ and routed here.
 
 from __future__ import annotations
 
-from repro.state.codec import Stateful
-
 
 class WatchdogGaveUp(RuntimeError):
     """The loop crashed more times than ``max_restarts`` allows."""
@@ -28,17 +26,14 @@ class WatchdogGaveUp(RuntimeError):
         self.last_reason = last_reason
 
 
-class Watchdog(Stateful):
+class Watchdog:
     """The restart budget and the count of restarts spent."""
-
-    _state_fields = ("restarts", "last_reason")
 
     def __init__(self, max_restarts: int):
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.max_restarts = int(max_restarts)
         self.restarts = 0
-        self.last_reason: str | None = None
 
     def on_failure(self, reason: str) -> int:
         """Record one loop failure; returns the restart ordinal.
@@ -47,7 +42,6 @@ class Watchdog(Stateful):
         the caller must let that propagate (a supervisor above the
         daemon owns the terminal decision).
         """
-        self.last_reason = reason
         if self.restarts >= self.max_restarts:
             raise WatchdogGaveUp(self.restarts, reason)
         self.restarts += 1

@@ -3,26 +3,23 @@
 import pytest
 
 from repro.analysis.report import markdown_report
-from repro.core.metrics import BatchRecord, ExperimentResult
+from repro.core.metrics import ExperimentResult, MetricsCollector
+from repro.memsim.costmodel import BatchCost
 
 
 def make_result(duration: float, hit: float = 0.9) -> ExperimentResult:
     local = int(100 * hit)
-    records = [
-        BatchRecord(
+    metrics = MetricsCollector()
+    for i in range(4):
+        metrics.record_batch(
             start_ns=i * duration,
-            duration_ns=duration,
+            cost=BatchCost(duration - 50.0, 0.0, 0.0, 0.0, overhead_ns=50.0),
             num_ops=10.0,
-            num_accesses=100,
             local_accesses=local,
             cxl_accesses=100 - local,
             pages_migrated=2,
-            overhead_ns=50.0,
         )
-        for i in range(4)
-    ]
-    return ExperimentResult.from_records(
-        records,
+    return metrics.finalize(
         "p",
         "w",
         {"local": 0.8, "cxl": 0.15, "migration": 0.05},

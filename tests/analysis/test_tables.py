@@ -1,25 +1,23 @@
 """Tests for table formatting."""
 
 from repro.analysis.tables import format_comparison_table, format_rows
-from repro.core.metrics import BatchRecord, ExperimentResult
+from repro.core.metrics import ExperimentResult, MetricsCollector
+from repro.memsim.costmodel import BatchCost
 
 
 def make_result(duration: float) -> ExperimentResult:
-    records = [
-        BatchRecord(
+    metrics = MetricsCollector()
+    for i in range(4):
+        metrics.record_batch(
             start_ns=i * duration,
-            duration_ns=duration,
+            cost=BatchCost(duration, 0.0, 0.0, 0.0, 0.0),
             num_ops=10.0,
-            num_accesses=100,
             local_accesses=90,
             cxl_accesses=10,
             pages_migrated=0,
-            overhead_ns=0.0,
         )
-        for i in range(4)
-    ]
-    return ExperimentResult.from_records(
-        records, "p", "w", {"local": 1.0, "cxl": 0.0, "migration": 0.0}, 0
+    return metrics.finalize(
+        "p", "w", {"local": 1.0, "cxl": 0.0, "migration": 0.0}, 0
     )
 
 

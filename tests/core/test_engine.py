@@ -34,10 +34,8 @@ class TestRun:
         engine = build()
         engine.run(max_batches=5)
         assert engine.now_ns > 0.0
-        times = [t for t, __ in engine.metrics.records and []] or [
-            r.start_ns for r in engine.metrics.records
-        ]
-        assert times == sorted(times)
+        times = engine.metrics.column("start_ns").tolist()
+        assert len(times) == 5 and times == sorted(times)
 
     def test_traffic_recorded(self):
         engine = build()
@@ -71,7 +69,7 @@ class TestRun:
         )
         engine = build(policy=FreqTier(config=config, seed=2))
         engine.run(max_batches=40)
-        migrated = sum(r.pages_migrated for r in engine.metrics.records)
+        migrated = int(engine.metrics.column("pages_migrated").sum())
         assert migrated == engine.machine.traffic.pages_migrated
         assert migrated > 0
 

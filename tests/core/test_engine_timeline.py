@@ -23,22 +23,25 @@ def run_engine(batches=10, local=100, pages=1000):
 class TestTimelines:
     def test_batches_tile_the_timeline(self):
         engine, __ = run_engine()
-        records = engine.metrics.records
-        for a, b in zip(records, records[1:]):
-            assert b.start_ns == pytest.approx(a.end_ns)
+        start = engine.metrics.column("start_ns")
+        end = start + engine.metrics.column("duration_ns")
+        assert start[1:] == pytest.approx(end[:-1])
 
     def test_result_time_equals_last_end(self):
         engine, result = run_engine()
+        metrics = engine.metrics
         assert result.total_time_ns == pytest.approx(
-            engine.metrics.records[-1].end_ns
+            metrics.column("start_ns")[-1] + metrics.column("duration_ns")[-1]
         )
 
     def test_hit_ratio_timeline_matches_records(self):
         engine, result = run_engine()
-        assert len(result.hit_ratio_timeline) == len(engine.metrics.records)
-        for (t, hr), rec in zip(result.hit_ratio_timeline, engine.metrics.records):
-            assert t == pytest.approx(rec.end_ns)
-            assert hr == pytest.approx(rec.hit_ratio)
+        metrics = engine.metrics
+        end = metrics.column("start_ns") + metrics.column("duration_ns")
+        hit = metrics.column("local_accesses") / metrics.column("num_accesses")
+        assert len(result.hit_ratio_timeline) == len(metrics)
+        assert [t for t, __ in result.hit_ratio_timeline] == pytest.approx(end)
+        assert [hr for __, hr in result.hit_ratio_timeline] == pytest.approx(hit)
 
     def test_warmup_exclusion_changes_steady_metrics(self):
         __, result_with = run_engine(batches=20)
@@ -71,7 +74,6 @@ class TestAggregateConsistency:
 
     def test_per_batch_hit_sums_to_overall(self):
         engine, result = run_engine()
-        records = engine.metrics.records
-        local = sum(r.local_accesses for r in records)
-        total = sum(r.num_accesses for r in records)
+        local = int(engine.metrics.column("local_accesses").sum())
+        total = int(engine.metrics.column("num_accesses").sum())
         assert result.overall_hit_ratio == pytest.approx(local / total)

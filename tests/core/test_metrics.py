@@ -1,8 +1,11 @@
 """Tests for metrics reduction."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.core.metrics import BatchRecord, ExperimentResult, MetricsCollector
+from repro.core.metrics import ExperimentResult, MetricsCollector
 from repro.memsim.costmodel import BatchCost
 
 
@@ -40,34 +43,33 @@ def collect(batches) -> ExperimentResult:
     )
 
 
+def single(start_ns, duration_ns, num_ops, local, cxl) -> ExperimentResult:
+    mc = MetricsCollector()
+    mc.record_batch(start_ns, cost(duration_ns), num_ops, local, cxl, 0)
+    return mc.finalize("p", "w", {}, 0)
+
+
 class TestBatchRecord:
+    """What one row of the history yields."""
+
     def test_derived_fields(self):
-        r = BatchRecord(
-            start_ns=10.0,
-            duration_ns=5.0,
-            num_ops=2.0,
-            num_accesses=10,
-            local_accesses=8,
-            cxl_accesses=2,
-            pages_migrated=0,
-            overhead_ns=0.0,
-        )
-        assert r.end_ns == 15.0
-        assert r.per_op_latency_ns == 2.5
-        assert r.hit_ratio == 0.8
+        res = single(start_ns=10.0, duration_ns=5.0, num_ops=2.0, local=8, cxl=2)
+        assert res.total_time_ns == 15.0
+        assert res.latency_timeline == [(15.0, 2.5)]
+        assert res.hit_ratio_timeline == [(15.0, 0.8)]
+        assert res.total_accesses == 10
 
     def test_zero_ops_latency_none(self):
-        r = BatchRecord(0, 1.0, 0.0, 0, 0, 0, 0, 0.0)
-        assert r.per_op_latency_ns is None
-        assert r.hit_ratio is None
+        res = single(0.0, 1.0, 0.0, 0, 0)
+        assert res.latency_timeline == []
+        assert res.steady_p50_latency_ns is None
+        assert res.hit_ratio_timeline == []
 
 
 class TestReduction:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentResult.from_records(
-                [], "p", "w", {}, 0
-            )
+            MetricsCollector().finalize("p", "w", {}, 0)
 
     def test_hit_ratios(self):
         res = collect(
@@ -142,3 +144,81 @@ class TestRelativeTo:
         res = collect([(10, 9, 1, 100.0, "")] * 2)
         s = res.summary()
         assert {"policy", "workload", "p50_latency_us", "throughput_mops"} <= set(s)
+
+
+def reference_reduce(rows, warmup_fraction):
+    """The reduction as a plain loop over (start, duration, ops, local,
+    cxl, migrated, label) rows: the arithmetic ``finalize`` must match
+    bit for bit."""
+    end = [start + duration for start, duration, *__ in rows]
+    total_time = end[-1]
+    steady = [
+        i for i, row in enumerate(rows) if row[0] >= total_time * warmup_fraction
+    ] or list(range(len(rows)))
+    latency = {i: rows[i][1] / rows[i][2] for i in range(len(rows)) if rows[i][2] > 0}
+    steady_latency = [latency[i] for i in steady if i in latency]
+    steady_ops = sum(rows[i][2] for i in steady)
+    span = end[steady[-1]] - rows[steady[0]][0]
+    local = sum(row[3] for row in rows)
+    cxl = sum(row[4] for row in rows)
+    s_local = sum(rows[i][3] for i in steady)
+    s_cxl = sum(rows[i][4] for i in steady)
+    per_label: dict[str, float] = {}
+    for row in rows:
+        if row[6]:
+            per_label[row[6]] = per_label.get(row[6], 0.0) + row[1]
+    return {
+        "total_time_ns": total_time,
+        "steady_p50_latency_ns": (
+            float(np.median(steady_latency)) if steady_latency else None
+        ),
+        "steady_throughput_ops_per_s": (
+            steady_ops / (span / 1e9) if span > 0 and steady_ops else None
+        ),
+        "overall_hit_ratio": local / max(local + cxl, 1),
+        "steady_hit_ratio": s_local / max(s_local + s_cxl, 1),
+        "pages_migrated": sum(row[5] for row in rows),
+        "total_ops": sum(row[2] for row in rows),
+        "total_accesses": local + cxl,
+        "hit_ratio_timeline": [
+            [t, row[3] / (row[3] + row[4])]
+            for t, row in zip(end, rows)
+            if row[3] + row[4]
+        ],
+        "latency_timeline": [[end[i], lat] for i, lat in latency.items()],
+        "time_per_label_ns": per_label,
+    }
+
+
+class TestBatchOrderSums:
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.25, 1.0])
+    def test_finalize_matches_a_plain_loop_over_the_batches(self, warmup_fraction):
+        rng = np.random.default_rng(7)
+        rows, now = [], 0.0
+        for i in range(1_000):
+            duration = float(rng.random() * 1e4)
+            ops = 0.0 if i % 13 == 0 else float(rng.random() * 1e3)
+            local, cxl = (0, 0) if i % 17 == 0 else rng.integers(0, 1_000, 2).tolist()
+            label = ("warmup", "t2", "", "t1")[i * 7 // 1_000 % 4]
+            rows.append((now, duration, ops, local, cxl, i % 3, label))
+            now += duration
+        mc = MetricsCollector()
+        for start, duration, ops, local, cxl, migrated, label in rows:
+            mc.record_batch(start, cost(duration), ops, local, cxl, migrated, label)
+        result = mc.finalize("p", "w", {}, 0, warmup_fraction=warmup_fraction)
+        got = {key: result.to_dict()[key] for key in reference_reduce(rows, 0.0)}
+        expected = reference_reduce(rows, warmup_fraction)
+        assert json.dumps(got) == json.dumps(expected)
+        assert list(result.time_per_label_ns) == ["warmup", "t2", "t1"]
+
+
+class TestColumn:
+    def test_read_only_view_of_the_recorded_batches(self):
+        mc = MetricsCollector()
+        mc.record_batch(0.0, cost(2.0), 1.0, 3, 1, 0)
+        start = mc.column("start_ns")
+        assert start.tolist() == [0.0]
+        with pytest.raises(ValueError):
+            start[0] = 1.0
+        mc.record_batch(2.0, cost(2.0), 1.0, 3, 1, 0)
+        assert mc.column("start_ns").tolist() == [0.0, 2.0]

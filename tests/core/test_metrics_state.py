@@ -37,6 +37,16 @@ def column_bits(collector: MetricsCollector) -> dict[str, bytes]:
     return {name: state[name].tobytes() for name, __ in _COLUMNS}
 
 
+def labels(collector: MetricsCollector) -> list[str]:
+    """The label of every batch, in batch order."""
+    state = collector.state_dict()
+    return [state["label_vocab"][code] for code in state["label_codes"]]
+
+
+def finalized(collector: MetricsCollector):
+    return collector.finalize("p", "w", {}, 0, warmup_fraction=0.25)
+
+
 def gap_style_collector() -> MetricsCollector:
     """Trial labels, unlabelled batches and awkward values."""
     mc = MetricsCollector()
@@ -59,21 +69,20 @@ class TestRoundTrip:
     def test_empty_collector(self):
         fresh = restored(MetricsCollector())
         assert len(fresh) == 0
-        assert fresh.records == []
+        assert labels(fresh) == []
         fresh.record_batch(0.0, cost(1.0), 1.0, 1, 0, 0, label="x")
-        assert [r.label for r in fresh.records] == ["x"]
+        assert labels(fresh) == ["x"]
 
     def test_labels_and_values_are_bit_identical(self):
         mc = gap_style_collector()
         fresh = restored(mc)
         assert len(fresh) == len(mc)
         assert column_bits(fresh) == column_bits(mc)
-        assert fresh.records == mc.records
-        assert [r.label for r in fresh.records] == [
+        assert labels(fresh) == [
             "", "trial-0", "trial-0", "trial-1", "", "trial-10", "trial-2",
         ]
-        assert fresh.records[0].local_accesses == BIG
-        assert np.signbit(fresh.records[1].start_ns)
+        assert fresh.column("local_accesses")[0] == BIG
+        assert np.signbit(fresh.column("start_ns")[1])
 
     def test_labels_stored_as_sorted_vocabulary_and_codes(self):
         state = gap_style_collector().state_dict()
@@ -91,7 +100,42 @@ class TestRoundTrip:
                     float(i), cost(2.0), 1.0, 3, 1, 0, label=f"trial-{i % 3}"
                 )
         assert column_bits(fresh) == column_bits(mc)
-        assert fresh.records == mc.records
+        assert labels(fresh) == labels(mc)
+
+    def test_labels_first_seen_out_of_sorted_order(self):
+        """The vocabulary is stored sorted, but per-label times keep the
+        order in which labels first appeared."""
+
+        def record(collector, count, start=0):
+            for i in range(start, start + count):
+                label = ("warmup", "phase2", "", "phase1")[i % 4]
+                collector.record_batch(
+                    float(i), cost(1.0 + i / 7), 1.0, 3, 1, 0, label=label
+                )
+
+        uninterrupted, checkpointed = MetricsCollector(), MetricsCollector()
+        record(uninterrupted, 10)
+        record(checkpointed, 6)
+        state = snapshot_round_trip(checkpointed.state_dict())
+        assert state["label_vocab"] == ["", "phase1", "phase2", "warmup"]
+        resumed = MetricsCollector()
+        resumed.load_state(state)
+        record(resumed, 4, start=6)
+
+        expected = finalized(uninterrupted)
+        got = finalized(resumed)
+        assert list(expected.time_per_label_ns) == ["warmup", "phase2", "phase1"]
+        assert list(got.time_per_label_ns.items()) == list(
+            expected.time_per_label_ns.items()
+        )
+        assert got.to_dict() == expected.to_dict()
+        assert labels(resumed) == labels(uninterrupted)
+
+    def test_label_codes_outside_the_vocabulary_rejected(self):
+        state = gap_style_collector().state_dict()
+        state["label_vocab"] = state["label_vocab"][:-1]
+        with pytest.raises(ValueError, match="vocabulary"):
+            MetricsCollector().load_state(state)
 
     def test_mismatched_column_length_rejected(self):
         state = gap_style_collector().state_dict()

@@ -80,14 +80,14 @@ class TestOverloadAcceptance:
             arrivals=lambda r, t: 4 if r < 12 else 0,  # burst, then calm
             max_offers=48,
         )
-        driver.run(40)
+        reports = driver.run(40)
 
-        modes = [r.mode for r in driver.reports]
+        modes = [r.mode for r in reports]
         assert "monitor_only" in modes  # degraded all the way down
         assert modes[-1] == "full"  # ...and recovered
         assert daemon.degradations >= 1 and daemon.promotions >= 1
         # Queue depth stays bounded by the configured capacity.
-        depths = [r.queue_depth_end for r in driver.reports]
+        depths = [r.queue_depth_end for r in reports]
         assert max(depths) <= serve.queue_capacity
         assert daemon.slo.summary("queue_depth")["p999"] <= serve.queue_capacity
         # Latency p999 is bounded: no entry can wait longer than the
@@ -225,6 +225,41 @@ class TestFinalCheckpoint:
         assert counters["served"] == 3
 
 
+class TestCheckpointDirectory:
+    """A daemon restores only the generations it wrote itself."""
+
+    @staticmethod
+    def daemon(ckpt_dir, seed, faults=None):
+        return make_daemon(
+            serve=ServeConfig(checkpoint_every_ticks=25),
+            tenants={"a": zipf_factory(seed=seed, pages=1024)},
+            faults=faults,
+            checkpoint_dir=str(ckpt_dir),
+        )
+
+    def test_directory_of_another_run_refused_and_left_in_place(self, tmp_path):
+        first = self.daemon(tmp_path, seed=1)
+        VirtualTimeDriver(first, max_offers=200).finish()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert any(name.startswith("snap-") for name in files)
+        # Built on that directory, a daemon that crashes before its
+        # own first save would restore the other run's generation.
+        with pytest.raises(ValueError, match=str(tmp_path)):
+            self.daemon(
+                tmp_path, seed=2,
+                faults=FaultPlan(seed=2, crash_after_batches=5),
+            )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_quarantined_generations_alone_do_not_refuse(self, tmp_path):
+        (tmp_path / "snap-00000001.corrupt").write_bytes(b"torn")
+        daemon = self.daemon(tmp_path, seed=1)
+        VirtualTimeDriver(daemon, max_offers=30).finish()
+        assert (tmp_path / "snap-00000001.corrupt").exists()
+        generations = CheckpointManager(tmp_path).generations()
+        assert generations[0].name == "snap-00000002.ckpt"
+
+
 class TestDrainedRunEnd:
     """A run ends with the tick that serves its last batches: a stream
     that has supplied ``max_offers`` batches is exhausted at once, not
@@ -233,8 +268,8 @@ class TestDrainedRunEnd:
     def test_no_idle_tick_after_last_batch(self):
         daemon = make_daemon(serve=ServeConfig(max_batches_per_tick=2))
         driver = VirtualTimeDriver(daemon, arrivals=2, max_offers=6)
-        assert driver.run_until_drained() == 3
-        assert [r.served for r in driver.reports] == [2, 2, 2]
+        assert [r.served for r in driver.run(3)] == [2, 2, 2]
+        assert driver.run_until_drained() == 0
 
     def test_cli_chaos_smoke_reports_serving_ticks_only(
         self, tmp_path, capsys, monkeypatch
@@ -247,7 +282,14 @@ class TestDrainedRunEnd:
         class Recording(VirtualTimeDriver):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
+                self.reports = []
                 drivers.append(self)
+
+            def step(self):
+                report = super().step()
+                if report is not None:
+                    self.reports.append(report)
+                return report
 
         monkeypatch.setattr(repro.serve, "VirtualTimeDriver", Recording)
         assert main([

@@ -1,8 +1,9 @@
 """A resume never silently starts over from batch 0.
 
 A generation of another schema -- here the committed schema-4 JSON
-checkpoint, or the schema-5 FreqTier one -- stays in place and fails the run, the cell or the tick
-with a message naming both schemas.  A stream cursor that disagrees
+checkpoint, or the schema-5 FreqTier one -- stays in place and fails the run or the cell
+with a message naming both schemas; a daemon refuses the directory
+before it serves anything.  A stream cursor that disagrees
 with the snapshot's ``batches_done`` raises rather than replay from the
 wrong place.
 """
@@ -20,7 +21,7 @@ from repro.core.engine import SimulationEngine
 from repro.core.parallel import CellSpec, FailedCell, ParallelExecutor, PolicySpec, WorkloadSpec
 from repro.core.runner import build_machine, run_experiment
 from repro.faults import FaultPlan
-from repro.serve import ServeConfig, VirtualTimeDriver
+from repro.serve import ServeConfig
 from repro.state import (
     STATE_SCHEMA_VERSION,
     CheckpointManager,
@@ -90,17 +91,14 @@ def test_executor_cell_fails_with_the_message(old_generation):
 
 
 def test_daemon_tick_fails_instead_of_restarting_at_tick_zero(old_generation):
-    daemon = make_daemon(
-        serve=ServeConfig(checkpoint_every_ticks=1000, max_restarts=3),
-        faults=FaultPlan(seed=2, crash_after_batches=3),
-        checkpoint_dir=str(old_generation),
-    )
-    driver = VirtualTimeDriver(daemon, arrivals=1, max_offers=20)
-    with pytest.raises(SnapshotSchemaError, match=REFUSED):
-        driver.run(20)
-    # The crashed stack was not rebuilt from scratch.
-    assert daemon.ticks > 0 and daemon.engine.batches_done > 0
-    assert driver.restarts_seen == 0
+    # The daemon never gets to a tick: a directory that already holds
+    # generations is refused when the daemon is built.
+    with pytest.raises(ValueError, match="already holds snapshot generations"):
+        make_daemon(
+            serve=ServeConfig(checkpoint_every_ticks=1000, max_restarts=3),
+            faults=FaultPlan(seed=2, crash_after_batches=3),
+            checkpoint_dir=str(old_generation),
+        )
     assert _left_in_place(old_generation)
 
 

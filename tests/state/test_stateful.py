@@ -179,7 +179,6 @@ HAND_WRITTEN = {
     "repro.policies.base.MigrationRetryQueue": "int-keyed entries and a set",
     "repro.serve.queues.TenantQueue": "its entries are deliberately not captured",
     "repro.cbf.exact.ExactFrequencyTracker": "its array grows with the largest key",
-    "repro.serve.daemon.TieringDaemon": "adds its ServeConfig to the declared fields",
 }
 
 

@@ -486,31 +486,22 @@ class TestCheckpointCLI:
         assert len(data["generations"]) == 2
         assert all(g["valid"] for g in data["generations"])
 
-    def test_inspect_refuses_a_serve_config_that_does_not_restore(
+    def test_serve_refuses_a_directory_of_an_earlier_run(
         self, capsys, tmp_path
     ):
-        from repro.state import CheckpointManager
-
-        good, bad = tmp_path / "good", tmp_path / "bad"
-        main([
+        serve = [
             "serve", "--workload", "zipf", "--policy", "freqtier",
-            "--offers", "4", "--checkpoint-dir", str(good),
+            "--offers", "4", "--checkpoint-dir", str(tmp_path),
             "--checkpoint-every", "2", "--json",
-        ])
-        capsys.readouterr()
-        payload = CheckpointManager(good).load_latest().payload
-        payload["serve"]["config"]["no_such_field"] = 1
-        CheckpointManager(bad).save(payload)
-        assert main(["checkpoint", "inspect", str(good)]) == 0
-        capsys.readouterr()
-        assert main(["checkpoint", "inspect", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "INVALID" in out and "no_such_field" in out
-        assert "NOT resumable" in out
-        assert main(["checkpoint", "inspect", str(bad), "--json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data["resumable"] is False
-        assert "no_such_field" in data["generations"][0]["error"]
+        ]
+        run_cli(capsys, *serve)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(SystemExit) as info:
+            main(serve)
+        message = str(info.value.code)
+        assert str(tmp_path) in message and "already holds" in message
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        assert run_cli(capsys, "checkpoint", "inspect", str(tmp_path))
 
     def test_inspect_missing_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit):
